@@ -4,22 +4,23 @@ converse inequalities on implemented schemes.
 
 Privacy evidence is exhaustive enumeration with exact rational weights; a
 pass means the total variation distance is the rational 0, never "small".
-Monte-Carlo estimation exists only for state spaces too large to exhaust
-and is always reported as an estimate, never as a pass.
+Every exact measurement is a projection of one weighted pass over the
+message and randomness spaces (``_tabulate``).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .capacity import OverheadAccount, check_rate_admissible, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, SourceModel, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
-from .descriptor import SchemeDescriptor, SessionRecord
+from .descriptor import SchemeDescriptor
 from .dist import ExactDist, conditional_entropy, entropy, marginal, total_variation
 from .multiround import MessagePair, derive_cells, run_session
 from .seeds import derive_seed
@@ -53,40 +54,66 @@ def _spaces(scheme: SchemeDescriptor, limit: int):
     return messages, randomness
 
 
-def _enumerate_joint(
+def _integer_weights(space: list) -> tuple[list, int]:
+    """``(value, p)`` pairs as ``(value, p * den)`` over the lcm ``den``."""
+    den = math.lcm(*(p.denominator for _, p in space))
+    return [(value, p.numerator * (den // p.denominator)) for value, p in space], den
+
+
+def _add(tables: list, keys, weight: int) -> None:
+    if not tables:
+        tables.extend(defaultdict(int) for _ in keys)
+    for table, key in zip(tables, keys):
+        table[key] += weight
+
+
+def _tabulate(
     scheme: SchemeDescriptor,
-    theta: int,
-    project: Callable[[tuple, object, SessionRecord], tuple],
+    thetas: Sequence[int] = (),
+    session: Callable | None = None,
+    message: Callable | None = None,
     limit: int = EXHAUSTION_LIMIT,
-) -> dict[tuple, Fraction]:
-    """Exact joint law of any projection of (message, randomness, session)."""
+) -> list[dict[tuple, Fraction]]:
+    """Exact laws of the keys that projections of one exhaustive pass return.
+
+    ``session(msg, stored, f, records)`` returns one key per session table;
+    ``records[i]`` is the session played with desired index ``thetas[i]``.
+    ``message(msg, stored)`` returns one key per message table. Each message
+    is stored once and each (message, theta, randomness) triple is run once.
+    Weights accumulate as integers over the product of the two spaces'
+    common denominators. Session tables come first in the result.
+    """
     messages, randomness = _spaces(scheme, limit)
-    uniform = (
-        len({p for _, p in messages}) == 1 and len({p for _, p in randomness}) == 1
-    )
-    if uniform:
-        counts: Counter = Counter()
-        for msg, _ in messages:
-            for f, _ in randomness:
-                counts[project(msg, f, scheme.run(msg, theta, f))] += 1
-        total = len(messages) * len(randomness)
-        return {outcome: Fraction(c, total) for outcome, c in counts.items()}
-    weights: dict[tuple, Fraction] = {}
-    for msg, p_msg in messages:
-        for f, p_f in randomness:
-            outcome = project(msg, f, scheme.run(msg, theta, f))
-            weight = p_msg * p_f
-            weights[outcome] = weights.get(outcome, Fraction(0)) + weight
-    return weights
+    messages, msg_den = _integer_weights(messages)
+    randomness, f_den = _integer_weights(randomness)
+    run = scheme.run
+    session_tables: list = []
+    message_tables: list = []
+    for msg, w_msg in messages:
+        stored = scheme.store(msg)
+        if message is not None:
+            _add(message_tables, message(msg, stored), w_msg * f_den)
+        if session is not None:
+            for f, w_f in randomness:
+                records = [run(msg, theta, f) for theta in thetas]
+                _add(session_tables, session(msg, stored, f, records), w_msg * w_f)
+    total = msg_den * f_den
+    return [
+        {key: Fraction(count, total) for key, count in table.items()}
+        for table in session_tables + message_tables
+    ]
 
 
-def _view_projection(scheme: SchemeDescriptor, database: int):
-    n = database - 1
+def _view_tables(
+    scheme: SchemeDescriptor, thetas: Sequence[int], databases: Sequence[int], limit: int
+) -> dict[tuple[int, int], dict]:
+    """Laws of (queries, stored, answers) at each database, keyed (theta, database)."""
 
-    def project(msg, f, record: SessionRecord) -> tuple:
-        return record.queries[n] + scheme.store(msg)[n] + record.answers[n]
+    def session(msg, stored, f, records):
+        return [r.queries[n - 1] + stored[n - 1] + r.answers[n - 1] for r in records for n in databases]
 
-    return project
+    tables = _tabulate(scheme, thetas, session, limit=limit)
+    return dict(zip(product(thetas, databases), tables))
 
 
 def enumerate_view(
@@ -99,8 +126,8 @@ def enumerate_view(
     """Exhaustively enumerate one database's view under desired index theta."""
     if not (1 <= database <= scheme.params.num_databases):
         raise ValueError(f"database must be in [1, {scheme.params.num_databases}]")
-    weights = _enumerate_joint(scheme, theta, _view_projection(scheme, database), limit)
-    return PrivacyView(database, theta, ExactDist(weights, alphabets))
+    table = _view_tables(scheme, (theta,), (database,), limit)[theta, database]
+    return PrivacyView(database, theta, ExactDist(table, alphabets))
 
 
 def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
@@ -111,17 +138,18 @@ def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> di
     means every distance is exactly the rational 0.
     """
     thetas = range(1, scheme.params.num_messages + 1)
+    all_databases = range(1, scheme.params.num_databases + 1)
+    raw = _view_tables(scheme, thetas, all_databases, limit)
     databases = []
     overall = True
-    for database in range(1, scheme.params.num_databases + 1):
-        project = _view_projection(scheme, database)
-        raw = {t: _enumerate_joint(scheme, t, project, limit) for t in thetas}
-        arity = len(next(iter(raw[1])))
+    for database in all_databases:
+        tables = [raw[t, database] for t in thetas]
+        arity = len(next(iter(tables[0])))
         shared = tuple(
-            frozenset(o[i] for table in raw.values() for o in table)
+            frozenset(o[i] for table in tables for o in table)
             for i in range(arity)
         )
-        views = {t: ExactDist(raw[t], shared) for t in thetas}
+        views = {t: ExactDist(raw[t, database], shared) for t in thetas}
         distances = {}
         ok = True
         for t1 in thetas:
@@ -135,33 +163,6 @@ def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> di
         )
         overall = overall and ok
     return {"databases": databases, "pass": overall}
-
-
-def estimate_view_tv(
-    scheme: SchemeDescriptor, database: int, trials: int, seed: int
-) -> dict:
-    """Monte-Carlo total-variation estimate between theta=1 and theta=2 views.
-
-    For state spaces beyond the exhaustion limit. The result is an estimate
-    with sampling noise and is never reported as a pass verdict.
-    """
-    rng = random.Random(derive_seed(seed, "mc-view", scheme.name, database))
-    messages = list(scheme.message_space())
-    randomness = list(scheme.randomness_space())
-    msg_values = [m for m, _ in messages]
-    msg_weights = [float(p) for _, p in messages]
-    f_values = [f for f, _ in randomness]
-    f_weights = [float(p) for _, p in randomness]
-    project = _view_projection(scheme, database)
-    counts = {1: Counter(), 2: Counter()}
-    for theta in (1, 2):
-        for _ in range(trials):
-            msg = rng.choices(msg_values, msg_weights)[0]
-            f = rng.choices(f_values, f_weights)[0]
-            counts[theta][project(msg, f, scheme.run(msg, theta, f))] += 1
-    support = set(counts[1]) | set(counts[2])
-    tv = sum(abs(counts[1][o] - counts[2][o]) for o in support) / (2 * trials)
-    return {"estimate": tv, "trials": trials, "is_estimate": True}
 
 
 def exhaustive_correctness(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
@@ -179,39 +180,34 @@ def exhaustive_correctness(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIM
     return {"cases": cases, "errors": errors, "pass": errors == 0}
 
 
+def _expectation(table: dict) -> Fraction:
+    return sum((value * p for value, p in table.items()), Fraction(0))
+
+
+def _download_session(msg, stored, f, records) -> list:
+    """Keys (F, A_1, ..., A_N) and the symbol-level download bits."""
+    (record,) = records
+    return [(_f_symbols(f),) + record.answers, record.download_bits]
+
+
+def _ideal_download(table: dict) -> tuple[float, list[float]]:
+    """Sum over n of H(A_n | F, A_<n) from the law of (F, A_1, ..., A_N)."""
+    joint = ExactDist(table)
+    per_db = [
+        conditional_entropy(marginal(joint, range(n + 1)), range(n))
+        for n in range(1, joint.arity)
+    ]
+    return sum(per_db), per_db
+
+
 def expected_symbol_download(
     scheme: SchemeDescriptor, theta: int = 1, limit: int = EXHAUSTION_LIMIT
 ) -> Fraction:
     """Exact expected answer bits per block at symbol level (no compression)."""
-    messages, randomness = _spaces(scheme, limit)
-    acc = Fraction(0)
-    for msg, p_msg in messages:
-        for f, p_f in randomness:
-            acc += p_msg * p_f * scheme.run(msg, theta, f).download_bits
-    return acc
-
-
-def session_joint(
-    scheme: SchemeDescriptor, theta: int, limit: int = EXHAUSTION_LIMIT
-) -> tuple[ExactDist, dict[str, tuple[int, ...]]]:
-    """Joint law of (F, A_1, ..., A_N) with named coordinate groups."""
-    messages, randomness = _spaces(scheme, limit)
-    sample = scheme.run(messages[0][0], theta, randomness[0][0])
-    f_len = len(_f_symbols(randomness[0][0]))
-    groups: dict[str, tuple[int, ...]] = {"F": tuple(range(f_len))}
-    offset = f_len
-    for n, answer in enumerate(sample.answers):
-        groups[f"A{n + 1}"] = tuple(range(offset, offset + len(answer)))
-        offset += len(answer)
-
-    def project(msg, f, record: SessionRecord) -> tuple:
-        flat = _f_symbols(f)
-        for answer in record.answers:
-            flat = flat + answer
-        return flat
-
-    joint = ExactDist(_enumerate_joint(scheme, theta, project, limit))
-    return joint, groups
+    (table,) = _tabulate(
+        scheme, (theta,), lambda msg, stored, f, records: (records[0].download_bits,), limit=limit
+    )
+    return _expectation(table)
 
 
 def ideal_download_bits(
@@ -223,153 +219,76 @@ def ideal_download_bits(
     randomness and the streams already received, matching a decoder that
     decompresses round by round with everything it already knows.
     """
-    joint, groups = session_joint(scheme, theta, limit)
-    per_db: list[float] = []
-    known = groups["F"]
-    for n in range(scheme.params.num_databases):
-        target = groups[f"A{n + 1}"]
-        if not target:
-            per_db.append(0.0)
-            continue
-        marg = marginal(joint, known + target)
-        per_db.append(conditional_entropy(marg, range(len(known))))
-        known = known + target
-    return sum(per_db), per_db
+    answers, _ = _tabulate(scheme, (theta,), _download_session, limit=limit)
+    return _ideal_download(answers)
 
 
-def answer_entropy(
-    scheme: SchemeDescriptor, theta: int, database: int, limit: int = EXHAUSTION_LIMIT
-) -> float:
-    """H(A_n | F, G) for the session with desired index theta."""
-    joint, groups = session_joint(scheme, theta, limit)
-    target = groups[f"A{database}"]
-    if not target:
-        return 0.0
-    marg = marginal(joint, groups["F"] + target)
-    return conditional_entropy(marg, range(len(groups["F"])))
+def _storage_projections(scheme: SchemeDescriptor) -> tuple[Callable | None, Callable | None]:
+    """(session, message) projections keyed (S_n, side_n), one of them None.
+
+    Storage without side information depends only on the message, so it is
+    tabulated once per message; with side information, once per session.
+    """
+    if scheme.side_information is None:
+        return None, lambda msg, stored: [(s, ()) for s in stored]
+    return (lambda msg, stored, f, records: list(zip(stored, scheme.side_information(msg, f)))), None
 
 
-def ideal_storage_bits(
-    scheme: SchemeDescriptor,
-    limit: int = EXHAUSTION_LIMIT,
-    _spaces_cache=None,
-) -> list[float]:
+def _storage_entropy(table: dict) -> float:
+    return conditional_entropy(ExactDist(table), (1,))
+
+
+def ideal_storage_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> list[float]:
     """Per-database stored bits per block under ideal compression.
 
     Charged as H(S_n | side information available to the database at answer
-    time); without declared side information this is plain H(S_n). Storage
-    without side information depends only on the message, so the user
-    randomness is not enumerated in that case.
+    time); without declared side information this is plain H(S_n).
     """
-    messages, randomness = _spaces_cache or _spaces(scheme, limit)
-    n_dbs = scheme.params.num_databases
-    sample_store = scheme.store(messages[0][0])
-    has_side = scheme.side_information is not None
-    uniform = len({p for _, p in messages}) == 1 and (
-        not has_side or len({p for _, p in randomness}) == 1
-    )
-    counters: list = [Counter() if uniform else {} for _ in range(n_dbs)]
-    if has_side:
-        for msg, p_msg in messages:
-            stored = scheme.store(msg)
-            for f, p_f in randomness:
-                side = scheme.side_information(msg, f)
-                for n in range(n_dbs):
-                    key = stored[n] + side[n]
-                    if uniform:
-                        counters[n][key] += 1
-                    else:
-                        counters[n][key] = counters[n].get(key, Fraction(0)) + p_msg * p_f
-        total = len(messages) * len(randomness)
-    else:
-        for msg, p_msg in messages:
-            stored = scheme.store(msg)
-            for n in range(n_dbs):
-                if uniform:
-                    counters[n][stored[n]] += 1
-                else:
-                    counters[n][stored[n]] = counters[n].get(stored[n], Fraction(0)) + p_msg
-        total = len(messages)
-    per_db: list[float] = []
-    for n in range(n_dbs):
-        table = (
-            {o: Fraction(c, total) for o, c in counters[n].items()}
-            if uniform
-            else counters[n]
-        )
-        joint = ExactDist(table)
-        side_coords = tuple(range(len(sample_store[n]), joint.arity))
-        per_db.append(conditional_entropy(joint, side_coords))
-    return per_db
+    session, message = _storage_projections(scheme)
+    return [_storage_entropy(t) for t in _tabulate(scheme, (), session, message, limit)]
 
 
 def scheme_profile(
     scheme: SchemeDescriptor, thetas: Sequence[int] = (1, 2), limit: int = EXHAUSTION_LIMIT
 ) -> dict:
-    """Fused exhaustive summary: one pass per theta plus one storage pass.
+    """Exhaustive summary from one pass: per-database answer entropies
+    H(A_n | F, G) and expected symbol download per theta, and per-database
+    ideal storage bits."""
+    n_dbs = scheme.params.num_databases
+    storage_session, storage_message = _storage_projections(scheme)
 
-    Collects per-database answer entropies H(A_n | F, G), the expected
-    symbol-level download, and per-database ideal storage bits. Equivalent
-    to calling the individual measurement functions, in a fraction of the
-    enumeration work; used where a scheme's state space is large.
-    """
-    messages, randomness = _spaces(scheme, limit)
-    total_sessions = len(messages) * len(randomness)
-    uniform = (
-        len({p for _, p in messages}) == 1 and len({p for _, p in randomness}) == 1
-    )
-    answer_bits: dict[tuple[int, int], float] = {}
-    downloads: dict[int, Fraction] = {}
-    for theta in thetas:
-        counters = [Counter() for _ in range(scheme.params.num_databases)]
-        weights: list[dict] = [dict() for _ in range(scheme.params.num_databases)]
-        download_count = 0
-        download_weighted = Fraction(0)
-        for msg, p_msg in messages:
-            for f, p_f in randomness:
-                record = scheme.run(msg, theta, f)
-                f_sym = _f_symbols(f)
-                if uniform:
-                    download_count += record.download_bits
-                    for n in range(scheme.params.num_databases):
-                        counters[n][f_sym + record.answers[n]] += 1
-                else:
-                    w = p_msg * p_f
-                    download_weighted += w * record.download_bits
-                    for n in range(scheme.params.num_databases):
-                        key = f_sym + record.answers[n]
-                        weights[n][key] = weights[n].get(key, Fraction(0)) + w
-        downloads[theta] = (
-            Fraction(download_count, total_sessions) if uniform else download_weighted
-        )
-        for n in range(scheme.params.num_databases):
-            table = (
-                {o: Fraction(c, total_sessions) for o, c in counters[n].items()}
-                if uniform
-                else weights[n]
-            )
-            joint = ExactDist(table)
-            f_len = len(_f_symbols(randomness[0][0]))
-            answer_bits[(theta, n + 1)] = conditional_entropy(joint, range(f_len))
+    def session(msg, stored, f, records):
+        f_sym = _f_symbols(f)
+        keys = [(f_sym, answer) for r in records for answer in r.answers]
+        keys += [r.download_bits for r in records]
+        if storage_session is not None:
+            keys += storage_session(msg, stored, f, records)
+        return keys
+
+    tables = _tabulate(scheme, thetas, session, storage_message, limit)
+    answers = dict(zip(product(thetas, range(1, n_dbs + 1)), tables))
+    downloads = tables[len(answers): len(answers) + len(thetas)]
     return {
-        "answer_entropy": answer_bits,
-        "expected_symbol_download": downloads,
-        "storage_bits": ideal_storage_bits(scheme, limit, _spaces_cache=(messages, randomness)),
+        "answer_entropy": {
+            key: conditional_entropy(ExactDist(table), (0,)) for key, table in answers.items()
+        },
+        "expected_symbol_download": {t: _expectation(d) for t, d in zip(thetas, downloads)},
+        "storage_bits": [_storage_entropy(t) for t in tables[-n_dbs:]],
     }
 
 
 def upload_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
     """Informational query-uplink accounting (never part of the rate)."""
-    messages, randomness = _spaces(scheme, limit)
-    per_db = []
-    for n in range(scheme.params.num_databases):
-        def project(msg, f, record: SessionRecord, _n=n):
-            return record.queries[_n]
+    thetas = range(1, scheme.params.num_messages + 1)
+    n_dbs = scheme.params.num_databases
 
-        tables = [
-            _enumerate_joint(scheme, theta, project, limit)
-            for theta in range(1, scheme.params.num_messages + 1)
-        ]
+    def session(msg, stored, f, records):
+        return [r.queries[n] for n in range(n_dbs) for r in records]
+
+    all_tables = _tabulate(scheme, thetas, session, limit=limit)
+    per_db = []
+    for n in range(n_dbs):
+        tables = all_tables[n * len(thetas): (n + 1) * len(thetas)]
         arity = len(next(iter(tables[0])))
         raw = 0.0
         for i in range(arity):
@@ -389,11 +308,8 @@ def _is_multiround_split(scheme: SchemeDescriptor) -> bool:
 
 def _message_bias(scheme: SchemeDescriptor) -> Fraction:
     """Exact Pr(w1 bit = 1) from the declared message space."""
-    acc = Fraction(0)
-    for msg, p in scheme.message_space():
-        if msg[0][0] == 1:
-            acc += p
-    return acc
+    (table,) = _tabulate(scheme, message=lambda msg, stored: (msg[0][0],))
+    return table.get(1, Fraction(0))
 
 
 def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> tuple[SourceModel, SourceModel]:
@@ -402,10 +318,10 @@ def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT
     DB1's stream is its per-position answer bit; DB2's stream is the answer
     bit conditioned on a round-2 query having been sent.
     """
-    def project(msg, f, record: SessionRecord):
-        return record.answers[0] + record.answers[1]
-
-    table = _enumerate_joint(scheme, 1, project, limit)
+    (table,) = _tabulate(
+        scheme, (1,), lambda msg, stored, f, records: (records[0].answers[0] + records[0].answers[1],),
+        limit=limit,
+    )
     p1 = sum((w for (a1, _), w in table.items() if a1 == 1), Fraction(0))
     sent = {a2: Fraction(0) for a2 in (0, 1)}
     for (_, a2), w in table.items():
@@ -462,9 +378,10 @@ def measure_rate(
     """Rate statistics in ideal (exact entropy) or concrete (coded) accounting."""
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
-    total, per_db = ideal_download_bits(scheme, limit=limit)
+    answers, downloads = _tabulate(scheme, (1,), _download_session, limit=limit)
+    total, per_db = _ideal_download(answers)
     block = scheme.block_length
-    symbol_download = expected_symbol_download(scheme, limit=limit)
+    symbol_download = _expectation(downloads)
     result = {
         "block_length": block,
         "ideal_download_per_message_bit": total / block,
@@ -565,11 +482,7 @@ def measure_overhead(
 
 
 def _db1_cell_model(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> SourceModel:
-    messages, _ = _spaces(scheme, limit)
-    weights: dict[tuple, Fraction] = {}
-    for msg, p in messages:
-        cell = scheme.store(msg)[0]
-        weights[cell] = weights.get(cell, Fraction(0)) + p
+    (weights,) = _tabulate(scheme, message=lambda msg, stored: (stored[0],), limit=limit)
     return SourceModel(tuple(sorted(weights)), weights)
 
 
@@ -646,43 +559,25 @@ def coupled_session_joint(
 
     Sessions for theta = 1 and theta = 2 are coupled through the shared
     (message, randomness) sample, which is exactly what the identity and
-    converse quantities range over. Only defined for single-round schemes.
+    converse quantities range over. Each named group is one coordinate that
+    holds the group's symbol tuple. Only defined for single-round schemes.
     """
     if scheme.params.rounds != 1:
         raise ValueError("coupled session joint is defined for single-round schemes")
-    messages, randomness = _spaces(scheme, limit)
-    sample_msg, sample_f = messages[0][0], randomness[0][0]
-    records = {t: scheme.run(sample_msg, t, sample_f) for t in (1, 2)}
+    databases = range(1, scheme.params.num_databases + 1)
+    names = ["W1", "W2", "F"] + [
+        f"{kind}{n}^{theta}" for theta in (1, 2) for kind in "QA" for n in databases
+    ]
+    groups = {name: (i,) for i, name in enumerate(names)}
 
-    groups: dict[str, tuple[int, ...]] = {}
-    offset = 0
+    def session(msg, stored, f, records):
+        key = (tuple(msg[0]), tuple(msg[1]), _f_symbols(f))
+        for record in records:
+            key += record.queries + record.answers
+        return (key,)
 
-    def reserve(name: str, width: int):
-        nonlocal offset
-        groups[name] = tuple(range(offset, offset + width))
-        offset += width
-
-    reserve("W1", len(sample_msg[0]))
-    reserve("W2", len(sample_msg[1]))
-    reserve("F", len(_f_symbols(sample_f)))
-    for theta in (1, 2):
-        for n in range(scheme.params.num_databases):
-            reserve(f"Q{n + 1}^{theta}", len(records[theta].queries[n]))
-        for n in range(scheme.params.num_databases):
-            reserve(f"A{n + 1}^{theta}", len(records[theta].answers[n]))
-
-    def project(msg, f, record_theta1: SessionRecord) -> tuple:
-        flat = tuple(msg[0]) + tuple(msg[1]) + _f_symbols(f)
-        for theta in (1, 2):
-            record = record_theta1 if theta == 1 else scheme.run(msg, 2, f)
-            for q in record.queries:
-                flat += q
-            for a in record.answers:
-                flat += a
-        return flat
-
-    joint = ExactDist(_enumerate_joint(scheme, 1, project, limit))
-    return joint, groups
+    (table,) = _tabulate(scheme, (1, 2), session, limit=limit)
+    return ExactDist(table), groups
 
 
 def _cond_entropy_of(joint: ExactDist, target: tuple[int, ...], given: tuple[int, ...]) -> float:
@@ -766,8 +661,9 @@ def verify_converse_bounds(
     params = scheme.params
     capacity = mtpir_capacity(params)
 
+    answers, downloads = _tabulate(scheme, (1,), _download_session, limit=limit)
     if rate is None:
-        rate = Fraction(scheme.block_length) / expected_symbol_download(scheme, limit=limit)
+        rate = Fraction(scheme.block_length) / _expectation(downloads)
     checks.append(
         {
             "name": "symbol rate <= capacity",
@@ -777,7 +673,7 @@ def verify_converse_bounds(
             "pass": check_rate_admissible(rate, params),
         }
     )
-    ideal_total, _ = ideal_download_bits(scheme, limit=limit)
+    ideal_total, _ = _ideal_download(answers)
     ideal_rate = scheme.block_length / ideal_total
     checks.append(
         {

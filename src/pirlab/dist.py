@@ -103,9 +103,6 @@ class ExactDist:
     def probability(self, outcome) -> Fraction:
         return self._weights.get(_as_outcome(outcome), Fraction(0))
 
-    def with_alphabets(self, alphabets: Sequence[Iterable[Hashable]]) -> "ExactDist":
-        return ExactDist(self._weights, alphabets)
-
     def __len__(self) -> int:
         return len(self._weights)
 

@@ -99,8 +99,6 @@ class Transcript:
     """One retrieval session: queries, answers and the decoded output.
 
     ``a2`` carries ``None`` at positions where DB2 was not contacted.
-    ``shared_randomness`` is the databases' common random variable; both
-    databases answer deterministically here, so it stays empty.
     """
 
     theta: int
@@ -110,7 +108,6 @@ class Transcript:
     q2: tuple[str | None, ...]
     a2: tuple[int | None, ...]
     decoded: tuple[int, ...] | None = None
-    shared_randomness: tuple = ()
 
 
 def derive_cells(m: MessagePair, coin: Sequence[int] | None = None) -> CellTable:

@@ -28,7 +28,6 @@ from .coding import CodecConfig, side_info_conditional_entropy, sw_bin_bits
 from .dist import ExactDist, marginal
 from .linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
 from .multiround import MessagePair, multiround_descriptor, run_session
-from .seeds import derive_seed
 
 EXPECTED_VIEW_TABLE = {
     (None, 0, 0): Fraction(1, 4),
@@ -59,8 +58,7 @@ def criterion_capacity() -> dict:
         for t in range(1, n + 1):
             for k in range(1, 6):
                 c = mtpir_capacity(PirParameters(k, n, t))
-                if k < 5:
-                    grid_ok &= mtpir_capacity(PirParameters(k + 1, n, t)) <= c
+                grid_ok &= mtpir_capacity(PirParameters(k + 1, n, t)) <= c
                 if t < n:
                     grid_ok &= mtpir_capacity(PirParameters(k, n, t + 1)) <= c
                 grid_ok &= mtpir_capacity(PirParameters(k, n + 1, t)) >= c
@@ -312,7 +310,7 @@ def criterion_symmetrization() -> dict:
 def reproduce_all(mode: str = "full", seed: int = 0, codec: CodecConfig | None = None) -> dict:
     if mode not in ("ideal", "full"):
         raise ValueError("mode must be 'ideal' or 'full'")
-    codec = codec or CodecConfig(seed=derive_seed(seed, "codec"))
+    codec = codec or CodecConfig(seed=seed)
     rows = [
         criterion_capacity(),
         criterion_multiround_correctness(),

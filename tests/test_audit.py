@@ -1,5 +1,6 @@
 """Audit engine: exact views, privacy verdicts, measurements, reports."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -14,7 +15,6 @@ from pirlab.audit import (
     conditional_mutual_information,
     coupled_session_joint,
     enumerate_view,
-    estimate_view_tv,
     exhaustive_correctness,
     expected_symbol_download,
     fraction_str,
@@ -24,6 +24,7 @@ from pirlab.audit import (
     measure_overhead,
     measure_rate,
     real_str,
+    scheme_profile,
     sw_failure_rate,
     upload_bits,
     verify_converse_bounds,
@@ -139,10 +140,41 @@ class TestPrivacy:
         assert tv == oracle == F(1, 4)
         assert result["databases"][0]["pass"]
 
-    def test_monte_carlo_estimate_is_flagged(self):
-        estimate = estimate_view_tv(multiround_descriptor(), database=2, trials=400, seed=3)
-        assert estimate["is_estimate"]
-        assert 0 <= estimate["estimate"] <= 0.2
+
+class TestEnumerationCounts:
+    """Each public measurement stores each message and runs each
+    (message, theta, randomness) triple at most once."""
+
+    @staticmethod
+    def counted(scheme):
+        calls = {"run": 0, "store": 0}
+
+        def run(msg, theta, f):
+            calls["run"] += 1
+            return scheme.run(msg, theta, f)
+
+        def store(msg):
+            calls["store"] += 1
+            return scheme.store(msg)
+
+        return dataclasses.replace(scheme, run=run, store=store), calls
+
+    @pytest.mark.parametrize(
+        "measure, runs, stores",
+        [
+            (check_privacy, 1024, 256),
+            (measure_rate, 512, None),
+            (scheme_profile, 1024, None),
+            (ideal_storage_bits, 0, 256),
+        ],
+        ids=["check_privacy", "measure_rate", "scheme_profile", "ideal_storage_bits"],
+    )
+    def test_linear_call_counts(self, measure, runs, stores):
+        scheme, calls = self.counted(linear_descriptor())
+        measure(scheme)
+        assert calls["run"] == runs
+        if stores is not None:
+            assert calls["store"] == stores
 
 
 class TestCorrectness:
@@ -167,8 +199,14 @@ class TestIdealAccounting:
         assert bits[0] == pytest.approx(1.5, abs=TOL)
         assert bits[1] == pytest.approx(0.75 * math.log2(3), abs=TOL)
 
-    def test_expected_symbol_download_seven_quarters(self):
-        assert expected_symbol_download(multiround_descriptor()) == F(7, 4)
+    @pytest.mark.parametrize(
+        "bias, expected",
+        [(F(1, 2), F(7, 4)), (F(3, 4), F(27, 16))],
+        ids=["uniform", "bias-3-4"],
+    )
+    def test_expected_symbol_download_seven_quarters(self, bias, expected):
+        # 1 + Pr(round 2 is sent) = 1 + 1 - (Pr(x1 = 1) + Pr(x2 = 1)) / 2.
+        assert expected_symbol_download(multiround_descriptor(bias=bias)) == expected
 
     def test_linear_ideal(self):
         total, per_db = ideal_download_bits(linear_descriptor())

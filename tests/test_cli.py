@@ -1,8 +1,29 @@
 """CLI contract: JSON shape, exit codes, reproducibility."""
 
+import hashlib
 import json
 
+import pytest
+
 from pirlab.cli import main
+
+# SHA-256 of stdout and the exit code of commands whose JSON documents are
+# promised byte-identical across changes; perfbench/workloads.py checks the
+# same digests.
+GOLDEN = {
+    ("audit", "--scheme", "multiround"):
+        (0, "1e221870f2f81dc3ee59949c324e01b7bc4404aeb8e00ea9a061e1b6b98d8df6"),
+    ("audit", "--scheme", "multiround", "--storage", "replicated"):
+        (1, "a1d26809fab85ed15ce706fbeadd68cd164cdef7a48d2489f09710138e329d5a"),
+    ("audit", "--scheme", "multiround", "--bias", "3/4"):
+        (1, "6810268be6de1aea6285af0a2c913f8674cabfb27cda74eb9d6055b0583c5f3f"),
+    ("audit", "--scheme", "linear"):
+        (0, "34ea06046783e8f42d188522efc1abd01979dc06c43395fa72669212f6843cc6"),
+    ("audit", "--scheme", "replicated"):
+        (0, "d25d8304d6db50f1dc738ffae4340a746af764f675623f24b59d4609c8bb6612"),
+    ("reproduce", "--mode", "ideal"):
+        (0, "5b95c9ddf08f2913c9a63ea7a2d7c93cc05206e0842708fa0d9e5193b3a6c1ad"),
+}
 
 
 def run_cli(capsys, *argv):
@@ -97,3 +118,15 @@ class TestReproduce:
         code, doc = run_cli(capsys, "reproduce", "--mode", "ideal")
         assert code == 0
         assert doc["seed"] == 42
+
+
+@pytest.mark.parametrize(
+    "argv",
+    list(GOLDEN),
+    ids=["multiround", "multiround-replicated", "multiround-bias-3-4", "linear", "replicated", "reproduce-ideal"],
+)
+def test_golden_stdout_digest(capsys, monkeypatch, argv):
+    monkeypatch.delenv("PIRLAB_SEED", raising=False)
+    code = main(list(argv))
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (code, digest) == GOLDEN[argv]
