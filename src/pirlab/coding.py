@@ -25,6 +25,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from numbers import Real
 from typing import Hashable, Mapping, Sequence
 
 from .dist import ExactDist, conditional_entropy, entropy
@@ -35,6 +36,8 @@ _MASK = (1 << _STATE_BITS) - 1
 _TOP = 1 << (_STATE_BITS - 1)
 _SECOND = _TOP >> 1
 _HEADER = struct.Struct(">QQ")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -76,55 +79,15 @@ class SourceModel:
         return entropy(ExactDist({(s,): p for s, p in self.probabilities.items()}))
 
 
-class _BitWriter:
-    def __init__(self):
-        self._bytes = bytearray()
-        self._current = 0
-        self._filled = 0
-        self.bit_count = 0
-
-    def write(self, bit: int) -> None:
-        self._current = (self._current << 1) | bit
-        self._filled += 1
-        self.bit_count += 1
-        if self._filled == 8:
-            self._bytes.append(self._current)
-            self._current = 0
-            self._filled = 0
-
-    def getvalue(self) -> bytes:
-        out = bytes(self._bytes)
-        if self._filled:
-            out += bytes((self._current << (8 - self._filled),))
-        return out
-
-
-class _BitReader:
-    """Yields payload bits big endian, then zeros forever (decoder lookahead)."""
-
-    def __init__(self, payload: bytes, bit_count: int):
-        self._payload = payload
-        self._bit_count = bit_count
-        self._pos = 0
-
-    def read(self) -> int:
-        if self._pos >= self._bit_count:
-            return 0
-        byte = self._payload[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-
 def entropy_encode(symbols: Sequence[Hashable], model: SourceModel) -> bytes:
     """Arithmetic-code ``symbols`` under ``model`` into a framed stream."""
     cumulative = model._cumulative
     index = model._index
     total = cumulative[-1]
-    writer = _BitWriter()
+    out = bytearray()  # one code bit per byte, packed once at the end
     low, high, pending = 0, _MASK, 0
     count = 0
-    for symbol in symbols:
+    for count, symbol in enumerate(symbols, 1):
         try:
             i = index[symbol]
         except KeyError:
@@ -134,20 +97,21 @@ def entropy_encode(symbols: Sequence[Hashable], model: SourceModel) -> bytes:
         low = low + span * cumulative[i] // total
         while ((low ^ high) & _TOP) == 0:
             bit = low >> (_STATE_BITS - 1)
-            writer.write(bit)
-            for _ in range(pending):
-                writer.write(bit ^ 1)
-            pending = 0
+            out.append(bit)
+            if pending:
+                out.extend([bit ^ 1] * pending)
+                pending = 0
             low = (low << 1) & _MASK
             high = ((high << 1) & _MASK) | 1
         while (low & ~high & _SECOND) != 0:
             pending += 1
             low = (low << 1) & (_MASK >> 1)
             high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
-        count += 1
     if count:
-        writer.write(1)
-    return _HEADER.pack(count, writer.bit_count) + writer.getvalue()
+        out.append(1)
+    # The leading "0" keeps int() defined for an empty payload.
+    digits = b"0" + out.translate(_DIGITS) + b"0" * (-len(out) % 8)
+    return _HEADER.pack(count, len(out)) + int(digits, 2).to_bytes(len(digits) // 8, "big")
 
 
 def _parse_frame(data: bytes) -> tuple[int, int, bytes]:
@@ -157,6 +121,10 @@ def _parse_frame(data: bytes) -> tuple[int, int, bytes]:
     payload = data[_HEADER.size:]
     if len(payload) != (bit_count + 7) // 8:
         raise ValueError("truncated or corrupt stream: payload length mismatch")
+    if (count == 0) != (bit_count == 0):
+        raise ValueError(f"corrupt stream: {count} symbols in {bit_count} payload bits")
+    if payload and payload[-1] & ((1 << (-bit_count % 8)) - 1):
+        raise ValueError("corrupt stream: nonzero padding bits")
     return count, bit_count, payload
 
 
@@ -177,10 +145,13 @@ def entropy_decode(data: bytes, model: SourceModel, count: int) -> list:
     cumulative = model._cumulative
     total = cumulative[-1]
     size = len(model.alphabet)
-    reader = _BitReader(payload, bit_count)
-    code = 0
-    for _ in range(_STATE_BITS):
-        code = (code << 1) | reader.read()
+    # One code bit per byte. Padding bits are zero, and reads past the
+    # payload see zeros too (the decoder's lookahead).
+    bits = format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b").encode().translate(_BITS)
+    end = len(bits)
+    head = _STATE_BITS // 8
+    code = int.from_bytes(payload[:head].ljust(head, b"\0"), "big")
+    pos = _STATE_BITS
     low, high = 0, _MASK
     out = []
     for _ in range(count):
@@ -197,11 +168,13 @@ def entropy_decode(data: bytes, model: SourceModel, count: int) -> list:
         high = low + span * cumulative[lo + 1] // total - 1
         low = low + span * cumulative[lo] // total
         while ((low ^ high) & _TOP) == 0:
-            code = ((code << 1) & _MASK) | reader.read()
+            code = ((code << 1) & _MASK) | (bits[pos] if pos < end else 0)
+            pos += 1
             low = (low << 1) & _MASK
             high = ((high << 1) & _MASK) | 1
         while (low & ~high & _SECOND) != 0:
-            code = (code & _TOP) | ((code << 1) & (_MASK >> 1)) | reader.read()
+            code = (code & _TOP) | ((code << 1) & (_MASK >> 1)) | (bits[pos] if pos < end else 0)
+            pos += 1
             low = (low << 1) & (_MASK >> 1)
             high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
     return out
@@ -239,10 +212,24 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("block_length", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.block_length < 1:
             raise ValueError("block_length must be at least 1")
-        if self.rate_margin <= 0:
-            raise ValueError("rate_margin must be positive")
+        margin = self.rate_margin
+        if not (isinstance(margin, Real) and math.isfinite(margin) and margin > 0):
+            raise ValueError(f"rate_margin must be finite and positive, got {margin!r}")
+        # The bin size and the mask table depend only on these fields, so
+        # they are built once here. The mask table is a position-wise
+        # tabulation hash: XOR of one uniform mask per position and symbol.
+        # Any two distinct blocks collide with probability 2**-bits.
+        bits = math.ceil(self.block_length * (side_info_conditional_entropy() + margin))
+        rng = random.Random(derive_seed(self.seed, "sw-mask", self.block_length, bits))
+        masks = tuple(tuple(rng.getrandbits(bits) for _ in range(3)) for _ in range(self.block_length))
+        object.__setattr__(self, "_bin_bits", bits)
+        object.__setattr__(self, "_masks", masks)
 
 
 @dataclass(frozen=True)
@@ -259,14 +246,7 @@ class SwBin:
 
 def sw_bin_bits(cfg: CodecConfig) -> int:
     """ceil(n * (H(y1, y2 | u) + margin)) bits per block."""
-    return math.ceil(cfg.block_length * (side_info_conditional_entropy() + cfg.rate_margin))
-
-
-def _mask_table(cfg: CodecConfig, bits: int) -> list[tuple[int, int, int]]:
-    # Position-wise tabulation hash: XOR of one uniform mask per position and
-    # symbol. Any two distinct blocks collide with probability 2**-bits.
-    rng = random.Random(derive_seed(cfg.seed, "sw-mask", cfg.block_length, bits))
-    return [tuple(rng.getrandbits(bits) for _ in range(3)) for _ in range(cfg.block_length)]
+    return cfg._bin_bits
 
 
 def _to_trits(y_block: Sequence[tuple[int, int]], n: int) -> list[int]:
@@ -280,13 +260,10 @@ def _to_trits(y_block: Sequence[tuple[int, int]], n: int) -> list[int]:
 
 def sw_encode(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> SwBin:
     """Hash a block of cell pairs into its bin. The encoder never sees u."""
-    trits = _to_trits(y_block, cfg.block_length)
-    bits = sw_bin_bits(cfg)
-    masks = _mask_table(cfg, bits)
     index = 0
-    for position, trit in enumerate(trits):
-        index ^= masks[position][trit]
-    return SwBin(index, bits)
+    for masks, trit in zip(cfg._masks, _to_trits(y_block, cfg.block_length)):
+        index ^= masks[trit]
+    return SwBin(index, cfg._bin_bits)
 
 
 def _check_side_info(u_block: Sequence[int], cfg: CodecConfig) -> list[int]:
@@ -311,10 +288,9 @@ def sw_decode(
     coder's decode failure: two or more candidates landed in the bin.
     """
     u_block = _check_side_info(u_block, cfg)
-    bits = sw_bin_bits(cfg)
-    if sw_bin.bin_bits != bits:
-        raise ValueError(f"bin carries {sw_bin.bin_bits} bits, config implies {bits}")
-    masks = _mask_table(cfg, bits)
+    if sw_bin.bin_bits != cfg._bin_bits:
+        raise ValueError(f"bin carries {sw_bin.bin_bits} bits, config implies {cfg._bin_bits}")
+    masks = cfg._masks
     fixed = 0
     free: list[int] = []
     for position, u in enumerate(u_block):
@@ -370,10 +346,9 @@ def sw_decode_reference(
     oracle against the meet-in-the-middle decoder on small blocks.
     """
     u_block = _check_side_info(u_block, cfg)
-    bits = sw_bin_bits(cfg)
-    if sw_bin.bin_bits != bits:
-        raise ValueError(f"bin carries {sw_bin.bin_bits} bits, config implies {bits}")
-    masks = _mask_table(cfg, bits)
+    if sw_bin.bin_bits != cfg._bin_bits:
+        raise ValueError(f"bin carries {sw_bin.bin_bits} bits, config implies {cfg._bin_bits}")
+    masks = cfg._masks
     free = [position for position, u in enumerate(u_block) if u == 1]
     fixed = 0
     for position, u in enumerate(u_block):

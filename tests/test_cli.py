@@ -9,7 +9,8 @@ from pirlab.cli import main
 
 # SHA-256 of stdout and the exit code of commands whose JSON documents are
 # promised byte-identical across changes; perfbench/workloads.py checks the
-# same digests.
+# same digests for the five audits and reproduce --mode ideal. The two
+# concrete commands run the entropy and binning coders.
 GOLDEN = {
     ("audit", "--scheme", "multiround"):
         (0, "1e221870f2f81dc3ee59949c324e01b7bc4404aeb8e00ea9a061e1b6b98d8df6"),
@@ -23,6 +24,10 @@ GOLDEN = {
         (0, "d25d8304d6db50f1dc738ffae4340a746af764f675623f24b59d4609c8bb6612"),
     ("reproduce", "--mode", "ideal"):
         (0, "5b95c9ddf08f2913c9a63ea7a2d7c93cc05206e0842708fa0d9e5193b3a6c1ad"),
+    ("audit", "--scheme", "multiround", "--mode", "concrete"):
+        (0, "56547206945dff666d24d2d1abf4b17d1629c92d7be1b5b73be336f5cbf9f6f8"),
+    ("simulate", "--scheme", "multiround", "--mode", "concrete"):
+        (0, "18f46b0b87f13285009193bff291c89e11750e9beed830b1edbc3bb32b28a353"),
 }
 
 
@@ -69,6 +74,12 @@ class TestSimulate:
         assert len(doc["sessions"]) == 2
         mean = float(doc["rate"]["concrete"]["download_per_message_bit_mean"])
         assert abs(mean - 1.5) < 0.05
+
+    def test_nan_delta_exit_2(self, capsys):
+        assert main(["simulate", "--delta", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rate_margin must be finite and positive" in captured.err
 
     def test_linear_block(self, capsys):
         code, doc = run_cli(
@@ -123,7 +134,16 @@ class TestReproduce:
 @pytest.mark.parametrize(
     "argv",
     list(GOLDEN),
-    ids=["multiround", "multiround-replicated", "multiround-bias-3-4", "linear", "replicated", "reproduce-ideal"],
+    ids=[
+        "multiround",
+        "multiround-replicated",
+        "multiround-bias-3-4",
+        "linear",
+        "replicated",
+        "reproduce-ideal",
+        "audit-multiround-concrete",
+        "simulate-multiround-concrete",
+    ],
 )
 def test_golden_stdout_digest(capsys, monkeypatch, argv):
     monkeypatch.delenv("PIRLAB_SEED", raising=False)

@@ -1,12 +1,15 @@
 """Entropy coder round-trips, rate bands, and binning coder behavior."""
 
+import hashlib
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pirlab import coding
 from pirlab.coding import (
     CodecConfig,
     SourceModel,
@@ -29,6 +32,30 @@ F = Fraction
 BERN_QUARTER = SourceModel.bernoulli(F(1, 4))
 BERN_THIRD = SourceModel.bernoulli(F(1, 3))
 FAIR = SourceModel.bernoulli(F(1, 2))
+TERNARY = SourceModel(("a", "b", "c"), {"a": F(1, 2), "b": F(1, 3), "c": F(1, 6)})
+# The likely middle symbol keeps the coder interval straddling the midpoint,
+# so each repeat defers one more output bit.
+CENTERED = SourceModel(("a", "b", "c"), {"a": F(1, 4), "b": F(1, 2), "c": F(1, 4)})
+
+
+def biased_bits():
+    rng = random.Random(20240)
+    return [1 if rng.random() < 0.25 else 0 for _ in range(100_000)]
+
+
+def ternary_symbols():
+    rng = random.Random(7)
+    return rng.choices(("a", "b", "c"), weights=(3, 2, 1), k=500)
+
+
+def pending_runs():
+    """Runs of up to 79 deferred bits, longer than the 32-bit coder state."""
+    rng = random.Random(5)
+    symbols = []
+    for _ in range(200):
+        symbols.extend(["b"] * rng.randrange(1, 80))
+        symbols.append(rng.choice("ac"))
+    return symbols
 
 
 class TestSourceModel:
@@ -77,14 +104,28 @@ class TestEntropyCoder:
         with pytest.raises(ValueError, match="header"):
             entropy_decode(stream[:7], BERN_QUARTER, 100)
 
+    def test_symbols_without_payload_rejected(self):
+        with pytest.raises(ValueError, match="corrupt"):
+            entropy_decode(struct.pack(">QQ", 5, 0), BERN_QUARTER, 5)
+
+    def test_payload_without_symbols_rejected(self):
+        with pytest.raises(ValueError, match="corrupt"):
+            entropy_decode(struct.pack(">QQ", 0, 3) + b"\xa0", BERN_QUARTER, 0)
+
+    def test_nonzero_padding_rejected(self):
+        stream = entropy_encode([1, 0, 0, 1, 0], BERN_QUARTER)
+        assert stream_payload_bits(stream) % 8
+        corrupted = stream[:-1] + bytes((stream[-1] | 1,))
+        with pytest.raises(ValueError, match="padding"):
+            entropy_decode(corrupted, BERN_QUARTER, 5)
+
     def test_symbol_count_in_frame(self):
         stream = entropy_encode([1, 1, 0], BERN_THIRD)
         assert stream_symbol_count(stream) == 3
 
     def test_rate_band_biased_source(self):
-        rng = random.Random(20240)
         n = 100_000
-        symbols = [1 if rng.random() < 0.25 else 0 for _ in range(n)]
+        symbols = biased_bits()
         stream = entropy_encode(symbols, BERN_QUARTER)
         per_symbol = stream_payload_bits(stream) / n
         h = BERN_QUARTER.entropy_bits()
@@ -99,11 +140,34 @@ class TestEntropyCoder:
         assert 1 - 0.01 <= per_symbol <= 1 + 0.01
 
     def test_ternary_alphabet_round_trip(self):
-        model = SourceModel(("a", "b", "c"), {"a": F(1, 2), "b": F(1, 3), "c": F(1, 6)})
-        rng = random.Random(7)
-        symbols = rng.choices(("a", "b", "c"), weights=(3, 2, 1), k=500)
-        stream = entropy_encode(symbols, model)
-        assert entropy_decode(stream, model, 500) == symbols
+        symbols = ternary_symbols()
+        stream = entropy_encode(symbols, TERNARY)
+        assert entropy_decode(stream, TERNARY, 500) == symbols
+
+    def test_long_pending_runs_round_trip(self):
+        symbols = pending_runs()
+        stream = entropy_encode(symbols, CENTERED)
+        assert entropy_decode(stream, CENTERED, len(symbols)) == symbols
+        # A run left pending at the end is never written: the decoder reads
+        # a thousand lookahead zeros past a one-bit payload.
+        stream = entropy_encode(["b"] * 1000, CENTERED)
+        assert stream_payload_bits(stream) == 1
+        assert entropy_decode(stream, CENTERED, 1000) == ["b"] * 1000
+
+    # SHA-256 of framed streams recorded before the coder loops were
+    # rewritten; the framing is a stable interop format.
+    @pytest.mark.parametrize(
+        "symbols, model, digest",
+        [
+            (biased_bits, BERN_QUARTER, "99ee4e3ec4158c65a0b94eb24d66279525809f89e4434cb443e5790969f9f6b7"),
+            (ternary_symbols, TERNARY, "6a2ef8d5c6f6cb9c0db1a58fe8f79d512b6279935c71cea65435ab7ce45d1c8e"),
+            (pending_runs, CENTERED, "a3b7611c34926d244671f4af88d69eda235324f492c7d6eae96b7abfddb237e8"),
+        ],
+        ids=["bernoulli-quarter", "ternary", "pending-runs"],
+    )
+    def test_golden_stream(self, symbols, model, digest):
+        stream = entropy_encode(symbols(), model)
+        assert hashlib.sha256(stream).hexdigest() == digest
 
 
 @settings(max_examples=60)
@@ -139,10 +203,42 @@ class TestBinSizing:
         assert sw_bin_bits(cfg) / cfg.block_length < 1.5
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            CodecConfig(block_length=0)
-        with pytest.raises(ValueError):
-            CodecConfig(rate_margin=0.0)
+        for field, value in [
+            ("block_length", 0),
+            ("block_length", 2.5),
+            ("block_length", True),
+            ("seed", 1.0),
+            ("seed", False),
+            ("rate_margin", 0.0),
+            ("rate_margin", -0.1),
+            ("rate_margin", math.nan),
+            ("rate_margin", math.inf),
+            ("rate_margin", "0.15"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                CodecConfig(**{field: value})
+
+    def test_tables_built_once_per_config(self, monkeypatch):
+        calls = {"derive_seed": 0, "conditional_entropy": 0}
+
+        def counted(name):
+            original = getattr(coding, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(coding, name, counted(name))
+        cfg = CodecConfig(seed=9)
+        rng = random.Random(12)
+        for _ in range(200):
+            pairs, u = random_block(rng, cfg.block_length)
+            sw_decode(sw_encode(pairs, cfg), u, cfg)
+        assert calls["derive_seed"] <= 1
+        assert calls["conditional_entropy"] <= 1
 
 
 def random_block(rng, n):
@@ -219,6 +315,24 @@ class TestBinning:
             pairs, u = random_block(rng, cfg.block_length)
             sw = sw_encode(pairs, cfg)
             assert sw_decode(sw, u, cfg) == sw_decode_reference(sw, u, cfg)
+
+    # SHA-256 of the concatenated 4-byte bin indices of 1,000 seeded blocks,
+    # recorded before the mask tables moved into CodecConfig.
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (CodecConfig(), "65656971767b55fdf5ddcce9e6e9673611485a954df2fe9517e393c250b192f9"),
+            (CodecConfig(block_length=9, rate_margin=0.3, seed=17), "2ca212363b7298884be84cb56766c4efbfbf6e480de49f862a2d705a74f67f71"),
+        ],
+        ids=["default", "n9-margin-0.3-seed-17"],
+    )
+    def test_golden_bins(self, cfg, digest):
+        rng = random.Random(2024)
+        indices = b"".join(
+            sw_encode(random_block(rng, cfg.block_length)[0], cfg).bin_index.to_bytes(4, "big")
+            for _ in range(1000)
+        )
+        assert hashlib.sha256(indices).hexdigest() == digest
 
     def test_failure_rate_decreases_with_margin(self):
         rates = []
