@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .capacity import OverheadAccount, check_rate_admissible, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, SourceModel, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
@@ -120,14 +120,13 @@ def enumerate_view(
     scheme: SchemeDescriptor,
     theta: int,
     database: int,
-    alphabets: Sequence[Iterable] | None = None,
     limit: int = EXHAUSTION_LIMIT,
 ) -> PrivacyView:
     """Exhaustively enumerate one database's view under desired index theta."""
     if not (1 <= database <= scheme.params.num_databases):
         raise ValueError(f"database must be in [1, {scheme.params.num_databases}]")
     table = _view_tables(scheme, (theta,), (database,), limit)[theta, database]
-    return PrivacyView(database, theta, ExactDist(table, alphabets))
+    return PrivacyView(database, theta, ExactDist(table))
 
 
 def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
@@ -208,19 +207,6 @@ def expected_symbol_download(
         scheme, (theta,), lambda msg, stored, f, records: (records[0].download_bits,), limit=limit
     )
     return _expectation(table)
-
-
-def ideal_download_bits(
-    scheme: SchemeDescriptor, theta: int = 1, limit: int = EXHAUSTION_LIMIT
-) -> tuple[float, list[float]]:
-    """Entropy-coded download per block: sum over n of H(A_n | F, G, A_<n).
-
-    Each answer stream is charged its conditional entropy given the user
-    randomness and the streams already received, matching a decoder that
-    decompresses round by round with everything it already knows.
-    """
-    answers, _ = _tabulate(scheme, (theta,), _download_session, limit=limit)
-    return _ideal_download(answers)
 
 
 def _storage_projections(scheme: SchemeDescriptor) -> tuple[Callable | None, Callable | None]:
@@ -813,31 +799,9 @@ def build_audit_report(
     """Run the full audit battery for one scheme and collect the outcome."""
     params = scheme.params
     privacy = check_privacy(scheme, limit)
-    privacy_json = {
-        "databases": [
-            {
-                "database": entry["database"],
-                "total_variation": {k: v for k, v in entry["total_variation"].items()},
-                "pass": entry["pass"],
-            }
-            for entry in privacy["databases"]
-        ],
-        "pass": privacy["pass"],
-    }
     correctness = exhaustive_correctness(scheme, limit)
-    concrete_possible = mode == "concrete"
-    rate = measure_rate(
-        scheme,
-        mode="concrete" if concrete_possible else "ideal",
-        L=L if concrete_possible else None,
-        trials=trials,
-        seed=seed,
-        limit=limit,
-    )
-    overhead = measure_overhead(
-        scheme, mode="concrete" if concrete_possible else "ideal",
-        L=L, seed=seed, codec=codec, limit=limit,
-    )
+    rate = measure_rate(scheme, mode=mode, L=L, trials=trials, seed=seed, limit=limit)
+    overhead = measure_overhead(scheme, mode=mode, L=L, seed=seed, codec=codec, limit=limit)
     capacity = mtpir_capacity(params)
     symbol_rate = rate["symbol_rate"]
     capacity_check = {
@@ -850,7 +814,7 @@ def build_audit_report(
     identities = verify_entropy_identities(scheme, limit) if scheme.name == "linear" else None
     converse = verify_converse_bounds(scheme, limit=limit)
     leakage = None
-    if concrete_possible and _is_multiround_split(scheme):
+    if mode == "concrete" and _is_multiround_split(scheme):
         leakage = measure_length_leakage(scheme, L=min(L, 2000), trials=min(trials, 20), seed=seed, limit=limit)
         codec = codec or CodecConfig()
         overhead["sw"] = sw_failure_rate(codec, blocks=sw_blocks, seed=seed, bias=_message_bias(scheme))
@@ -871,7 +835,7 @@ def build_audit_report(
             "mode": mode,
             "seed": seed,
         },
-        privacy=privacy_json,
+        privacy=privacy,
         correctness=correctness,
         rate=rate,
         overhead=overhead,

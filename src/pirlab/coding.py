@@ -128,10 +128,6 @@ def _parse_frame(data: bytes) -> tuple[int, int, bytes]:
     return count, bit_count, payload
 
 
-def stream_symbol_count(data: bytes) -> int:
-    return _parse_frame(data)[0]
-
-
 def stream_payload_bits(data: bytes) -> int:
     """Number of code bits in a framed stream (framing header excluded)."""
     return _parse_frame(data)[1]

@@ -1,240 +1,91 @@
-"""Acceptance suite: one test per headline criterion, at stated tolerance.
+"""Acceptance suite: one test per headline criterion of ``pirlab reproduce``.
 
-Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see them
-on success). Criterion 6b is expected to fail: at block length 16 with a
-0.15 bit/symbol margin the bin space is simply too small for the candidate
-sets, so the measured ambiguity rate sits near 0.25 rather than 1e-3; see
-the README notes on binning parameters. The assertion is kept as stated
-rather than loosened.
+Each test calls its ``pirlab.reproduce.criterion_*`` function once, prints
+the row as a single PASS/FAIL line (run with ``pytest -s`` to see them on
+success) and asserts the row's verdict, so the suite and the CLI share one
+definition of every criterion. Where a row checks a value only by a relation
+or a tolerance, the test also pins the exact value.
+
+Criterion 6b is expected to fail: at block length 16 with a 0.15 bit/symbol
+margin the bin space is simply too small for the candidate sets, so the
+measured ambiguity rate sits near 0.29 rather than 1e-3; see the README notes
+on binning parameters. The assertion is kept as stated rather than loosened.
 """
 
-import math
+import json
 from fractions import Fraction
-from itertools import product
 
-from pirlab.audit import (
-    check_privacy,
-    enumerate_view,
-    expected_symbol_download,
-    measure_overhead,
-    measure_rate,
-    scheme_profile,
-    sw_failure_rate,
-    verify_converse_bounds,
-    verify_entropy_identities,
-)
-from pirlab.capacity import PirParameters, mtpir_capacity
-from pirlab.coding import CodecConfig, side_info_conditional_entropy, sw_bin_bits
-from pirlab.dist import ExactDist, marginal, total_variation
-from pirlab.linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
-from pirlab.multiround import MessagePair, multiround_descriptor, run_session
+from pirlab import reproduce
+from pirlab.audit import _jsonify
+from pirlab.coding import CodecConfig
 
-F = Fraction
-TOL = 1e-9
 SEED = 0
+CODEC = CodecConfig(block_length=16, rate_margin=0.15, seed=SEED)
 
 
-def report(criterion: str, ok: bool, detail: str) -> None:
-    print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
+def check(row: dict):
+    """Print the row's PASS/FAIL line, assert its verdict, return its measurements."""
+    verdict = "PASS" if row["pass"] else "FAIL"
+    measured = json.dumps(_jsonify(row["measured"]), sort_keys=True)
+    print(f"criterion {row['criterion']}: {verdict} - {row['description']}: {measured}")
+    assert row["pass"], measured
+    return row["measured"]
 
 
 def test_criterion_1_capacity_formula_and_grid():
-    base = mtpir_capacity(PirParameters(2, 2, 1))
-    grid_ok = True
-    for n in range(1, 6):
-        for t in range(1, n + 1):
-            for k in range(1, 6):
-                c = mtpir_capacity(PirParameters(k, n, t))
-                grid_ok &= mtpir_capacity(PirParameters(k + 1, n, t)) <= c
-                if t < n:
-                    grid_ok &= mtpir_capacity(PirParameters(k, n, t + 1)) <= c
-                grid_ok &= mtpir_capacity(PirParameters(k, n + 1, t)) >= c
-    ok = base == F(2, 3) and grid_ok
-    report("1", ok, f"capacity(2,2,1) = {base}, grid monotone = {grid_ok}")
-    assert base == F(2, 3)
-    assert grid_ok
+    check(reproduce.criterion_capacity())
 
 
 def test_criterion_2_multiround_exhaustive_correctness():
-    cases = errors = 0
-    for length in (1, 2, 3):
-        for w1 in product((0, 1), repeat=length):
-            for w2 in product((0, 1), repeat=length):
-                for coin in product((0, 1), repeat=length):
-                    for theta in (1, 2):
-                        t = run_session(MessagePair(w1, w2), theta, coin)
-                        cases += 1
-                        errors += t.decoded != (w1 if theta == 1 else w2)
-    report("2", errors == 0, f"{cases} exhaustive sessions, {errors} decoding errors")
-    assert errors == 0
+    check(reproduce.criterion_multiround_correctness())
 
 
 def test_criterion_3_exact_privacy_table_and_tv():
-    scheme = multiround_descriptor()
-    view = enumerate_view(scheme, theta=1, database=2)
-    expected = ExactDist(
-        {
-            (None, 0, 0): F(1, 4),
-            ("y1", 0, 0): F(1, 8),
-            ("y2", 0, 0): F(1, 8),
-            ("y1", 0, 1): F(1, 8),
-            ("y2", 0, 1): F(1, 8),
-            ("y1", 1, 0): F(1, 8),
-            ("y2", 1, 0): F(1, 8),
-        }
-    )
-    table_ok = marginal(view.joint, (0, 1, 2)) == expected
-    privacy = check_privacy(scheme)
-    tvs = [entry["total_variation"][(1, 2)] for entry in privacy["databases"]]
-    ok = table_ok and tvs == [F(0), F(0)]
-    report("3", ok, f"table match = {table_ok}, TV per database = {tvs}")
-    assert table_ok
-    assert tvs == [F(0), F(0)]
+    check(reproduce.criterion_exact_privacy())
 
 
 def test_criterion_4_negative_controls():
-    tv_replicated = check_privacy(multiround_descriptor(storage="replicated"))[
-        "databases"
-    ][1]["total_variation"][(1, 2)]
-    tv_biased = check_privacy(multiround_descriptor(bias=F(3, 4)))["databases"][1][
-        "total_variation"
-    ][(1, 2)]
-    ok = tv_replicated > 0 and tv_biased > 0
-    report("4", ok, f"TV replicated storage = {tv_replicated}, TV bias 3/4 = {tv_biased}")
-    assert tv_replicated > 0
-    assert tv_biased > 0
+    check(reproduce.criterion_negative_controls())
 
 
 def test_criterion_5_ideal_rate_and_overhead():
-    download = measure_rate(multiround_descriptor())["ideal_download_per_message_bit"]
-    alpha_mr = measure_overhead(multiround_descriptor())["alpha_ideal"]
-    alpha_expected = 0.75 + 0.375 * math.log2(3)
-    rate_lin = measure_rate(linear_descriptor())["symbol_rate"]
-    alpha_lin = measure_overhead(linear_descriptor())["alpha_ideal"]
-    alpha_rep = measure_overhead(replicated_descriptor())["alpha_ideal"]
-    ok = (
-        abs(download - 1.5) <= TOL
-        and abs(alpha_mr - alpha_expected) <= TOL
-        and rate_lin == F(2, 3)
-        and alpha_lin == 1.5
-        and alpha_rep == 2.0
-    )
-    report(
-        "5",
-        ok,
-        f"download/L = {download!r}, alpha = {alpha_mr:.10f}, "
-        f"linear rate = {rate_lin}, linear alpha = {alpha_lin}, replicated alpha = {alpha_rep}",
-    )
-    assert abs(download - 1.5) <= TOL
-    assert abs(alpha_mr - alpha_expected) <= TOL
-    assert rate_lin == F(2, 3)
-    assert alpha_lin == 1.5
-    assert alpha_rep == 2.0
+    check(reproduce.criterion_ideal_rate_overhead())
 
 
 def test_criterion_6a_concrete_download_within_one_percent():
-    stats = measure_rate(
-        multiround_descriptor(), mode="concrete", L=100_000, trials=1, seed=SEED
-    )
-    mean = stats["concrete"]["download_per_message_bit_mean"]
-    ok = abs(mean - 1.5) <= 0.015
-    report("6a", ok, f"coded download per bit at L = 1e5: {mean:.5f} (target 1.5 +- 1%)")
-    assert abs(mean - 1.5) <= 0.015
+    check(reproduce.criterion_concrete_download(SEED))
 
 
 def test_criterion_6b_sw_failure_rate():
-    codec = CodecConfig(block_length=16, rate_margin=0.15, seed=SEED)
-    stats = sw_failure_rate(codec, blocks=10_000, seed=SEED)
-    ok = stats["failure_rate"] <= 1e-3
-    report(
-        "6b",
-        ok,
-        f"bin ambiguity rate over 1e4 blocks: {stats['failure_rate']:.4f} "
-        f"(stated target <= 1e-3; unreachable at n=16, margin 0.15 - see README)",
-    )
-    assert stats["failure_rate"] <= 1e-3
+    check(reproduce.criterion_sw_failure(SEED, CODEC))
 
 
 def test_criterion_6c_sw_storage_per_symbol():
-    codec = CodecConfig(block_length=16, rate_margin=0.15, seed=SEED)
-    bits = sw_bin_bits(codec)
-    expected_bits = math.ceil(16 * (side_info_conditional_entropy() + 0.15))
-    per_symbol = bits / 16
-    ok = bits == expected_bits and per_symbol < 1.5
-    report("6c", ok, f"bin bits = {bits} (formula {expected_bits}), per symbol = {per_symbol} < 1.5")
-    assert bits == expected_bits == 22
-    assert per_symbol < 1.5
+    assert check(reproduce.criterion_sw_storage(CODEC))["bin_bits"] == 22
 
 
 def test_criterion_7_constrained_length_download():
-    value = expected_symbol_download(multiround_descriptor())
-    ok = value == F(7, 4)
-    report("7", ok, f"expected symbol download at L = 1: {value}")
-    assert value == F(7, 4)
+    check(reproduce.criterion_symbol_download())
 
 
 def test_criterion_8_linear_entropy_identities():
-    checks = verify_entropy_identities(linear_descriptor())
-    ok = all(c["pass"] for c in checks)
-    summary = ", ".join(f"{c['name']} = {c['value']:g}" for c in checks[:5])
-    report("8", ok, summary)
-    for c in checks:
-        assert c["pass"], c
-    by_name = {c["name"]: c["value"] for c in checks}
-    assert by_name["H(A1[1] | W1, F, G)"] == 2.0
-    assert by_name["H(A2[2] | W1, F, G)"] == 2.0
-    assert by_name["H(A2[2] | W2, F, G)"] == 2.0
-    assert by_name["H(A2[2] | W1, A2[1], F, G)"] == 2.0
-    assert by_name["H(A2[1], A2[2] | F, G)"] >= 6.0
-    assert abs(by_name["I(A2[1]; A2[2] | W1, F, G)"]) <= TOL
-    assert abs(by_name["I(A2[1]; A2[2] | W2, F, G)"]) <= TOL
+    values = {c["name"]: c["value"] for c in check(reproduce.criterion_entropy_identities())}
+    for name in (
+        "H(A1[1] | W1, F, G)",
+        "H(A2[2] | W1, F, G)",
+        "H(A2[2] | W2, F, G)",
+        "H(A2[2] | W1, A2[1], F, G)",
+    ):
+        assert values[name] == 2.0, name
 
 
 def test_criterion_9_converse_spot_checks():
-    linear_checks = verify_converse_bounds(linear_descriptor(), rate=F(2, 3))
-    replicated_checks = verify_converse_bounds(replicated_descriptor())
-    multiround_checks = verify_converse_bounds(multiround_descriptor(), rate=F(4, 7))
-    every = linear_checks + replicated_checks + multiround_checks
-    ok = all(c["pass"] for c in every)
-    info = next(c for c in linear_checks if "1/R" in c["name"])
-    report(
-        "9",
-        ok,
-        f"information bound {info['value']:.6f} <= {info['target']:.6f}; "
-        f"all {len(every)} inequalities hold = {ok}",
-    )
-    for c in every:
-        assert c["pass"], c
+    check(reproduce.criterion_converse())
 
 
 def test_criterion_10_symmetrization():
-    toy = asymmetric_toy_descriptor()
-    symmetric = symmetrize(toy)
-    before = scheme_profile(toy)
-    after = scheme_profile(symmetric)
-    answers = [
-        after["answer_entropy"][(1, 1)],
-        after["answer_entropy"][(1, 2)],
-        after["answer_entropy"][(2, 2)],
-    ]
-    rate_before = F(toy.block_length) / before["expected_symbol_download"][1]
-    rate_after = F(symmetric.block_length) / after["expected_symbol_download"][1]
-    alpha_before = sum(before["storage_bits"]) / (2 * toy.block_length)
-    alpha_after = sum(after["storage_bits"]) / (2 * symmetric.block_length)
-    ok = (
-        abs(after["storage_bits"][0] - after["storage_bits"][1]) <= TOL
-        and max(answers) - min(answers) <= TOL
-        and rate_before == rate_after
-        and abs(alpha_before - alpha_after) <= TOL
-    )
-    report(
-        "10",
-        ok,
-        f"storage {before['storage_bits']} -> {after['storage_bits']}, "
-        f"answer entropies {answers}, rate {rate_before} -> {rate_after}, "
-        f"alpha {alpha_before} -> {alpha_after}",
-    )
-    assert after["storage_bits"] == [14.0, 14.0]
-    assert answers == [6.0, 6.0, 6.0]
-    assert rate_before == rate_after == F(2, 3)
-    assert alpha_before == alpha_after == 1.75
+    measured = check(reproduce.criterion_symmetrization())
+    assert measured["storage_after"] == [14.0, 14.0]
+    assert measured["answer_entropies_after"] == [6.0, 6.0, 6.0]
+    assert measured["rate"] == [Fraction(2, 3), Fraction(2, 3)]
+    assert measured["alpha"] == [1.75, 1.75]

@@ -18,7 +18,6 @@ from pirlab.audit import (
     exhaustive_correctness,
     expected_symbol_download,
     fraction_str,
-    ideal_download_bits,
     ideal_storage_bits,
     measure_length_leakage,
     measure_overhead,
@@ -31,22 +30,11 @@ from pirlab.audit import (
     verify_entropy_identities,
 )
 from pirlab.coding import CodecConfig
-from pirlab.dist import ExactDist, marginal
 from pirlab.linear import linear_descriptor, replicated_descriptor
 from pirlab.multiround import multiround_descriptor
 
 F = Fraction
 TOL = 1e-9
-
-VIEW_TABLE = {
-    (None, 0, 0): F(1, 4),
-    ("y1", 0, 0): F(1, 8),
-    ("y2", 0, 0): F(1, 8),
-    ("y1", 0, 1): F(1, 8),
-    ("y2", 0, 1): F(1, 8),
-    ("y1", 1, 0): F(1, 8),
-    ("y2", 1, 0): F(1, 8),
-}
 
 
 def oracle_db2_view(theta, bias=F(1, 2), replicated=False):
@@ -79,10 +67,6 @@ def oracle_tv(view1, view2):
 
 
 class TestEnumerateView:
-    def test_db2_view_reproduces_table(self):
-        view = enumerate_view(multiround_descriptor(), theta=1, database=2)
-        assert marginal(view.joint, (0, 1, 2)) == ExactDist(VIEW_TABLE)
-
     def test_db2_view_matches_oracle_exactly(self):
         for theta in (1, 2):
             view = enumerate_view(multiround_descriptor(), theta=theta, database=2)
@@ -189,10 +173,11 @@ class TestCorrectness:
 
 class TestIdealAccounting:
     def test_multiround_download_three_halves(self):
-        total, per_db = ideal_download_bits(multiround_descriptor())
+        rate = measure_rate(multiround_descriptor())
+        per_db = rate["ideal_download_per_db_per_block"]
         assert per_db[0] == pytest.approx(2 - 0.75 * math.log2(3), abs=TOL)
         assert per_db[1] == pytest.approx(0.75 * (math.log2(3) - 2 / 3), abs=TOL)
-        assert total == pytest.approx(1.5, abs=TOL)
+        assert rate["ideal_download_per_message_bit"] == pytest.approx(1.5, abs=TOL)
 
     def test_multiround_storage(self):
         bits = ideal_storage_bits(multiround_descriptor())
@@ -209,9 +194,8 @@ class TestIdealAccounting:
         assert expected_symbol_download(multiround_descriptor(bias=bias)) == expected
 
     def test_linear_ideal(self):
-        total, per_db = ideal_download_bits(linear_descriptor())
-        assert per_db == [3.0, 3.0]
         rate = measure_rate(linear_descriptor())
+        assert rate["ideal_download_per_db_per_block"] == [3.0, 3.0]
         assert rate["symbol_rate"] == F(2, 3)
         assert rate["rate_ideal"] == pytest.approx(2 / 3, abs=TOL)
 
@@ -354,6 +338,10 @@ class TestReports:
         assert tv == "0/1"
         assert isinstance(report["rate"]["ideal_download_per_message_bit"], str)
         assert report["views"]["database_2_theta_1"]["null|0|0|null"] == "1/4"
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be 'ideal' or 'concrete'"):
+            build_audit_report(multiround_descriptor(), mode="bogus")
 
     def test_failing_variant_reported_failing(self):
         report = build_audit_report(multiround_descriptor(storage="replicated"), seed=7)

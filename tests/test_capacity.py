@@ -46,22 +46,6 @@ class TestCapacity:
         for rounds in (1, 2, 7):
             assert mtpir_capacity(PirParameters(2, 2, 1, rounds)) == F(2, 3)
 
-    def test_grid_monotonicity(self):
-        for n in range(1, 6):
-            for t in range(1, n + 1):
-                for k in range(1, 6):
-                    c = mtpir_capacity(PirParameters(k, n, t))
-                    assert mtpir_capacity(PirParameters(k + 1, n, t)) <= c
-                    if t < n:
-                        assert mtpir_capacity(PirParameters(k, n, t + 1)) <= c
-                    assert mtpir_capacity(PirParameters(k, n + 1, t)) >= c
-
-    def test_no_collusion_matches_single_privacy_formula(self):
-        for n in range(1, 6):
-            for k in range(1, 6):
-                direct = 1 / sum((F(1, n**i) for i in range(k)), F(0))
-                assert mtpir_capacity(PirParameters(k, n, 1)) == direct
-
 
 class TestOverhead:
     def test_replicated(self):

@@ -19,7 +19,6 @@ from pirlab.coding import (
     entropy_encode,
     side_info_conditional_entropy,
     stream_payload_bits,
-    stream_symbol_count,
     sw_bin_bits,
     sw_decode,
     sw_decode_reference,
@@ -121,7 +120,7 @@ class TestEntropyCoder:
 
     def test_symbol_count_in_frame(self):
         stream = entropy_encode([1, 1, 0], BERN_THIRD)
-        assert stream_symbol_count(stream) == 3
+        assert struct.unpack_from(">Q", stream)[0] == 3
 
     def test_rate_band_biased_source(self):
         n = 100_000

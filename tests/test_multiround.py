@@ -145,15 +145,6 @@ class TestSessions:
                 t = run_session(MessagePair((w1,), (w2,)), theta, (coin,))
                 assert t.decoded == ((w1,) if theta == 1 else (w2,))
 
-    @pytest.mark.parametrize("length", [1, 2, 3])
-    def test_exhaustive_correctness(self, length):
-        for w1 in product((0, 1), repeat=length):
-            for w2 in product((0, 1), repeat=length):
-                for coin in product((0, 1), repeat=length):
-                    for theta in (1, 2):
-                        t = run_session(MessagePair(w1, w2), theta, coin)
-                        assert t.decoded == (w1 if theta == 1 else w2)
-
     def test_indicator_matches_round1_answer(self):
         for w1, w2, coin in product((0, 1), repeat=3):
             t = run_session(MessagePair((w1,), (w2,)), 1, (coin,))
