@@ -5,7 +5,8 @@ converse inequalities on implemented schemes.
 Privacy evidence is exhaustive enumeration with exact rational weights; a
 pass means the total variation distance is the rational 0, never "small".
 Every exact measurement is a projection of one weighted pass over the
-message and randomness spaces (``_tabulate``).
+message and randomness spaces (``_tabulate``) and a finishing step on its
+tables; an audit report runs that pass once, with every section's projection.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .capacity import OverheadAccount, check_rate_admissible, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, SourceModel, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
@@ -43,6 +44,10 @@ def _f_symbols(f) -> tuple:
     return f if isinstance(f, tuple) else (f,)
 
 
+def _thetas(scheme: SchemeDescriptor) -> tuple[int, ...]:
+    return tuple(range(1, scheme.params.num_messages + 1))
+
+
 def _spaces(scheme: SchemeDescriptor, limit: int):
     messages = list(scheme.message_space())
     randomness = list(scheme.randomness_space())
@@ -60,60 +65,71 @@ def _integer_weights(space: list) -> tuple[list, int]:
     return [(value, p.numerator * (den // p.denominator)) for value, p in space], den
 
 
-def _add(tables: list, keys, weight: int) -> None:
-    if not tables:
-        tables.extend(defaultdict(int) for _ in keys)
-    for table, key in zip(tables, keys):
-        table[key] += weight
+class _Projection(NamedTuple):
+    """What one measurement reads from the pass, and how it finishes.
+
+    Either ``session(msg, stored, f, records)`` returns one key per table,
+    ``records[i]`` being the session played with the pass's ``thetas[i]``,
+    or ``message(msg, stored)`` does, once per message. ``stored`` is None
+    unless ``stores``. ``finish`` maps the tables' exact laws to the
+    measurement.
+    """
+
+    finish: Callable[[list], object]
+    session: Callable | None = None
+    message: Callable | None = None
+    stores: bool = False
 
 
 def _tabulate(
     scheme: SchemeDescriptor,
-    thetas: Sequence[int] = (),
-    session: Callable | None = None,
-    message: Callable | None = None,
+    thetas: Sequence[int],
+    projections: Sequence[_Projection],
     limit: int = EXHAUSTION_LIMIT,
-) -> list[dict[tuple, Fraction]]:
-    """Exact laws of the keys that projections of one exhaustive pass return.
+) -> list:
+    """Each projection's finished result, from one exhaustive pass.
 
-    ``session(msg, stored, f, records)`` returns one key per session table;
-    ``records[i]`` is the session played with desired index ``thetas[i]``.
-    ``message(msg, stored)`` returns one key per message table. Each message
-    is stored once and each (message, theta, randomness) triple is run once.
-    Weights accumulate as integers over the product of the two spaces'
-    common denominators. Session tables come first in the result.
+    Each message is stored once, and only if some projection reads storage;
+    each (message, theta, randomness) triple is run once. Weights accumulate
+    as integers over the product of the two spaces' common denominators.
     """
     messages, randomness = _spaces(scheme, limit)
     messages, msg_den = _integer_weights(messages)
     randomness, f_den = _integer_weights(randomness)
     run = scheme.run
-    session_tables: list = []
-    message_tables: list = []
+    stores = any(p.stores for p in projections)
+    slots = [(p, defaultdict(lambda: defaultdict(int))) for p in projections]
+    by_session = [(p.session, tables) for p, tables in slots if p.session is not None]
+    by_message = [(p.message, tables) for p, tables in slots if p.message is not None]
     for msg, w_msg in messages:
-        stored = scheme.store(msg)
-        if message is not None:
-            _add(message_tables, message(msg, stored), w_msg * f_den)
-        if session is not None:
-            for f, w_f in randomness:
-                records = [run(msg, theta, f) for theta in thetas]
-                _add(session_tables, session(msg, stored, f, records), w_msg * w_f)
+        stored = scheme.store(msg) if stores else None
+        for message, tables in by_message:
+            for i, key in enumerate(message(msg, stored)):
+                tables[i][key] += w_msg * f_den
+        for f, w_f in randomness if by_session else ():
+            records = [run(msg, theta, f) for theta in thetas]
+            weight = w_msg * w_f
+            for session, tables in by_session:
+                for i, key in enumerate(session(msg, stored, f, records)):
+                    tables[i][key] += weight
     total = msg_den * f_den
+    # The listed spaces can outweigh the tables: free them before finishing.
+    del messages, randomness
     return [
-        {key: Fraction(count, total) for key, count in table.items()}
-        for table in session_tables + message_tables
+        p.finish([{key: Fraction(count, total) for key, count in table.items()} for table in tables.values()])
+        for p, tables in slots
     ]
 
 
-def _view_tables(
-    scheme: SchemeDescriptor, thetas: Sequence[int], databases: Sequence[int], limit: int
-) -> dict[tuple[int, int], dict]:
+def _views(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
     """Laws of (queries, stored, answers) at each database, keyed (theta, database)."""
+    databases = range(scheme.params.num_databases)
+    keys = list(product(thetas, range(1, scheme.params.num_databases + 1)))
 
     def session(msg, stored, f, records):
-        return [r.queries[n - 1] + stored[n - 1] + r.answers[n - 1] for r in records for n in databases]
+        return [r.queries[n] + stored[n] + r.answers[n] for r in records for n in databases]
 
-    tables = _tabulate(scheme, thetas, session, limit=limit)
-    return dict(zip(product(thetas, databases), tables))
+    return _Projection(lambda tables: dict(zip(keys, tables)), session, stores=True)
 
 
 def enumerate_view(
@@ -125,36 +141,28 @@ def enumerate_view(
     """Exhaustively enumerate one database's view under desired index theta."""
     if not (1 <= database <= scheme.params.num_databases):
         raise ValueError(f"database must be in [1, {scheme.params.num_databases}]")
-    table = _view_tables(scheme, (theta,), (database,), limit)[theta, database]
-    return PrivacyView(database, theta, ExactDist(table))
+    views = _tabulate(scheme, (theta,), [_views(scheme, (theta,))], limit)[0]
+    return PrivacyView(database, theta, ExactDist(views[theta, database]))
 
 
-def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
-    """Exact per-database privacy verdicts.
-
-    For every database and every pair of desired indices, computes the total
-    variation between the two views over a shared declared alphabet. Pass
-    means every distance is exactly the rational 0.
-    """
-    thetas = range(1, scheme.params.num_messages + 1)
-    all_databases = range(1, scheme.params.num_databases + 1)
-    raw = _view_tables(scheme, thetas, all_databases, limit)
+def _privacy(scheme: SchemeDescriptor, views: dict) -> dict:
+    thetas = _thetas(scheme)
     databases = []
     overall = True
-    for database in all_databases:
-        tables = [raw[t, database] for t in thetas]
+    for database in range(1, scheme.params.num_databases + 1):
+        tables = [views[t, database] for t in thetas]
         arity = len(next(iter(tables[0])))
         shared = tuple(
             frozenset(o[i] for table in tables for o in table)
             for i in range(arity)
         )
-        views = {t: ExactDist(raw[t, database], shared) for t in thetas}
+        dists = {t: ExactDist(views[t, database], shared) for t in thetas}
         distances = {}
         ok = True
         for t1 in thetas:
             for t2 in thetas:
                 if t1 < t2:
-                    tv = total_variation(views[t1], views[t2])
+                    tv = total_variation(dists[t1], dists[t2])
                     distances[(t1, t2)] = tv
                     ok = ok and tv == 0
         databases.append(
@@ -164,64 +172,91 @@ def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> di
     return {"databases": databases, "pass": overall}
 
 
+def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
+    """Exact per-database privacy verdicts.
+
+    For every database and every pair of desired indices, computes the total
+    variation between the two views over a shared declared alphabet. Pass
+    means every distance is exactly the rational 0.
+    """
+    thetas = _thetas(scheme)
+    return _privacy(scheme, _tabulate(scheme, thetas, [_views(scheme, thetas)], limit)[0])
+
+
+def _correctness(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
+    """Decoding errors, counted per (message, randomness, theta) triple."""
+    cases = errors = 0
+    desired = scheme.desired
+
+    def session(msg, stored, f, records):
+        nonlocal cases, errors
+        cases += len(records)
+        for theta, record in zip(thetas, records):
+            if record.decoded != desired(msg, theta):
+                errors += 1
+        return ()
+
+    return _Projection(lambda tables: {"cases": cases, "errors": errors, "pass": errors == 0}, session)
+
+
 def exhaustive_correctness(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
     """Count decoding errors over every (message, randomness, theta) triple."""
-    messages, randomness = _spaces(scheme, limit)
-    cases = 0
-    errors = 0
-    for theta in range(1, scheme.params.num_messages + 1):
-        for msg, _ in messages:
-            for f, _ in randomness:
-                record = scheme.run(msg, theta, f)
-                cases += 1
-                if record.decoded != scheme.desired(msg, theta):
-                    errors += 1
-    return {"cases": cases, "errors": errors, "pass": errors == 0}
+    thetas = _thetas(scheme)
+    return _tabulate(scheme, thetas, [_correctness(scheme, thetas)], limit)[0]
 
 
 def _expectation(table: dict) -> Fraction:
     return sum((value * p for value, p in table.items()), Fraction(0))
 
 
-def _download_session(msg, stored, f, records) -> list:
-    """Keys (F, A_1, ..., A_N) and the symbol-level download bits."""
-    (record,) = records
-    return [(_f_symbols(f),) + record.answers, record.download_bits]
+def _download(scheme: SchemeDescriptor) -> _Projection:
+    """Ideal and symbol-level download of the pass's first session (theta = 1).
+
+    The ideal download is the sum over n of H(A_n | F, A_<n), from the law
+    of (F, A_1, ..., A_N).
+    """
+    block = scheme.block_length
+
+    def session(msg, stored, f, records):
+        record = records[0]
+        return ((_f_symbols(f),) + record.answers, record.download_bits)
+
+    def finish(tables):
+        answers, downloads = tables
+        joint = ExactDist(answers)
+        per_db = [
+            conditional_entropy(marginal(joint, range(n + 1)), range(n))
+            for n in range(1, joint.arity)
+        ]
+        total = sum(per_db)
+        symbol_download = _expectation(downloads)
+        return {
+            "block_length": block,
+            "ideal_download_per_message_bit": total / block,
+            "ideal_download_per_db_per_block": per_db,
+            "rate_ideal": block / total,
+            "expected_symbol_download_per_block": symbol_download,
+            "symbol_rate": Fraction(block) / symbol_download,
+        }
+
+    return _Projection(finish, session)
 
 
-def _ideal_download(table: dict) -> tuple[float, list[float]]:
-    """Sum over n of H(A_n | F, A_<n) from the law of (F, A_1, ..., A_N)."""
-    joint = ExactDist(table)
-    per_db = [
-        conditional_entropy(marginal(joint, range(n + 1)), range(n))
-        for n in range(1, joint.arity)
-    ]
-    return sum(per_db), per_db
-
-
-def expected_symbol_download(
-    scheme: SchemeDescriptor, theta: int = 1, limit: int = EXHAUSTION_LIMIT
-) -> Fraction:
-    """Exact expected answer bits per block at symbol level (no compression)."""
-    (table,) = _tabulate(
-        scheme, (theta,), lambda msg, stored, f, records: (records[0].download_bits,), limit=limit
-    )
-    return _expectation(table)
-
-
-def _storage_projections(scheme: SchemeDescriptor) -> tuple[Callable | None, Callable | None]:
-    """(session, message) projections keyed (S_n, side_n), one of them None.
+def _storage(scheme: SchemeDescriptor) -> _Projection:
+    """Per-database H(S_n | side information available at answer time).
 
     Storage without side information depends only on the message, so it is
     tabulated once per message; with side information, once per session.
     """
+
+    def finish(tables):
+        return [conditional_entropy(ExactDist(table), (1,)) for table in tables]
+
     if scheme.side_information is None:
-        return None, lambda msg, stored: [(s, ()) for s in stored]
-    return (lambda msg, stored, f, records: list(zip(stored, scheme.side_information(msg, f)))), None
-
-
-def _storage_entropy(table: dict) -> float:
-    return conditional_entropy(ExactDist(table), (1,))
+        return _Projection(finish, message=lambda msg, stored: [(s, ()) for s in stored], stores=True)
+    return _Projection(
+        finish, lambda msg, stored, f, records: list(zip(stored, scheme.side_information(msg, f))), stores=True
+    )
 
 
 def ideal_storage_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> list[float]:
@@ -230,8 +265,7 @@ def ideal_storage_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) 
     Charged as H(S_n | side information available to the database at answer
     time); without declared side information this is plain H(S_n).
     """
-    session, message = _storage_projections(scheme)
-    return [_storage_entropy(t) for t in _tabulate(scheme, (), session, message, limit)]
+    return _tabulate(scheme, (), [_storage(scheme)], limit)[0]
 
 
 def scheme_profile(
@@ -240,49 +274,53 @@ def scheme_profile(
     """Exhaustive summary from one pass: per-database answer entropies
     H(A_n | F, G) and expected symbol download per theta, and per-database
     ideal storage bits."""
-    n_dbs = scheme.params.num_databases
-    storage_session, storage_message = _storage_projections(scheme)
+    keys = list(product(thetas, range(1, scheme.params.num_databases + 1)))
 
     def session(msg, stored, f, records):
         f_sym = _f_symbols(f)
-        keys = [(f_sym, answer) for r in records for answer in r.answers]
-        keys += [r.download_bits for r in records]
-        if storage_session is not None:
-            keys += storage_session(msg, stored, f, records)
-        return keys
+        answers = [(f_sym, answer) for r in records for answer in r.answers]
+        return answers + [r.download_bits for r in records]
 
-    tables = _tabulate(scheme, thetas, session, storage_message, limit)
-    answers = dict(zip(product(thetas, range(1, n_dbs + 1)), tables))
-    downloads = tables[len(answers): len(answers) + len(thetas)]
-    return {
-        "answer_entropy": {
-            key: conditional_entropy(ExactDist(table), (0,)) for key, table in answers.items()
-        },
-        "expected_symbol_download": {t: _expectation(d) for t, d in zip(thetas, downloads)},
-        "storage_bits": [_storage_entropy(t) for t in tables[-n_dbs:]],
-    }
+    def finish(tables):
+        return {
+            "answer_entropy": {
+                key: conditional_entropy(ExactDist(table), (0,)) for key, table in zip(keys, tables)
+            },
+            "expected_symbol_download": {
+                t: _expectation(d) for t, d in zip(thetas, tables[len(keys):])
+            },
+        }
+
+    profile, storage = _tabulate(scheme, thetas, [_Projection(finish, session), _storage(scheme)], limit)
+    return {**profile, "storage_bits": storage}
 
 
-def upload_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
-    """Informational query-uplink accounting (never part of the rate)."""
-    thetas = range(1, scheme.params.num_messages + 1)
+def _upload(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
     n_dbs = scheme.params.num_databases
 
     def session(msg, stored, f, records):
         return [r.queries[n] for n in range(n_dbs) for r in records]
 
-    all_tables = _tabulate(scheme, thetas, session, limit=limit)
-    per_db = []
-    for n in range(n_dbs):
-        tables = all_tables[n * len(thetas): (n + 1) * len(thetas)]
-        arity = len(next(iter(tables[0])))
-        raw = 0.0
-        for i in range(arity):
-            symbols = {o[i] for table in tables for o in table}
-            raw += math.ceil(math.log2(len(symbols))) if len(symbols) > 1 else 0
-        ideal = max(entropy(ExactDist(table)) for table in tables)
-        per_db.append({"database": n + 1, "raw_bits": raw, "ideal_bits": ideal})
-    return {"per_database": per_db, "note": "informational; download accounting never counts query bits"}
+    def finish(all_tables):
+        per_db = []
+        for n in range(n_dbs):
+            tables = all_tables[n * len(thetas): (n + 1) * len(thetas)]
+            arity = len(next(iter(tables[0])))
+            raw = 0.0
+            for i in range(arity):
+                symbols = {o[i] for table in tables for o in table}
+                raw += math.ceil(math.log2(len(symbols))) if len(symbols) > 1 else 0
+            ideal = max(entropy(ExactDist(table)) for table in tables)
+            per_db.append({"database": n + 1, "raw_bits": raw, "ideal_bits": ideal})
+        return {"per_database": per_db, "note": "informational; download accounting never counts query bits"}
+
+    return _Projection(finish, session)
+
+
+def upload_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
+    """Informational query-uplink accounting (never part of the rate)."""
+    thetas = _thetas(scheme)
+    return _tabulate(scheme, thetas, [_upload(scheme, thetas)], limit)[0]
 
 
 # --- Concrete (finite-length) measurement for the multiround scheme --------
@@ -294,8 +332,8 @@ def _is_multiround_split(scheme: SchemeDescriptor) -> bool:
 
 def _message_bias(scheme: SchemeDescriptor) -> Fraction:
     """Exact Pr(w1 bit = 1) from the declared message space."""
-    (table,) = _tabulate(scheme, message=lambda msg, stored: (msg[0][0],))
-    return table.get(1, Fraction(0))
+    bias = _Projection(lambda tables: tables[0].get(1, Fraction(0)), message=lambda msg, stored: (msg[0][0],))
+    return _tabulate(scheme, (), [bias])[0]
 
 
 def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> tuple[SourceModel, SourceModel]:
@@ -304,10 +342,11 @@ def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT
     DB1's stream is its per-position answer bit; DB2's stream is the answer
     bit conditioned on a round-2 query having been sent.
     """
-    (table,) = _tabulate(
-        scheme, (1,), lambda msg, stored, f, records: (records[0].answers[0] + records[0].answers[1],),
-        limit=limit,
-    )
+
+    def session(msg, stored, f, records):
+        return (records[0].answers[0] + records[0].answers[1],)
+
+    (table,) = _tabulate(scheme, (1,), [_Projection(list, session)], limit)[0]
     p1 = sum((w for (a1, _), w in table.items() if a1 == 1), Fraction(0))
     sent = {a2: Fraction(0) for a2 in (0, 1)}
     for (_, a2), w in table.items():
@@ -362,21 +401,18 @@ def measure_rate(
     limit: int = EXHAUSTION_LIMIT,
 ) -> dict:
     """Rate statistics in ideal (exact entropy) or concrete (coded) accounting."""
+    ideal = _tabulate(scheme, (1,), [_download(scheme)], limit)[0]
+    return _finish_rate(scheme, ideal, mode, L, trials, seed, limit)
+
+
+def _finish_rate(
+    scheme: SchemeDescriptor, result: dict, mode: str, L: int | None, trials: int, seed: int, limit: int
+) -> dict:
+    """Add concrete accounting, in that mode, to ``_download``'s result."""
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
-    answers, downloads = _tabulate(scheme, (1,), _download_session, limit=limit)
-    total, per_db = _ideal_download(answers)
-    block = scheme.block_length
-    symbol_download = _expectation(downloads)
-    result = {
-        "block_length": block,
-        "ideal_download_per_message_bit": total / block,
-        "ideal_download_per_db_per_block": per_db,
-        "rate_ideal": block / total,
-        "expected_symbol_download_per_block": symbol_download,
-        "symbol_rate": Fraction(block) / symbol_download,
-    }
     if mode == "concrete":
+        block = scheme.block_length
         if L is None or L < 1:
             raise ValueError("concrete mode needs a message length L >= 1")
         if trials < 1:
@@ -395,7 +431,7 @@ def measure_rate(
                 raise ValueError(f"L must be a multiple of the native block {block}")
             # Uncoded schemes ship answer symbols as-is; the per-block
             # download expectation is exact, no sampling needed.
-            per_block = float(symbol_download)
+            per_block = float(result["expected_symbol_download_per_block"])
             values = [per_block * (L // block) / L] * trials
         mean = sum(values) / len(values)
         variance = sum((v - mean) ** 2 for v in values) / len(values)
@@ -424,9 +460,16 @@ def measure_overhead(
     cell stream and counts DB2's actual bin bits; schemes whose storage is
     already incompressible bits are charged at face value.
     """
+    return _finish_overhead(scheme, ideal_storage_bits(scheme, limit), mode, L, seed, codec, limit)
+
+
+def _finish_overhead(
+    scheme: SchemeDescriptor, ideal: list[float], mode: str, L: int, seed: int,
+    codec: CodecConfig | None, limit: int,
+) -> dict:
+    """Overhead accounting, in ``mode``, from the ideal per-database storage bits."""
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
-    ideal = ideal_storage_bits(scheme, limit)
     account = OverheadAccount(
         per_database_storage_bits=tuple(ideal),
         message_length=scheme.block_length,
@@ -468,7 +511,8 @@ def measure_overhead(
 
 
 def _db1_cell_model(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> SourceModel:
-    (weights,) = _tabulate(scheme, message=lambda msg, stored: (stored[0],), limit=limit)
+    cells = _Projection(list, message=lambda msg, stored: (stored[0],), stores=True)
+    (weights,) = _tabulate(scheme, (), [cells], limit)[0]
     return SourceModel(tuple(sorted(weights)), weights)
 
 
@@ -550,6 +594,11 @@ def coupled_session_joint(
     """
     if scheme.params.rounds != 1:
         raise ValueError("coupled session joint is defined for single-round schemes")
+    return _tabulate(scheme, (1, 2), [_coupled(scheme)], limit)[0]
+
+
+def _coupled(scheme: SchemeDescriptor) -> _Projection:
+    """``coupled_session_joint``'s projection; the pass's thetas start (1, 2)."""
     databases = range(1, scheme.params.num_databases + 1)
     names = ["W1", "W2", "F"] + [
         f"{kind}{n}^{theta}" for theta in (1, 2) for kind in "QA" for n in databases
@@ -562,8 +611,7 @@ def coupled_session_joint(
             key += record.queries + record.answers
         return (key,)
 
-    (table,) = _tabulate(scheme, (1, 2), session, limit=limit)
-    return ExactDist(table), groups
+    return _Projection(lambda tables: (ExactDist(tables[0]), groups), session)
 
 
 def _cond_entropy_of(joint: ExactDist, target: tuple[int, ...], given: tuple[int, ...]) -> float:
@@ -583,43 +631,48 @@ def verify_entropy_identities(
 ) -> list[dict]:
     """Exact-enumeration checks of the answer-entropy identities that pin the
     storage lower bound for single-round rate-2/3 zero-error schemes."""
-    joint, g = coupled_session_joint(scheme, limit)
+    return _identities(scheme, *coupled_session_joint(scheme, limit))
+
+
+def _check(name: str, value: float, target: float, relation: str = "==") -> dict:
+    """One real-valued check, within ``REAL_TOLERANCE``."""
+    ok = {
+        "==": abs(value - target) <= REAL_TOLERANCE,
+        "<=": value <= target + REAL_TOLERANCE,
+        ">=": value >= target - REAL_TOLERANCE,
+    }[relation]
+    return {"name": name, "value": value, "target": target, "relation": relation, "pass": ok}
+
+
+def _identities(scheme: SchemeDescriptor, joint: ExactDist, g: dict) -> list[dict]:
     L = scheme.block_length
     half = L / 2
-
-    def check(name, value, target, relation="=="):
-        if relation == "==":
-            ok = abs(value - target) <= REAL_TOLERANCE
-        else:
-            ok = value >= target - REAL_TOLERANCE
-        return {"name": name, "value": value, "target": target, "relation": relation, "pass": ok}
-
-    checks = [
-        check("H(A1[1] | W1, F, G)", _cond_entropy_of(joint, g["A1^1"], g["W1"] + g["F"]), half),
-        check("H(A2[2] | W1, F, G)", _cond_entropy_of(joint, g["A2^2"], g["W1"] + g["F"]), half),
-        check("H(A2[2] | W2, F, G)", _cond_entropy_of(joint, g["A2^2"], g["W2"] + g["F"]), half),
-        check(
+    return [
+        _check("H(A1[1] | W1, F, G)", _cond_entropy_of(joint, g["A1^1"], g["W1"] + g["F"]), half),
+        _check("H(A2[2] | W1, F, G)", _cond_entropy_of(joint, g["A2^2"], g["W1"] + g["F"]), half),
+        _check("H(A2[2] | W2, F, G)", _cond_entropy_of(joint, g["A2^2"], g["W2"] + g["F"]), half),
+        _check(
             "H(A2[2] | W1, A2[1], F, G)",
             _cond_entropy_of(joint, g["A2^2"], g["W1"] + g["A2^1"] + g["F"]),
             half,
         ),
-        check(
+        _check(
             "H(A2[1], A2[2] | F, G)",
             _cond_entropy_of(joint, g["A2^1"] + g["A2^2"], g["F"]),
             3 * L / 2,
             ">=",
         ),
-        check(
+        _check(
             "I(A2[1]; A2[2] | W1, F, G)",
             conditional_mutual_information(joint, g["A2^1"], g["A2^2"], g["W1"] + g["F"]),
             0.0,
         ),
-        check(
+        _check(
             "I(A2[1]; A2[2] | W2, F, G)",
             conditional_mutual_information(joint, g["A2^1"], g["A2^2"], g["W2"] + g["F"]),
             0.0,
         ),
-        check(
+        _check(
             "H(W2 | answers[2], F, G)",
             _cond_entropy_of(
                 joint, g["W2"], g["F"] + g["Q1^2"] + g["Q2^2"] + g["A1^2"] + g["A2^2"]
@@ -627,7 +680,6 @@ def verify_entropy_identities(
             0.0,
         ),
     ]
-    return checks
 
 
 def verify_converse_bounds(
@@ -643,36 +695,30 @@ def verify_converse_bounds(
     bound I(...) >= L * T / N. Every scheme also gets the exact
     rate-vs-capacity check.
     """
-    checks: list[dict] = []
+    single_round = scheme.params.rounds == 1
+    projections = [_download(scheme)] + ([_coupled(scheme)] if single_round else [])
+    download, *coupled = _tabulate(scheme, (1, 2) if single_round else (1,), projections, limit)
+    return _converse(scheme, download, coupled, rate)
+
+
+def _converse(scheme: SchemeDescriptor, download: dict, coupled: list, rate: Fraction | None) -> list[dict]:
+    """The converse checks from ``_download``'s result and, for single-round
+    schemes, the one-element list of ``_coupled``'s result."""
     params = scheme.params
     capacity = mtpir_capacity(params)
-
-    answers, downloads = _tabulate(scheme, (1,), _download_session, limit=limit)
     if rate is None:
-        rate = Fraction(scheme.block_length) / _expectation(downloads)
-    checks.append(
+        rate = download["symbol_rate"]
+    checks = [
         {
             "name": "symbol rate <= capacity",
             "value": rate,
             "target": capacity,
             "relation": "<=",
             "pass": check_rate_admissible(rate, params),
-        }
-    )
-    ideal_total, _ = _ideal_download(answers)
-    ideal_rate = scheme.block_length / ideal_total
-    checks.append(
-        {
-            "name": "ideal rate <= capacity",
-            "value": ideal_rate,
-            "target": float(capacity),
-            "relation": "<=",
-            "pass": ideal_rate <= float(capacity) + REAL_TOLERANCE,
-        }
-    )
-
-    if params.rounds == 1:
-        joint, g = coupled_session_joint(scheme, limit)
+        },
+        _check("ideal rate <= capacity", download["rate_ideal"], float(capacity), "<="),
+    ]
+    for joint, g in coupled:
         info = conditional_mutual_information(
             joint,
             g["W2"],
@@ -682,24 +728,8 @@ def verify_converse_bounds(
         L = scheme.block_length
         upper = L * (1 / float(rate) - 1)
         lower = L * params.collusion / params.num_databases
-        checks.append(
-            {
-                "name": "I(W2; Q[1], A[1], F | W1, G) <= L(1/R - 1)",
-                "value": info,
-                "target": upper,
-                "relation": "<=",
-                "pass": info <= upper + REAL_TOLERANCE,
-            }
-        )
-        checks.append(
-            {
-                "name": "I(W2; Q[1], A[1], F | W1, G) >= L*T/N",
-                "value": info,
-                "target": lower,
-                "relation": ">=",
-                "pass": info >= lower - REAL_TOLERANCE,
-            }
-        )
+        checks.append(_check("I(W2; Q[1], A[1], F | W1, G) <= L(1/R - 1)", info, upper, "<="))
+        checks.append(_check("I(W2; Q[1], A[1], F | W1, G) >= L*T/N", info, lower, ">="))
     return checks
 
 
@@ -721,50 +751,6 @@ def outcome_str(outcome: tuple) -> str:
 
 def dist_table(d: ExactDist) -> dict[str, str]:
     return {outcome_str(o): fraction_str(w) for o, w in sorted(d.items(), key=lambda kv: outcome_str(kv[0]))}
-
-
-@dataclass
-class AuditReport:
-    """Machine-readable audit outcome; serializes to a stable JSON document."""
-
-    scheme: str
-    parameters: dict
-    privacy: dict
-    correctness: dict
-    rate: dict
-    overhead: dict
-    upload: dict
-    capacity_check: dict
-    entropy_identities: list | None
-    converse: list
-    length_leakage: dict | None
-    views: dict | None
-
-    @property
-    def passed(self) -> bool:
-        verdicts = [self.privacy["pass"], self.correctness["pass"], self.capacity_check["pass"]]
-        if self.entropy_identities is not None:
-            verdicts += [c["pass"] for c in self.entropy_identities]
-        verdicts += [c["pass"] for c in self.converse]
-        return all(verdicts)
-
-    def to_json_dict(self) -> dict:
-        report = {
-            "scheme": self.scheme,
-            "parameters": self.parameters,
-            "privacy": self.privacy,
-            "correctness": self.correctness,
-            "rate": self.rate,
-            "overhead": self.overhead,
-            "upload": self.upload,
-            "capacity_check": self.capacity_check,
-            "entropy_identities": self.entropy_identities,
-            "converse": self.converse,
-            "length_leakage": self.length_leakage,
-            "views": self.views,
-            "pass": self.passed,
-        }
-        return _jsonify(report)
 
 
 def _jsonify(value):
@@ -795,13 +781,23 @@ def build_audit_report(
     sw_blocks: int = 200,
     limit: int = EXHAUSTION_LIMIT,
     include_views: bool = True,
-) -> AuditReport:
-    """Run the full audit battery for one scheme and collect the outcome."""
+) -> dict:
+    """Run the full audit battery for one scheme and return its JSON document.
+
+    Every exact section is a projection of one pass over all desired indices.
+    """
     params = scheme.params
-    privacy = check_privacy(scheme, limit)
-    correctness = exhaustive_correctness(scheme, limit)
-    rate = measure_rate(scheme, mode=mode, L=L, trials=trials, seed=seed, limit=limit)
-    overhead = measure_overhead(scheme, mode=mode, L=L, seed=seed, codec=codec, limit=limit)
+    thetas = _thetas(scheme)
+    projections = [
+        _views(scheme, thetas), _correctness(scheme, thetas), _download(scheme),
+        _storage(scheme), _upload(scheme, thetas),
+    ]
+    if params.rounds == 1:
+        projections.append(_coupled(scheme))
+    views, correctness, download, storage, upload, *coupled = _tabulate(scheme, thetas, projections, limit)
+    privacy = _privacy(scheme, views)
+    rate = _finish_rate(scheme, download, mode, L, trials, seed, limit)
+    overhead = _finish_overhead(scheme, storage, mode, L, seed, codec, limit)
     capacity = mtpir_capacity(params)
     symbol_rate = rate["symbol_rate"]
     capacity_check = {
@@ -811,22 +807,19 @@ def build_audit_report(
         "pass": check_rate_admissible(symbol_rate, params)
         and rate["rate_ideal"] <= float(capacity) + REAL_TOLERANCE,
     }
-    identities = verify_entropy_identities(scheme, limit) if scheme.name == "linear" else None
-    converse = verify_converse_bounds(scheme, limit=limit)
+    # The identities are premises of the single-round storage bound at capacity.
+    identities = _identities(scheme, *coupled[0]) if coupled and symbol_rate == capacity else None
+    converse = _converse(scheme, download, coupled, None)
     leakage = None
     if mode == "concrete" and _is_multiround_split(scheme):
         leakage = measure_length_leakage(scheme, L=min(L, 2000), trials=min(trials, 20), seed=seed, limit=limit)
         codec = codec or CodecConfig()
         overhead["sw"] = sw_failure_rate(codec, blocks=sw_blocks, seed=seed, bias=_message_bias(scheme))
-    views = None
-    if include_views:
-        views = {}
-        for database in range(1, params.num_databases + 1):
-            view = enumerate_view(scheme, 1, database, limit=limit)
-            views[f"database_{database}_theta_1"] = dist_table(view.joint)
-    return AuditReport(
-        scheme=scheme.name,
-        parameters={
+    verdicts = [privacy["pass"], correctness["pass"], capacity_check["pass"]]
+    verdicts += [c["pass"] for c in (identities or []) + converse]
+    return _jsonify({
+        "scheme": scheme.name,
+        "parameters": {
             "num_messages": params.num_messages,
             "num_databases": params.num_databases,
             "collusion": params.collusion,
@@ -835,14 +828,18 @@ def build_audit_report(
             "mode": mode,
             "seed": seed,
         },
-        privacy=privacy,
-        correctness=correctness,
-        rate=rate,
-        overhead=overhead,
-        upload=upload_bits(scheme, limit),
-        capacity_check=capacity_check,
-        entropy_identities=identities,
-        converse=converse,
-        length_leakage=leakage,
-        views=views,
-    )
+        "privacy": privacy,
+        "correctness": correctness,
+        "rate": rate,
+        "overhead": overhead,
+        "upload": upload,
+        "capacity_check": capacity_check,
+        "entropy_identities": identities,
+        "converse": converse,
+        "length_leakage": leakage,
+        "views": {
+            f"database_{n}_theta_1": dist_table(ExactDist(views[1, n]))
+            for n in range(1, params.num_databases + 1)
+        } if include_views else None,
+        "pass": all(verdicts),
+    })

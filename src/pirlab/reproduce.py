@@ -15,7 +15,6 @@ from .audit import (
     REAL_TOLERANCE,
     check_privacy,
     enumerate_view,
-    expected_symbol_download,
     measure_overhead,
     measure_rate,
     scheme_profile,
@@ -219,7 +218,7 @@ def criterion_sw_storage(codec: CodecConfig) -> dict:
 
 
 def criterion_symbol_download() -> dict:
-    value = expected_symbol_download(multiround_descriptor())
+    value = measure_rate(multiround_descriptor())["expected_symbol_download_per_block"]
     ok = value == Fraction(7, 4)
     return _row(
         "7",

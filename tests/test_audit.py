@@ -16,7 +16,6 @@ from pirlab.audit import (
     coupled_session_joint,
     enumerate_view,
     exhaustive_correctness,
-    expected_symbol_download,
     fraction_str,
     ideal_storage_bits,
     measure_length_leakage,
@@ -147,11 +146,16 @@ class TestEnumerationCounts:
         "measure, runs, stores",
         [
             (check_privacy, 1024, 256),
-            (measure_rate, 512, None),
+            (measure_rate, 512, 0),
             (scheme_profile, 1024, None),
             (ideal_storage_bits, 0, 256),
+            (exhaustive_correctness, 1024, 0),
+            (build_audit_report, 1024, 256),
         ],
-        ids=["check_privacy", "measure_rate", "scheme_profile", "ideal_storage_bits"],
+        ids=[
+            "check_privacy", "measure_rate", "scheme_profile", "ideal_storage_bits",
+            "exhaustive_correctness", "build_audit_report",
+        ],
     )
     def test_linear_call_counts(self, measure, runs, stores):
         scheme, calls = self.counted(linear_descriptor())
@@ -169,6 +173,21 @@ class TestCorrectness:
     def test_zero_errors(self, descriptor):
         result = exhaustive_correctness(descriptor())
         assert result["pass"] and result["errors"] == 0
+
+    def test_errors_counted_per_session(self):
+        # Under bias 3/4 the four messages weigh 9/16 down to 1/16; a decoder
+        # that fails for theta = 2 and coin (1,) fails in 4 of 16 sessions,
+        # whatever their weights.
+        scheme = multiround_descriptor(bias=F(3, 4))
+
+        def run(msg, theta, coin):
+            record = scheme.run(msg, theta, coin)
+            if theta == 2 and coin == (1,):
+                record = record._replace(decoded=tuple(1 - b for b in record.decoded))
+            return record
+
+        broken = dataclasses.replace(scheme, run=run)
+        assert exhaustive_correctness(broken) == {"cases": 16, "errors": 4, "pass": False}
 
 
 class TestIdealAccounting:
@@ -191,7 +210,8 @@ class TestIdealAccounting:
     )
     def test_expected_symbol_download_seven_quarters(self, bias, expected):
         # 1 + Pr(round 2 is sent) = 1 + 1 - (Pr(x1 = 1) + Pr(x2 = 1)) / 2.
-        assert expected_symbol_download(multiround_descriptor(bias=bias)) == expected
+        rate = measure_rate(multiround_descriptor(bias=bias))
+        assert rate["expected_symbol_download_per_block"] == expected
 
     def test_linear_ideal(self):
         rate = measure_rate(linear_descriptor())
@@ -328,12 +348,12 @@ class TestIdentitiesAndConverse:
 
 class TestReports:
     def test_report_is_deterministic(self):
-        first = build_audit_report(multiround_descriptor(), seed=7).to_json_dict()
-        second = build_audit_report(multiround_descriptor(), seed=7).to_json_dict()
+        first = build_audit_report(multiround_descriptor(), seed=7)
+        second = build_audit_report(multiround_descriptor(), seed=7)
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_rationals_and_reals_serialized(self):
-        report = build_audit_report(multiround_descriptor(), seed=7).to_json_dict()
+        report = build_audit_report(multiround_descriptor(), seed=7)
         tv = report["privacy"]["databases"][0]["total_variation"]["1,2"]
         assert tv == "0/1"
         assert isinstance(report["rate"]["ideal_download_per_message_bit"], str)
@@ -345,8 +365,7 @@ class TestReports:
 
     def test_failing_variant_reported_failing(self):
         report = build_audit_report(multiround_descriptor(storage="replicated"), seed=7)
-        assert not report.passed
-        assert report.to_json_dict()["pass"] is False
+        assert report["pass"] is False
 
     def test_formatters(self):
         assert fraction_str(F(3, 6)) == "1/2"

@@ -12,8 +12,9 @@ from pirlab.cli import build_parser, main
 
 # SHA-256 of stdout and the exit code of commands whose JSON documents are
 # promised byte-identical across changes; perfbench/workloads.py checks the
-# same digests for the five audits and reproduce --mode ideal. The two
-# concrete commands run the entropy and binning coders.
+# same digests for the five audits and reproduce --mode ideal. The concrete
+# multiround commands run the entropy and binning coders; the other concrete
+# commands pin the uncoded and replicated-storage branches.
 GOLDEN = {
     ("audit", "--scheme", "multiround"):
         (0, "1e221870f2f81dc3ee59949c324e01b7bc4404aeb8e00ea9a061e1b6b98d8df6"),
@@ -31,6 +32,12 @@ GOLDEN = {
         (0, "56547206945dff666d24d2d1abf4b17d1629c92d7be1b5b73be336f5cbf9f6f8"),
     ("simulate", "--scheme", "multiround", "--mode", "concrete"):
         (0, "18f46b0b87f13285009193bff291c89e11750e9beed830b1edbc3bb32b28a353"),
+    ("audit", "--scheme", "linear", "--mode", "concrete"):
+        (0, "4d6cab084e50ad1b8b96f80c5f940b0d222c094a22188e3798de0ccbba732c84"),
+    ("audit", "--scheme", "multiround", "--storage", "replicated", "--mode", "concrete"):
+        (1, "c681769190ed1061e25367a8f596005332a01a2fceb50588ffe8884ec8dcdffb"),
+    ("simulate", "--scheme", "linear", "--mode", "concrete"):
+        (0, "6b3659d72932272fda9df8b789807e325bf2cbf692ad435a908acf94f9888311"),
 }
 
 
@@ -156,6 +163,9 @@ class TestReproduce:
         "reproduce-ideal",
         "audit-multiround-concrete",
         "simulate-multiround-concrete",
+        "audit-linear-concrete",
+        "audit-multiround-replicated-concrete",
+        "simulate-linear-concrete",
     ],
 )
 def test_golden_stdout_digest(capsys, monkeypatch, argv):

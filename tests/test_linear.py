@@ -7,8 +7,8 @@ import pytest
 
 from pirlab.audit import (
     check_privacy,
-    expected_symbol_download,
     ideal_storage_bits,
+    measure_rate,
     scheme_profile,
 )
 from pirlab.linear import (
@@ -84,8 +84,9 @@ class TestRetrieve:
 
     def test_download_is_six_bits(self):
         scheme = linear_descriptor()
-        assert expected_symbol_download(scheme) == 6
-        assert F(scheme.block_length) / expected_symbol_download(scheme) == F(2, 3)
+        download = measure_rate(scheme)["expected_symbol_download_per_block"]
+        assert download == 6
+        assert F(scheme.block_length) / download == F(2, 3)
 
 
 class TestBlockwiseExtension:
@@ -123,7 +124,8 @@ class TestReplicated:
 
     def test_rate_one_half(self):
         scheme = replicated_descriptor()
-        assert F(scheme.block_length) / expected_symbol_download(scheme) == F(1, 2)
+        download = measure_rate(scheme)["expected_symbol_download_per_block"]
+        assert F(scheme.block_length) / download == F(1, 2)
 
     def test_private_by_constant_query(self):
         assert check_privacy(replicated_descriptor())["pass"]
