@@ -12,7 +12,6 @@ tables; an audit report runs that pass once, with every section's projection.
 from __future__ import annotations
 
 import math
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +19,9 @@ from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 from .capacity import OverheadAccount, check_rate_admissible, mtpir_capacity, storage_overhead
-from .coding import CodecConfig, SourceModel, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
+from .coding import CodecConfig, SourceModel
 from .descriptor import SchemeDescriptor
 from .dist import ExactDist, conditional_entropy, entropy, marginal, total_variation
-from .multiround import MessagePair, derive_cells, run_session
 from .seeds import derive_seed
 
 EXHAUSTION_LIMIT = 1 << 20
@@ -323,21 +321,12 @@ def upload_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict
     return _tabulate(scheme, thetas, [_upload(scheme, thetas)], limit)[0]
 
 
-# --- Concrete (finite-length) measurement for the multiround scheme --------
+# --- Concrete (finite-length) measurement through the scheme's coded layer --
 
 
-def _is_multiround_split(scheme: SchemeDescriptor) -> bool:
-    return scheme.name.startswith("multiround") and "replicated" not in scheme.name
-
-
-def _message_bias(scheme: SchemeDescriptor) -> Fraction:
-    """Exact Pr(w1 bit = 1) from the declared message space."""
-    bias = _Projection(lambda tables: tables[0].get(1, Fraction(0)), message=lambda msg, stored: (msg[0][0],))
-    return _tabulate(scheme, (), [bias])[0]
-
-
-def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> tuple[SourceModel, SourceModel]:
-    """Exact per-symbol models of the two answer streams, from enumeration.
+def _answer_streams() -> _Projection:
+    """Exact per-symbol models of the two answer streams of the pass's first
+    session (theta = 1).
 
     DB1's stream is its per-position answer bit; DB2's stream is the answer
     bit conditioned on a round-2 query having been sent.
@@ -346,50 +335,26 @@ def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT
     def session(msg, stored, f, records):
         return (records[0].answers[0] + records[0].answers[1],)
 
-    (table,) = _tabulate(scheme, (1,), [_Projection(list, session)], limit)[0]
-    p1 = sum((w for (a1, _), w in table.items() if a1 == 1), Fraction(0))
-    sent = {a2: Fraction(0) for a2 in (0, 1)}
-    for (_, a2), w in table.items():
-        if a2 is not None:
-            sent[a2] += w
-    total = sent[0] + sent[1]
-    p2 = sent[1] / total
-    return SourceModel.bernoulli(p1), SourceModel.bernoulli(p2)
+    def finish(tables):
+        law = tables[0].items()
+        p1 = sum(w for (a1, _), w in law if a1 == 1)
+        p2 = sum(w for (_, a2), w in law if a2 == 1) / sum(w for (_, a2), w in law if a2 is not None)
+        return SourceModel.bernoulli(p1), SourceModel.bernoulli(p2)
+
+    return _Projection(finish, session)
 
 
-def _draw_multiround_session(scheme: SchemeDescriptor, L: int, seed: int):
-    bias = float(_message_bias(scheme))
-    rng = random.Random(seed)
-    w1 = tuple(1 if rng.random() < bias else 0 for _ in range(L))
-    w2 = tuple(1 if rng.random() < bias else 0 for _ in range(L))
-    coin = tuple(rng.getrandbits(1) for _ in range(L))
-    return MessagePair(w1, w2), coin
+def _db1_cells() -> _Projection:
+    """Exact law of DB1's stored cell, the model of its coded storage."""
+    return _Projection(
+        lambda tables: SourceModel(tuple(sorted(tables[0])), tables[0]),
+        message=lambda msg, stored: (stored[0],), stores=True,
+    )
 
 
-def concrete_multiround_download(
-    scheme: SchemeDescriptor, theta: int, L: int, seed: int,
-    models: tuple[SourceModel, SourceModel] | None = None,
-) -> dict:
-    """One coded session: answer streams compressed with their exact models."""
-    if models is None:
-        models = answer_stream_models(scheme)
-    message, coin = _draw_multiround_session(scheme, L, seed)
-    transcript = run_session(message, theta, coin)
-    stream1 = entropy_encode(transcript.a1, models[0])
-    round2 = [a for a in transcript.a2 if a is not None]
-    stream2 = entropy_encode(round2, models[1])
-    bits1 = stream_payload_bits(stream1)
-    bits2 = stream_payload_bits(stream2)
-    return {
-        "db1_bits": bits1,
-        "db2_bits": bits2,
-        "download_bits": bits1 + bits2,
-        "round2_symbols": len(round2),
-        "decode_errors": sum(
-            1 for got, want in zip(transcript.decoded, message.w1 if theta == 1 else message.w2)
-            if got != want
-        ),
-    }
+def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> tuple[SourceModel, SourceModel]:
+    """Exact per-symbol models of the two answer streams, from enumeration."""
+    return _tabulate(scheme, (1,), [_answer_streams()], limit)[0]
 
 
 def measure_rate(
@@ -401,31 +366,35 @@ def measure_rate(
     limit: int = EXHAUSTION_LIMIT,
 ) -> dict:
     """Rate statistics in ideal (exact entropy) or concrete (coded) accounting."""
-    ideal = _tabulate(scheme, (1,), [_download(scheme)], limit)[0]
-    return _finish_rate(scheme, ideal, mode, L, trials, seed, limit)
+    projections = [_download(scheme)]
+    if mode == "concrete" and scheme.coded is not None:
+        projections.append(_answer_streams())
+    download, *models = _tabulate(scheme, (1,), projections, limit)
+    return _finish_rate(scheme, download, mode, L, trials, seed, *models)[0]
 
 
 def _finish_rate(
-    scheme: SchemeDescriptor, result: dict, mode: str, L: int | None, trials: int, seed: int, limit: int
-) -> dict:
-    """Add concrete accounting, in that mode, to ``_download``'s result."""
+    scheme: SchemeDescriptor, result: dict, mode: str, L: int | None, trials: int, seed: int,
+    models: tuple[SourceModel, SourceModel] | None = None,
+) -> tuple[dict, list[dict]]:
+    """Add concrete accounting, in that mode, to ``_download``'s result, with
+    ``_answer_streams``' ``models`` for a coded scheme; also return the coded
+    sessions behind the concrete mean."""
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
+    sessions = []
     if mode == "concrete":
         block = scheme.block_length
         if L is None or L < 1:
             raise ValueError("concrete mode needs a message length L >= 1")
         if trials < 1:
             raise ValueError("trials must be at least 1")
-        if _is_multiround_split(scheme):
-            models = answer_stream_models(scheme, limit)
-            values = []
-            for trial in range(trials):
-                run = concrete_multiround_download(
-                    scheme, theta=1, L=L,
-                    seed=derive_seed(seed, "rate", trial), models=models,
-                )
-                values.append(run["download_bits"] / L)
+        if scheme.coded is not None:
+            sessions = [
+                scheme.coded.session(1, L, derive_seed(seed, "rate", trial), models)
+                for trial in range(trials)
+            ]
+            values = [run["download_bits"] / L for run in sessions]
         else:
             if L % block != 0:
                 raise ValueError(f"L must be a multiple of the native block {block}")
@@ -443,7 +412,7 @@ def _finish_rate(
             "download_per_message_bit_ci95": (mean - half_width, mean + half_width),
             "rate_mean": 1.0 / mean,
         }
-    return result
+    return result, sessions
 
 
 def measure_overhead(
@@ -456,18 +425,23 @@ def measure_overhead(
 ) -> dict:
     """Storage overhead in ideal (exact entropy) or concrete accounting.
 
-    Concrete accounting for the multiround split scheme entropy-codes DB1's
-    cell stream and counts DB2's actual bin bits; schemes whose storage is
-    already incompressible bits are charged at face value.
+    Concrete accounting charges a scheme with a coded layer the layer's
+    coded storage bits; schemes whose storage is already incompressible
+    bits are charged at face value.
     """
-    return _finish_overhead(scheme, ideal_storage_bits(scheme, limit), mode, L, seed, codec, limit)
+    projections = [_storage(scheme)]
+    if mode == "concrete" and scheme.coded is not None:
+        projections.append(_db1_cells())
+    storage, *cell_model = _tabulate(scheme, (), projections, limit)
+    return _finish_overhead(scheme, storage, mode, L, seed, codec, *cell_model)
 
 
 def _finish_overhead(
     scheme: SchemeDescriptor, ideal: list[float], mode: str, L: int, seed: int,
-    codec: CodecConfig | None, limit: int,
+    codec: CodecConfig | None, cell_model: SourceModel | None = None,
 ) -> dict:
-    """Overhead accounting, in ``mode``, from the ideal per-database storage bits."""
+    """Overhead accounting, in ``mode``, from the ideal per-database storage
+    bits and, for a coded scheme, ``_db1_cells``' result."""
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
     account = OverheadAccount(
@@ -480,17 +454,10 @@ def _finish_overhead(
         "alpha_ideal": storage_overhead(account),
     }
     if mode == "concrete":
-        if _is_multiround_split(scheme):
-            codec = codec or CodecConfig()
-            message, coin = _draw_multiround_session(scheme, L, derive_seed(seed, "storage"))
-            cells = derive_cells(message, coin)
-            cell_model = _db1_cell_model(scheme, limit)
-            db1_stream = entropy_encode(list(zip(cells.x1, cells.x2)), cell_model)
-            db1_bits = stream_payload_bits(db1_stream)
-            n = codec.block_length
-            blocks = (L + n - 1) // n
-            db2_bits = blocks * sw_bin_bits(codec)
-            concrete_bits = (db1_bits, db2_bits)
+        if scheme.coded is not None:
+            concrete_bits = scheme.coded.storage_bits(
+                L, derive_seed(seed, "storage"), codec or CodecConfig(), cell_model
+            )
         else:
             concrete_bits = tuple(
                 float(len(s))
@@ -510,43 +477,6 @@ def _finish_overhead(
     return result
 
 
-def _db1_cell_model(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> SourceModel:
-    cells = _Projection(list, message=lambda msg, stored: (stored[0],), stores=True)
-    (weights,) = _tabulate(scheme, (), [cells], limit)[0]
-    return SourceModel(tuple(sorted(weights)), weights)
-
-
-def sw_failure_rate(
-    codec: CodecConfig, blocks: int, seed: int, bias: Fraction = Fraction(1, 2)
-) -> dict:
-    """Empirical bin-decoding failure rate over blocks drawn from the scheme.
-
-    Per position: message bits with the given bias, a fair coin, and the
-    induced (y1, y2) pair and indicator. A failure is an ambiguous bin
-    (two or more consistent candidates); this is the scheme's epsilon.
-    """
-    rng = random.Random(derive_seed(seed, "sw-failure", blocks))
-    bias_f = float(bias)
-    n = codec.block_length
-    failures = 0
-    for _ in range(blocks):
-        w1 = tuple(1 if rng.random() < bias_f else 0 for _ in range(n))
-        w2 = tuple(1 if rng.random() < bias_f else 0 for _ in range(n))
-        coin = tuple(rng.getrandbits(1) for _ in range(n))
-        cells = derive_cells(MessagePair(w1, w2), coin)
-        pairs = tuple(zip(cells.y1, cells.y2))
-        decoded = sw_decode(sw_encode(pairs, codec), cells.u, codec)
-        if decoded != pairs:
-            failures += 1
-    return {
-        "blocks": blocks,
-        "failures": failures,
-        "failure_rate": failures / blocks,
-        "bin_bits": sw_bin_bits(codec),
-        "bits_per_symbol": sw_bin_bits(codec) / n,
-    }
-
-
 def measure_length_leakage(
     scheme: SchemeDescriptor, L: int, trials: int, seed: int,
     limit: int = EXHAUSTION_LIMIT,
@@ -556,17 +486,19 @@ def measure_length_leakage(
     Informational: the symbol-level audit is the privacy verdict; this
     measures whether variable-length coding correlates with theta at all.
     """
-    models = answer_stream_models(scheme, limit)
-    lengths = {}
-    for theta in (1, 2):
-        observed = []
-        for trial in range(trials):
-            run = concrete_multiround_download(
-                scheme, theta=theta, L=L,
-                seed=derive_seed(seed, "leakage", theta, trial), models=models,
-            )
-            observed.append(run["download_bits"])
-        lengths[theta] = observed
+    if scheme.coded is None:
+        raise ValueError("length leakage needs a scheme with a coded layer")
+    return _leakage(scheme.coded, answer_stream_models(scheme, limit), L, trials, seed)
+
+
+def _leakage(coded, models: tuple[SourceModel, SourceModel], L: int, trials: int, seed: int) -> dict:
+    lengths = {
+        theta: [
+            coded.session(theta, L, derive_seed(seed, "leakage", theta, trial), models)["download_bits"]
+            for trial in range(trials)
+        ]
+        for theta in (1, 2)
+    }
     mean1 = sum(lengths[1]) / trials
     mean2 = sum(lengths[2]) / trials
     return {
@@ -780,24 +712,27 @@ def build_audit_report(
     codec: CodecConfig | None = None,
     sw_blocks: int = 200,
     limit: int = EXHAUSTION_LIMIT,
-    include_views: bool = True,
 ) -> dict:
     """Run the full audit battery for one scheme and return its JSON document.
 
-    Every exact section is a projection of one pass over all desired indices.
+    Every exact section is a projection of one pass over all desired indices;
+    in concrete mode that pass also gives a coded layer its exact models.
     """
     params = scheme.params
     thetas = _thetas(scheme)
+    coded = scheme.coded if mode == "concrete" else None
+    coupled = [_coupled(scheme)] if params.rounds == 1 else []
+    models = [_answer_streams(), _db1_cells()] if coded is not None else []
     projections = [
         _views(scheme, thetas), _correctness(scheme, thetas), _download(scheme),
         _storage(scheme), _upload(scheme, thetas),
-    ]
-    if params.rounds == 1:
-        projections.append(_coupled(scheme))
-    views, correctness, download, storage, upload, *coupled = _tabulate(scheme, thetas, projections, limit)
+    ] + coupled + models
+    views, correctness, download, storage, upload, *rest = _tabulate(scheme, thetas, projections, limit)
+    coupled, models = rest[:len(coupled)], rest[len(coupled):]
+    stream_models, cell_model = models or (None, None)
     privacy = _privacy(scheme, views)
-    rate = _finish_rate(scheme, download, mode, L, trials, seed, limit)
-    overhead = _finish_overhead(scheme, storage, mode, L, seed, codec, limit)
+    rate, _ = _finish_rate(scheme, download, mode, L, trials, seed, stream_models)
+    overhead = _finish_overhead(scheme, storage, mode, L, seed, codec, cell_model)
     capacity = mtpir_capacity(params)
     symbol_rate = rate["symbol_rate"]
     capacity_check = {
@@ -811,10 +746,9 @@ def build_audit_report(
     identities = _identities(scheme, *coupled[0]) if coupled and symbol_rate == capacity else None
     converse = _converse(scheme, download, coupled, None)
     leakage = None
-    if mode == "concrete" and _is_multiround_split(scheme):
-        leakage = measure_length_leakage(scheme, L=min(L, 2000), trials=min(trials, 20), seed=seed, limit=limit)
-        codec = codec or CodecConfig()
-        overhead["sw"] = sw_failure_rate(codec, blocks=sw_blocks, seed=seed, bias=_message_bias(scheme))
+    if coded is not None:
+        leakage = _leakage(coded, stream_models, min(L, 2000), min(trials, 20), seed)
+        overhead["sw"] = coded.bin_failures(codec or CodecConfig(), sw_blocks, seed)
     verdicts = [privacy["pass"], correctness["pass"], capacity_check["pass"]]
     verdicts += [c["pass"] for c in (identities or []) + converse]
     return _jsonify({
@@ -840,6 +774,36 @@ def build_audit_report(
         "views": {
             f"database_{n}_theta_1": dist_table(ExactDist(views[1, n]))
             for n in range(1, params.num_databases + 1)
-        } if include_views else None,
+        },
         "pass": all(verdicts),
     })
+
+
+def build_simulation_report(
+    scheme: SchemeDescriptor,
+    mode: str = "ideal",
+    L: int = 1000,
+    trials: int = 5,
+    seed: int = 0,
+    codec: CodecConfig | None = None,
+    sw_blocks: int = 1000,
+    limit: int = EXHAUSTION_LIMIT,
+) -> dict:
+    """The rate and either the coded sessions behind it or exhaustive
+    correctness, from one pass, as a JSON document."""
+    document = {"scheme": scheme.name, "mode": mode, "L": L, "trials": trials, "seed": seed}
+    coded = scheme.coded if mode == "concrete" else None
+    if coded is not None:
+        download, models = _tabulate(scheme, (1,), [_download(scheme), _answer_streams()], limit)
+        rate, sessions = _finish_rate(scheme, download, mode, L, trials, seed, models)
+        errors = sum(run["decode_errors"] for run in sessions)
+        document["sessions"] = sessions
+        document["sw"] = coded.bin_failures(codec or CodecConfig(), sw_blocks, seed)
+    else:
+        thetas = _thetas(scheme)
+        download, correctness = _tabulate(scheme, thetas, [_download(scheme), _correctness(scheme, thetas)], limit)
+        rate, _ = _finish_rate(scheme, download, mode, L, trials, seed)
+        errors = correctness["errors"]
+        document["correctness"] = correctness
+        document["expected_symbol_download"] = rate["expected_symbol_download_per_block"]
+    return _jsonify({**document, "rate": rate, "decode_errors": errors, "pass": errors == 0})

@@ -15,27 +15,21 @@ import sys
 from fractions import Fraction
 
 from . import reproduce as reproduce_mod
-from .audit import (
-    build_audit_report,
-    concrete_multiround_download,
-    exhaustive_correctness,
-    fraction_str,
-    measure_rate,
-    real_str,
-    sw_failure_rate,
-    _jsonify,
-)
+from .audit import _jsonify, build_audit_report, build_simulation_report, fraction_str, real_str
 from .capacity import PirParameters, mtpir_capacity
 from .coding import CodecConfig
 from .linear import linear_descriptor, replicated_descriptor
 from .multiround import multiround_descriptor
-from .seeds import derive_seed
 
 DEFAULT_SEED_ENV = "PIRLAB_SEED"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
+    value = os.environ.get(DEFAULT_SEED_ENV, "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{DEFAULT_SEED_ENV} must be an integer, got {value!r}") from None
 
 
 def _scheme_from_args(args) -> object:
@@ -70,55 +64,13 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_report(args) -> int:
+    """``simulate`` or ``audit``: the subcommand's ``build`` document for one scheme."""
     scheme = _scheme_from_args(args)
     codec = CodecConfig(
         block_length=args.block_length, rate_margin=args.delta, seed=args.seed
     )
-    document = {
-        "scheme": scheme.name,
-        "mode": args.mode,
-        "L": args.message_length,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    rate = measure_rate(
-        scheme,
-        mode=args.mode,
-        L=args.message_length if args.mode == "concrete" else None,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    document["rate"] = rate
-    errors = 0
-    if args.mode == "concrete" and scheme.name.startswith("multiround") and "replicated" not in scheme.name:
-        sessions = []
-        for trial in range(args.trials):
-            run = concrete_multiround_download(
-                scheme, theta=1, L=args.message_length,
-                seed=derive_seed(args.seed, "simulate", trial),
-            )
-            errors += run["decode_errors"]
-            sessions.append(run)
-        document["sessions"] = sessions
-        document["sw"] = sw_failure_rate(codec, blocks=args.sw_blocks, seed=args.seed)
-    else:
-        correctness = exhaustive_correctness(scheme)
-        errors = correctness["errors"]
-        document["correctness"] = correctness
-        document["expected_symbol_download"] = rate["expected_symbol_download_per_block"]
-    document["decode_errors"] = errors
-    document["pass"] = errors == 0
-    _emit(_jsonify(document))
-    return 0 if errors == 0 else 1
-
-
-def cmd_audit(args) -> int:
-    scheme = _scheme_from_args(args)
-    codec = CodecConfig(
-        block_length=args.block_length, rate_margin=args.delta, seed=args.seed
-    )
-    report = build_audit_report(
+    document = args.build(
         scheme,
         mode=args.mode,
         L=args.message_length,
@@ -127,8 +79,8 @@ def cmd_audit(args) -> int:
         codec=codec,
         sw_blocks=args.sw_blocks,
     )
-    _emit(report)
-    return 0 if report["pass"] else 1
+    _emit(document)
+    return 0 if document["pass"] else 1
 
 
 def cmd_reproduce(args) -> int:
@@ -177,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run sessions and report download/rate")
     _add_run_flags(p_sim, default_L=1000)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_report, build=build_simulation_report)
 
     p_audit = sub.add_parser("audit", help="full privacy/rate/overhead audit of a scheme")
     _add_run_flags(p_audit, default_L=2000)
-    p_audit.set_defaults(func=cmd_audit)
+    p_audit.set_defaults(func=cmd_report, build=build_audit_report)
 
     p_rep = sub.add_parser("reproduce", help="run every acceptance measurement")
     p_rep.add_argument("--mode", choices=("ideal", "full"), default="full")
@@ -194,9 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

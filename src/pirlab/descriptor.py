@@ -43,6 +43,11 @@ class SchemeDescriptor:
     returns, per database, the symbols available to that database at
     answer time before consulting its storage (used for conditional-entropy
     storage accounting); the default is no side information.
+
+    ``coded`` is the finite-length coded layer that concrete accounting
+    follows: ``session(theta, L, seed, models)``, ``storage_bits(L, seed,
+    codec, cell_model)`` and ``bin_failures(codec, blocks, seed)``. A scheme
+    without one (None) is charged at face value.
     """
 
     name: str
@@ -53,6 +58,7 @@ class SchemeDescriptor:
     store: Callable[[Message], tuple[tuple, ...]]
     run: Callable[[Message, int, Any], SessionRecord]
     side_information: Callable[[Message, Any], tuple[tuple, ...]] | None = None
+    coded: Any = None
 
     def desired(self, msg: Message, theta: int) -> tuple[int, ...]:
         if not (1 <= theta <= self.params.num_messages):

@@ -19,13 +19,16 @@ Decoding is symbol-exact: the protocol itself makes no errors.
 from __future__ import annotations
 
 import dataclasses
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
 from .capacity import PirParameters
+from .coding import CodecConfig, SourceModel, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
 from .descriptor import SchemeDescriptor, SessionRecord
+from .seeds import derive_seed
 
 ASK_X1 = "x1"
 ASK_X2 = "x2"
@@ -206,6 +209,80 @@ def run_session(m: MessagePair, theta: int, coin: Sequence[int]) -> Transcript:
     return dataclasses.replace(t, decoded=decode(theta, t))
 
 
+def _draw(rng: random.Random, bias: float, n: int) -> tuple[MessagePair, tuple[int, ...]]:
+    """n positions: both messages' bits with the given bias, then a fair coin."""
+    w1 = tuple(1 if rng.random() < bias else 0 for _ in range(n))
+    w2 = tuple(1 if rng.random() < bias else 0 for _ in range(n))
+    coin = tuple(rng.getrandbits(1) for _ in range(n))
+    return MessagePair(w1, w2), coin
+
+
+def sw_failure_rate(
+    codec: CodecConfig, blocks: int, seed: int, bias: Fraction = Fraction(1, 2)
+) -> dict:
+    """Empirical bin-decoding failure rate over blocks drawn from the scheme.
+
+    Per position: message bits with the given bias, a fair coin, and the
+    induced (y1, y2) pair and indicator. A failure is an ambiguous bin
+    (two or more consistent candidates); this is the scheme's epsilon.
+    """
+    if blocks < 1:
+        raise ValueError(f"blocks must be at least 1, got {blocks}")
+    rng = random.Random(derive_seed(seed, "sw-failure", blocks))
+    n = codec.block_length
+    failures = 0
+    for _ in range(blocks):
+        cells = derive_cells(*_draw(rng, float(bias), n))
+        pairs = tuple(zip(cells.y1, cells.y2))
+        decoded = sw_decode(sw_encode(pairs, codec), cells.u, codec)
+        if decoded != pairs:
+            failures += 1
+    return {
+        "blocks": blocks,
+        "failures": failures,
+        "failure_rate": failures / blocks,
+        "bin_bits": sw_bin_bits(codec),
+        "bits_per_symbol": sw_bin_bits(codec) / n,
+    }
+
+
+@dataclass(frozen=True)
+class CodedLayer:
+    """The split scheme's coded layer at message bias ``bias``: DB1's cells and
+    the answer streams arithmetic-coded, DB2's cells binned per codec block."""
+
+    bias: Fraction
+
+    def session(self, theta: int, L: int, seed: int, models: tuple[SourceModel, SourceModel]) -> dict:
+        """One L-position session with its answer streams coded under ``models``."""
+        message, coin = _draw(random.Random(seed), float(self.bias), L)
+        transcript = run_session(message, theta, coin)
+        stream1 = entropy_encode(transcript.a1, models[0])
+        round2 = [a for a in transcript.a2 if a is not None]
+        stream2 = entropy_encode(round2, models[1])
+        bits1 = stream_payload_bits(stream1)
+        bits2 = stream_payload_bits(stream2)
+        return {
+            "db1_bits": bits1,
+            "db2_bits": bits2,
+            "download_bits": bits1 + bits2,
+            "round2_symbols": len(round2),
+            "decode_errors": sum(
+                1 for got, want in zip(transcript.decoded, message.w1 if theta == 1 else message.w2)
+                if got != want
+            ),
+        }
+
+    def storage_bits(self, L: int, seed: int, codec: CodecConfig, cell_model: SourceModel) -> tuple[int, int]:
+        """DB1's coded cell bits and DB2's bin bits for one drawn L-position pair."""
+        cells = derive_cells(_draw(random.Random(seed), float(self.bias), L)[0])
+        db1_bits = stream_payload_bits(entropy_encode(list(zip(cells.x1, cells.x2)), cell_model))
+        return db1_bits, (L + codec.block_length - 1) // codec.block_length * sw_bin_bits(codec)
+
+    def bin_failures(self, codec: CodecConfig, blocks: int, seed: int) -> dict:
+        return sw_failure_rate(codec, blocks, seed, self.bias)
+
+
 def _bit_weight(bit: int, bias: Fraction) -> Fraction:
     return bias if bit == 1 else 1 - bias
 
@@ -218,7 +295,8 @@ def multiround_descriptor(
     ``bias`` is the per-bit probability of 1 in each message (the protocol
     is unchanged; only the enumeration weights move). ``storage`` selects
     the honest split layout, or the deliberately privacy-breaking variant
-    where DB2 keeps both raw messages.
+    where DB2 keeps both raw messages. Only the split layout has a coded
+    layer; the replicated variant's storage is charged at face value.
     """
     if storage not in ("split", "replicated"):
         raise ValueError("storage must be 'split' or 'replicated'")
@@ -269,4 +347,5 @@ def multiround_descriptor(
         store=store,
         run=run,
         side_information=side_information,
+        coded=CodedLayer(bias) if storage == "split" else None,
     )

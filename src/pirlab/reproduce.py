@@ -18,7 +18,6 @@ from .audit import (
     measure_overhead,
     measure_rate,
     scheme_profile,
-    sw_failure_rate,
     verify_converse_bounds,
     verify_entropy_identities,
 )
@@ -26,7 +25,7 @@ from .capacity import PirParameters, mtpir_capacity
 from .coding import CodecConfig, side_info_conditional_entropy, sw_bin_bits
 from .dist import ExactDist, marginal
 from .linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
-from .multiround import MessagePair, multiround_descriptor, run_session
+from .multiround import MessagePair, multiround_descriptor, run_session, sw_failure_rate
 
 EXPECTED_VIEW_TABLE = {
     (None, 0, 0): Fraction(1, 4),

@@ -9,9 +9,9 @@ from itertools import product
 import pytest
 
 from pirlab.audit import (
+    answer_stream_models,
     build_audit_report,
     check_privacy,
-    concrete_multiround_download,
     conditional_mutual_information,
     coupled_session_joint,
     enumerate_view,
@@ -23,14 +23,13 @@ from pirlab.audit import (
     measure_rate,
     real_str,
     scheme_profile,
-    sw_failure_rate,
     upload_bits,
     verify_converse_bounds,
     verify_entropy_identities,
 )
 from pirlab.coding import CodecConfig
 from pirlab.linear import linear_descriptor, replicated_descriptor
-from pirlab.multiround import multiround_descriptor
+from pirlab.multiround import multiround_descriptor, sw_failure_rate
 
 F = Fraction
 TOL = 1e-9
@@ -164,6 +163,13 @@ class TestEnumerationCounts:
         if stores is not None:
             assert calls["store"] == stores
 
+    def test_concrete_report_runs_each_triple_once(self):
+        # The coded layer's stream and cell models come from the report's
+        # own pass: 4 messages x 2 coins x 2 thetas.
+        scheme, calls = self.counted(multiround_descriptor())
+        build_audit_report(scheme, mode="concrete", L=200, trials=2, sw_blocks=10)
+        assert calls == {"run": 16, "store": 4}
+
 
 class TestCorrectness:
     @pytest.mark.parametrize(
@@ -239,9 +245,8 @@ class TestIdealAccounting:
 
 class TestConcreteAccounting:
     def test_session_download_close_to_ideal(self):
-        run = concrete_multiround_download(
-            multiround_descriptor(), theta=1, L=20_000, seed=9
-        )
+        scheme = multiround_descriptor()
+        run = scheme.coded.session(theta=1, L=20_000, seed=9, models=answer_stream_models(scheme))
         assert run["decode_errors"] == 0
         assert run["download_bits"] / 20_000 == pytest.approx(1.5, abs=0.03)
 
@@ -288,6 +293,23 @@ class TestConcreteAccounting:
         stats = measure_overhead(linear_descriptor(), mode="concrete")
         assert stats["concrete"]["bits_per_database"] == (6.0, 6.0)
         assert stats["concrete"]["alpha_concrete"] == 1.5
+
+    def test_concrete_accounting_follows_the_coded_layer_not_the_name(self):
+        original = multiround_descriptor()
+        renamed = dataclasses.replace(original, name="two-round")
+        for measure in (
+            lambda s: measure_rate(s, mode="concrete", L=1_600, trials=2, seed=5)["concrete"],
+            lambda s: measure_overhead(s, mode="concrete", L=1_600, seed=5)["concrete"],
+        ):
+            assert measure(renamed) == measure(original)
+        linear = linear_descriptor()
+        renamed = dataclasses.replace(linear, name="multiround-linear")
+        assert measure_overhead(renamed, mode="concrete") == measure_overhead(linear, mode="concrete")
+
+    @pytest.mark.parametrize("blocks", [0, -3])
+    def test_sw_failure_rate_rejects_fewer_than_one_block(self, blocks):
+        with pytest.raises(ValueError, match="blocks must be at least 1"):
+            sw_failure_rate(CodecConfig(), blocks=blocks, seed=0)
 
     def test_sw_failure_rate_reproducible(self):
         cfg = CodecConfig(seed=8)

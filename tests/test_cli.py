@@ -1,13 +1,14 @@
 """CLI contract: JSON shape, exit codes, reproducibility."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from pirlab import reproduce
+from pirlab import cli, reproduce
 from pirlab.cli import build_parser, main
 
 # SHA-256 of stdout and the exit code of commands whose JSON documents are
@@ -31,7 +32,7 @@ GOLDEN = {
     ("audit", "--scheme", "multiround", "--mode", "concrete"):
         (0, "56547206945dff666d24d2d1abf4b17d1629c92d7be1b5b73be336f5cbf9f6f8"),
     ("simulate", "--scheme", "multiround", "--mode", "concrete"):
-        (0, "18f46b0b87f13285009193bff291c89e11750e9beed830b1edbc3bb32b28a353"),
+        (0, "dced4528db632374813f17f1c4c0932fa7d6e7f4a0dea4395b5a393bfc93fb2c"),
     ("audit", "--scheme", "linear", "--mode", "concrete"):
         (0, "4d6cab084e50ad1b8b96f80c5f940b0d222c094a22188e3798de0ccbba732c84"),
     ("audit", "--scheme", "multiround", "--storage", "replicated", "--mode", "concrete"):
@@ -85,6 +86,33 @@ class TestSimulate:
         mean = float(doc["rate"]["concrete"]["download_per_message_bit_mean"])
         assert abs(mean - 1.5) < 0.05
 
+    def test_sessions_are_the_rate_trials(self, capsys):
+        code, doc = run_cli(
+            capsys, "simulate", "--mode", "concrete", "-L", "500", "--trials", "3", "--sw-blocks", "10",
+        )
+        assert code == 0
+        mean = sum(s["download_bits"] / 500 for s in doc["sessions"]) / 3
+        assert mean == pytest.approx(float(doc["rate"]["concrete"]["download_per_message_bit_mean"]), rel=1e-9)
+
+    def test_bin_estimate_uses_the_bias(self, capsys):
+        flags = ("--mode", "concrete", "--bias", "3/4", "--sw-blocks", "50", "-L", "200", "--trials", "1")
+        _, simulated = run_cli(capsys, "simulate", *flags)
+        _, audited = run_cli(capsys, "audit", *flags)
+        assert simulated["sw"] == audited["overhead"]["sw"]
+
+    def test_linear_runs_each_triple_once(self, capsys, monkeypatch):
+        runs = []
+        scheme = cli.linear_descriptor()
+
+        def run(msg, theta, f):
+            runs.append(None)
+            return scheme.run(msg, theta, f)
+
+        monkeypatch.setattr(cli, "linear_descriptor", lambda: dataclasses.replace(scheme, run=run))
+        code, _ = run_cli(capsys, "simulate", "--scheme", "linear")
+        assert code == 0
+        assert len(runs) == 1024
+
     def test_nan_delta_exit_2(self, capsys):
         assert main(["simulate", "--delta", "nan"]) == 2
         captured = capsys.readouterr()
@@ -98,6 +126,16 @@ class TestSimulate:
         assert code == 0
         assert doc["expected_symbol_download"] == "6/1"
         assert doc["decode_errors"] == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+@pytest.mark.parametrize("blocks", ["0", "-3"])
+def test_sw_blocks_below_one_exit_2(capsys, command, blocks):
+    argv = [command, "--mode", "concrete", "-L", "100", "--trials", "1", "--sw-blocks", blocks]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: blocks must be at least 1, got {blocks}\n"
 
 
 class TestAudit:
@@ -129,6 +167,13 @@ class TestReproduce:
     def test_seed_env_override(self, monkeypatch):
         monkeypatch.setenv("PIRLAB_SEED", "42")
         assert build_parser().parse_args(["reproduce"]).seed == 42
+
+    def test_non_integer_seed_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PIRLAB_SEED", "abc")
+        assert main(["capacity", "-K", "2", "-N", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: PIRLAB_SEED must be an integer, got 'abc'\n"
 
     def test_acceptance_suite_calls_each_criterion_once(self):
         # Each test_criterion_* in test_acceptance.py calls exactly one

@@ -24,7 +24,7 @@ from pirlab.coding import (
     sw_decode_reference,
     sw_encode,
 )
-from pirlab.audit import sw_failure_rate
+from pirlab.multiround import sw_failure_rate
 
 F = Fraction
 

@@ -13,6 +13,7 @@ from pirlab.multiround import (
     ASK_Y2,
     NO_QUERY,
     CellTable,
+    CodedLayer,
     MessagePair,
     Transcript,
     db2_answer,
@@ -208,6 +209,10 @@ class TestDescriptor:
         scheme = multiround_descriptor(storage="replicated")
         stored = scheme.store(((1,), (0,)))
         assert stored == ((1, 0), (1, 0))
+
+    def test_only_split_storage_declares_a_coded_layer(self):
+        assert multiround_descriptor(bias=F(3, 4)).coded == CodedLayer(F(3, 4))
+        assert multiround_descriptor(storage="replicated").coded is None
 
     def test_bias_weights(self):
         scheme = multiround_descriptor(bias=F(3, 4))
