@@ -70,13 +70,15 @@ class _Projection(NamedTuple):
     ``records[i]`` being the session played with the pass's ``thetas[i]``,
     or ``message(msg, stored)`` does, once per message. ``stored`` is None
     unless ``stores``. ``finish`` maps the tables' exact laws to the
-    measurement.
+    measurement; ``compose``, if set, maps the same tables, tabulated over a
+    product's component, to the product's measurement.
     """
 
     finish: Callable[[list], object]
     session: Callable | None = None
     message: Callable | None = None
     stores: bool = False
+    compose: Callable[[list], object] | None = None
 
 
 def _tabulate(
@@ -90,7 +92,14 @@ def _tabulate(
     Each message is stored once, and only if some projection reads storage;
     each (message, theta, randomness) triple is run once. Weights accumulate
     as integers over the product of the two spaces' common denominators.
+    A product whose projections all compose is tabulated over its component,
+    unless nested or with a replaced run, store or space: those are enumerated.
     """
+    product = scheme.product
+    built = (scheme.message_space, scheme.randomness_space, scheme.store, scheme.run)
+    compose = product is not None and product.built == built and product.component.product is None
+    compose = compose and all(p.compose for p in projections)
+    scheme = product.component if compose else scheme
     messages, randomness = _spaces(scheme, limit)
     messages, msg_den = _integer_weights(messages)
     randomness, f_den = _integer_weights(randomness)
@@ -114,7 +123,9 @@ def _tabulate(
     # The listed spaces can outweigh the tables: free them before finishing.
     del messages, randomness
     return [
-        p.finish([{key: Fraction(count, total) for key, count in table.items()} for table in tables.values()])
+        (p.compose if compose else p.finish)(
+            [{key: Fraction(count, total) for key, count in table.items()} for table in tables.values()]
+        )
         for p, tables in slots
     ]
 
@@ -143,31 +154,37 @@ def enumerate_view(
     return PrivacyView(database, theta, ExactDist(views[theta, database]))
 
 
-def _privacy(scheme: SchemeDescriptor, views: dict) -> dict:
+def _privacy(scheme: SchemeDescriptor, views: dict, product: bool = False) -> dict:
+    """Verdicts from views keyed (theta, database), or a product's component views."""
     thetas = _thetas(scheme)
     databases = []
-    overall = True
     for database in range(1, scheme.params.num_databases + 1):
-        tables = [views[t, database] for t in thetas]
-        arity = len(next(iter(tables[0])))
-        shared = tuple(
-            frozenset(o[i] for table in tables for o in table)
-            for i in range(arity)
-        )
-        dists = {t: ExactDist(views[t, database], shared) for t in thetas}
-        distances = {}
-        ok = True
-        for t1 in thetas:
-            for t2 in thetas:
-                if t1 < t2:
-                    tv = total_variation(dists[t1], dists[t2])
-                    distances[(t1, t2)] = tv
-                    ok = ok and tv == 0
-        databases.append(
-            {"database": database, "total_variation": distances, "pass": ok}
-        )
-        overall = overall and ok
-    return {"databases": databases, "pass": overall}
+        if product:
+            laws, tv = {t: (views[t, database], views[t, 3 - database]) for t in thetas}, _product_tv
+        else:
+            tables = [views[t, database] for t in thetas]
+            arity = len(next(iter(tables[0])))
+            shared = tuple(frozenset(o[i] for table in tables for o in table) for i in range(arity))
+            laws, tv = {t: ExactDist(views[t, database], shared) for t in thetas}, total_variation
+        distances = {(t1, t2): tv(laws[t1], laws[t2]) for t1 in thetas for t2 in thetas if t1 < t2}
+        ok = all(d == 0 for d in distances.values())
+        databases.append({"database": database, "total_variation": distances, "pass": ok})
+    return {"databases": databases, "pass": all(d["pass"] for d in databases)}
+
+
+def _product_tv(p: tuple[dict, dict], q: tuple[dict, dict]) -> Fraction:
+    """Exact TV between the product laws p[0] x p[1] and q[0] x q[1]: 0 when
+    both factors agree, else the sum over both supports. The outer factor is
+    one that differs; an outer x in only one support adds its whole mass."""
+    if p == q:
+        return Fraction(0)
+    if p[0] == q[0]:
+        p, q = p[::-1], q[::-1]
+    ys, total = p[1].keys() | q[1].keys(), Fraction(0)
+    for x in p[0].keys() | q[0].keys():
+        a, b = p[0].get(x, 0), q[0].get(x, 0)
+        total += a + b if not (a and b) else sum(abs(a * p[1].get(y, 0) - b * q[1].get(y, 0)) for y in ys)
+    return total / 2
 
 
 def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
@@ -178,23 +195,37 @@ def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> di
     means every distance is exactly the rational 0.
     """
     thetas = _thetas(scheme)
-    return _privacy(scheme, _tabulate(scheme, thetas, [_views(scheme, thetas)], limit)[0])
+    views = _views(scheme, thetas)
+    privacy = views._replace(
+        finish=lambda tables: _privacy(scheme, views.finish(tables)),
+        compose=lambda tables: _privacy(scheme, views.finish(tables), product=True),
+    )
+    return _tabulate(scheme, thetas, [privacy], limit)[0]
 
 
 def _correctness(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
-    """Decoding errors, counted per (message, randomness, theta) triple."""
-    cases = errors = 0
+    """Decoding errors, counted per (message, randomness, theta) triple. With
+    c component sessions and e errors at a theta, c^2 - (c - e)^2 of a
+    product's c^2 sessions fail there: each needs both components right."""
+    sessions = 0
+    errors = [0] * len(thetas)
     desired = scheme.desired
 
     def session(msg, stored, f, records):
-        nonlocal cases, errors
-        cases += len(records)
-        for theta, record in zip(thetas, records):
+        nonlocal sessions
+        sessions += 1
+        for i, (theta, record) in enumerate(zip(thetas, records)):
             if record.decoded != desired(msg, theta):
-                errors += 1
+                errors[i] += 1
         return ()
 
-    return _Projection(lambda tables: {"cases": cases, "errors": errors, "pass": errors == 0}, session)
+    def verdict(cases: int, errors: list[int]) -> dict:
+        return {"cases": cases * len(thetas), "errors": sum(errors), "pass": not any(errors)}
+
+    return _Projection(
+        lambda tables: verdict(sessions, errors), session,
+        compose=lambda tables: verdict(sessions ** 2, [sessions ** 2 - (sessions - e) ** 2 for e in errors]),
+    )
 
 
 def exhaustive_correctness(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
@@ -226,8 +257,16 @@ def _download(scheme: SchemeDescriptor) -> _Projection:
             conditional_entropy(marginal(joint, range(n + 1)), range(n))
             for n in range(1, joint.arity)
         ]
+        return result(per_db, _expectation(downloads))
+
+    def compose(tables):
+        # A product's A_1 is (A_1, A_2) and its A_2 is (A_2, A_1), from independent copies.
+        joint, h = ExactDist(tables[0]), _cond_entropy_of
+        per_db = [h(joint, (1,), (0,)) + h(joint, (2,), (0,)), h(joint, (2,), (0, 1)) + h(joint, (1,), (0, 2))]
+        return result(per_db, 2 * _expectation(tables[1]))
+
+    def result(per_db, symbol_download):
         total = sum(per_db)
-        symbol_download = _expectation(downloads)
         return {
             "block_length": block,
             "ideal_download_per_message_bit": total / block,
@@ -237,7 +276,7 @@ def _download(scheme: SchemeDescriptor) -> _Projection:
             "symbol_rate": Fraction(block) / symbol_download,
         }
 
-    return _Projection(finish, session)
+    return _Projection(finish, session, compose=compose)
 
 
 def _storage(scheme: SchemeDescriptor) -> _Projection:
@@ -245,13 +284,20 @@ def _storage(scheme: SchemeDescriptor) -> _Projection:
 
     Storage without side information depends only on the message, so it is
     tabulated once per message; with side information, once per session.
+    Without it, a product's H(S_n) is its component's H(S_n) + H(S_other).
     """
 
     def finish(tables):
         return [conditional_entropy(ExactDist(table), (1,)) for table in tables]
 
+    def compose(tables):
+        bits = finish(tables)
+        return [a + b for a, b in zip(bits, bits[::-1])]
+
     if scheme.side_information is None:
-        return _Projection(finish, message=lambda msg, stored: [(s, ()) for s in stored], stores=True)
+        return _Projection(
+            finish, message=lambda msg, stored: [(s, ()) for s in stored], stores=True, compose=compose
+        )
     return _Projection(
         finish, lambda msg, stored, f, records: list(zip(stored, scheme.side_information(msg, f))), stores=True
     )
@@ -271,7 +317,8 @@ def scheme_profile(
 ) -> dict:
     """Exhaustive summary from one pass: per-database answer entropies
     H(A_n | F, G) and expected symbol download per theta, and per-database
-    ideal storage bits."""
+    ideal storage bits. A product's H(A_n | F, G) is its component's at n
+    plus at the other database, and its download doubles."""
     keys = list(product(thetas, range(1, scheme.params.num_databases + 1)))
 
     def session(msg, stored, f, records):
@@ -289,7 +336,15 @@ def scheme_profile(
             },
         }
 
-    profile, storage = _tabulate(scheme, thetas, [_Projection(finish, session), _storage(scheme)], limit)
+    def compose(tables):
+        h, download = finish(tables).values()
+        return {
+            "answer_entropy": {(t, n): h[t, n] + h[t, 3 - n] for t, n in h},
+            "expected_symbol_download": {t: 2 * d for t, d in download.items()},
+        }
+
+    projections = [_Projection(finish, session, compose=compose), _storage(scheme)]
+    profile, storage = _tabulate(scheme, thetas, projections, limit)
     return {**profile, "storage_bits": storage}
 
 
@@ -324,7 +379,7 @@ def upload_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict
 # --- Concrete (finite-length) measurement through the scheme's coded layer --
 
 
-def _answer_streams() -> _Projection:
+def _answer_streams(scheme: SchemeDescriptor) -> _Projection:
     """Exact per-symbol models of the two answer streams of the pass's first
     session (theta = 1).
 
@@ -337,6 +392,9 @@ def _answer_streams() -> _Projection:
 
     def finish(tables):
         law = tables[0].items()
+        if any(len(answers) != 2 or not {*answers} <= {0, 1, None} for answers, _ in law):
+            raise ValueError(f"scheme {scheme.name!r}: its coded layer needs one answer symbol "
+                             "per database per session, a bit or None")
         p1 = sum(w for (a1, _), w in law if a1 == 1)
         p2 = sum(w for (_, a2), w in law if a2 == 1) / sum(w for (_, a2), w in law if a2 is not None)
         return SourceModel.bernoulli(p1), SourceModel.bernoulli(p2)
@@ -354,7 +412,7 @@ def _db1_cells() -> _Projection:
 
 def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> tuple[SourceModel, SourceModel]:
     """Exact per-symbol models of the two answer streams, from enumeration."""
-    return _tabulate(scheme, (1,), [_answer_streams()], limit)[0]
+    return _tabulate(scheme, (1,), [_answer_streams(scheme)], limit)[0]
 
 
 def measure_rate(
@@ -366,11 +424,27 @@ def measure_rate(
     limit: int = EXHAUSTION_LIMIT,
 ) -> dict:
     """Rate statistics in ideal (exact entropy) or concrete (coded) accounting."""
+    _check_flags(scheme, mode, L, trials)
     projections = [_download(scheme)]
     if mode == "concrete" and scheme.coded is not None:
-        projections.append(_answer_streams())
+        projections.append(_answer_streams(scheme))
     download, *models = _tabulate(scheme, (1,), projections, limit)
     return _finish_rate(scheme, download, mode, L, trials, seed, *models)[0]
+
+
+def _check_flags(scheme: SchemeDescriptor, mode: str, L: int | None, trials: int, sw_blocks: int = 1) -> None:
+    """Reject bad accounting flags before any session runs."""
+    if mode not in ("ideal", "concrete"):
+        raise ValueError("mode must be 'ideal' or 'concrete'")
+    if mode == "concrete":
+        if L is None or L < 1:
+            raise ValueError("concrete mode needs a message length L >= 1")
+        if trials < 1:
+            raise ValueError("trials must be at least 1")
+        if scheme.coded is None and L % scheme.block_length != 0:
+            raise ValueError(f"L must be a multiple of the native block {scheme.block_length}")
+        if scheme.coded is not None and sw_blocks < 1:
+            raise ValueError(f"blocks must be at least 1, got {sw_blocks}")
 
 
 def _finish_rate(
@@ -380,15 +454,8 @@ def _finish_rate(
     """Add concrete accounting, in that mode, to ``_download``'s result, with
     ``_answer_streams``' ``models`` for a coded scheme; also return the coded
     sessions behind the concrete mean."""
-    if mode not in ("ideal", "concrete"):
-        raise ValueError("mode must be 'ideal' or 'concrete'")
     sessions = []
     if mode == "concrete":
-        block = scheme.block_length
-        if L is None or L < 1:
-            raise ValueError("concrete mode needs a message length L >= 1")
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
         if scheme.coded is not None:
             sessions = [
                 scheme.coded.session(1, L, derive_seed(seed, "rate", trial), models)
@@ -396,12 +463,10 @@ def _finish_rate(
             ]
             values = [run["download_bits"] / L for run in sessions]
         else:
-            if L % block != 0:
-                raise ValueError(f"L must be a multiple of the native block {block}")
             # Uncoded schemes ship answer symbols as-is; the per-block
             # download expectation is exact, no sampling needed.
             per_block = float(result["expected_symbol_download_per_block"])
-            values = [per_block * (L // block) / L] * trials
+            values = [per_block * (L // scheme.block_length) / L] * trials
         mean = sum(values) / len(values)
         variance = sum((v - mean) ** 2 for v in values) / len(values)
         half_width = 1.96 * math.sqrt(variance / len(values)) if len(values) > 1 else 0.0
@@ -718,11 +783,12 @@ def build_audit_report(
     Every exact section is a projection of one pass over all desired indices;
     in concrete mode that pass also gives a coded layer its exact models.
     """
+    _check_flags(scheme, mode, L, trials, sw_blocks)
     params = scheme.params
     thetas = _thetas(scheme)
     coded = scheme.coded if mode == "concrete" else None
     coupled = [_coupled(scheme)] if params.rounds == 1 else []
-    models = [_answer_streams(), _db1_cells()] if coded is not None else []
+    models = [_answer_streams(scheme), _db1_cells()] if coded is not None else []
     projections = [
         _views(scheme, thetas), _correctness(scheme, thetas), _download(scheme),
         _storage(scheme), _upload(scheme, thetas),
@@ -791,10 +857,11 @@ def build_simulation_report(
 ) -> dict:
     """The rate and either the coded sessions behind it or exhaustive
     correctness, from one pass, as a JSON document."""
+    _check_flags(scheme, mode, L, trials, sw_blocks)
     document = {"scheme": scheme.name, "mode": mode, "L": L, "trials": trials, "seed": seed}
     coded = scheme.coded if mode == "concrete" else None
     if coded is not None:
-        download, models = _tabulate(scheme, (1,), [_download(scheme), _answer_streams()], limit)
+        download, models = _tabulate(scheme, (1,), [_download(scheme), _answer_streams(scheme)], limit)
         rate, sessions = _finish_rate(scheme, download, mode, L, trials, seed, models)
         errors = sum(run["decode_errors"] for run in sessions)
         document["sessions"] = sessions

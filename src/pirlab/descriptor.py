@@ -32,6 +32,15 @@ class SessionRecord(NamedTuple):
     download_bits: int
 
 
+class Product(NamedTuple):
+    """Two independent copies of ``component``, played by ``built``: (message_space,
+    randomness_space, store, run). Database n holds and answers the first copy's
+    database n material, then the second copy's other-database material."""
+
+    component: SchemeDescriptor
+    built: tuple
+
+
 @dataclass(frozen=True)
 class SchemeDescriptor:
     """A protocol description: storage map, query/answer policies, decoder.
@@ -48,6 +57,8 @@ class SchemeDescriptor:
     follows: ``session(theta, L, seed, models)``, ``storage_bits(L, seed,
     codec, cell_model)`` and ``bin_failures(codec, blocks, seed)``. A scheme
     without one (None) is charged at face value.
+    ``product`` declares a ``Product``; the audit then composes one pass
+    over its component.
     """
 
     name: str
@@ -59,13 +70,9 @@ class SchemeDescriptor:
     run: Callable[[Message, int, Any], SessionRecord]
     side_information: Callable[[Message, Any], tuple[tuple, ...]] | None = None
     coded: Any = None
+    product: Product | None = None
 
     def desired(self, msg: Message, theta: int) -> tuple[int, ...]:
         if not (1 <= theta <= self.params.num_messages):
             raise ValueError(f"theta must be in [1, {self.params.num_messages}]")
         return tuple(msg[theta - 1])
-
-    def side_info(self, msg: Message, f) -> tuple[tuple, ...]:
-        if self.side_information is None:
-            return tuple(() for _ in range(self.params.num_databases))
-        return self.side_information(msg, f)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .capacity import PirParameters
-from .descriptor import Message, SchemeDescriptor, SessionRecord
+from .descriptor import Message, Product, SchemeDescriptor, SessionRecord
 
 PATTERNS = (1, 2)
 # DB2's two possible answer selections, named by content, not by pattern:
@@ -281,17 +281,18 @@ def symmetrize(scheme: SchemeDescriptor) -> SchemeDescriptor:
     database 1 material lands on database 2 and vice versa, which equalizes
     per-database storage and answer entropies while leaving the rate and
     the storage overhead untouched. Only single-round two-message
-    two-database schemes are accepted.
+    two-database schemes without side information are accepted. The result
+    declares itself a ``Product`` of ``scheme``, which the audit composes.
     """
     p = scheme.params
-    if (p.num_messages, p.num_databases, p.rounds) != (2, 2, 1):
+    if (p.num_messages, p.num_databases, p.rounds) != (2, 2, 1) or scheme.side_information:
         raise ValueError(
-            "symmetrize requires a single-round scheme with K = 2 messages and N = 2 databases"
+            "symmetrize requires a single-round scheme, K = 2 messages, N = 2 databases, no side information"
         )
     half = scheme.block_length
-    # The combined space revisits each component (message, theta, randomness)
-    # triple many times; memoizing the component scheme keeps exhaustive
-    # audits of the combined scheme linear in its own state space.
+    # Audits that enumerate the combined space (reports, views, replaced
+    # fields) revisit each component (message, theta, randomness) triple many
+    # times; memoizing the component keeps them linear in its state space.
     component_run = lru_cache(maxsize=None)(scheme.run)
     component_store = lru_cache(maxsize=None)(scheme.store)
 
@@ -336,12 +337,6 @@ def symmetrize(scheme: SchemeDescriptor) -> SchemeDescriptor:
             download_bits=rec_first.download_bits + rec_second.download_bits,
         )
 
-    def side_information(msg, f):
-        first, second = split(msg)
-        side_first = scheme.side_info(first, f[0])
-        side_second = scheme.side_info(second, f[1])
-        return (side_first[0] + side_second[1], side_first[1] + side_second[0])
-
     return SchemeDescriptor(
         name=f"symmetric({scheme.name})",
         params=p,
@@ -350,5 +345,5 @@ def symmetrize(scheme: SchemeDescriptor) -> SchemeDescriptor:
         randomness_space=randomness_space,
         store=store,
         run=run,
-        side_information=side_information if scheme.side_information else None,
+        product=Product(scheme, (message_space, randomness_space, store, run)),
     )

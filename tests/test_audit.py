@@ -11,6 +11,7 @@ import pytest
 from pirlab.audit import (
     answer_stream_models,
     build_audit_report,
+    build_simulation_report,
     check_privacy,
     conditional_mutual_information,
     coupled_session_joint,
@@ -170,6 +171,22 @@ class TestEnumerationCounts:
         build_audit_report(scheme, mode="concrete", L=200, trials=2, sw_blocks=10)
         assert calls == {"run": 16, "store": 4}
 
+    @pytest.mark.parametrize("build", [build_audit_report, build_simulation_report])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ({"sw_blocks": 0}, "blocks must be at least 1, got 0"),
+            ({"trials": 0}, "trials must be at least 1"),
+            ({"L": 0}, "concrete mode needs a message length L >= 1"),
+        ],
+        ids=["sw_blocks", "trials", "L"],
+    )
+    def test_concrete_flags_rejected_before_any_session(self, build, flag, message):
+        scheme, calls = self.counted(multiround_descriptor())
+        with pytest.raises(ValueError, match=message):
+            build(scheme, mode="concrete", **{"L": 200, "trials": 2, "sw_blocks": 10, **flag})
+        assert calls == {"run": 0, "store": 0}
+
 
 class TestCorrectness:
     @pytest.mark.parametrize(
@@ -305,6 +322,13 @@ class TestConcreteAccounting:
         linear = linear_descriptor()
         renamed = dataclasses.replace(linear, name="multiround-linear")
         assert measure_overhead(renamed, mode="concrete") == measure_overhead(linear, mode="concrete")
+
+    def test_coded_layer_rejects_another_answer_shape(self):
+        # Linear answers three bits per database; the multiround layer
+        # models one answer symbol per database.
+        scheme = dataclasses.replace(linear_descriptor(), coded=multiround_descriptor().coded)
+        with pytest.raises(ValueError, match="'linear'.*one answer symbol per database per session, a bit or None"):
+            build_audit_report(scheme, mode="concrete", L=200, trials=2, sw_blocks=10)
 
     @pytest.mark.parametrize("blocks", [0, -3])
     def test_sw_failure_rate_rejects_fewer_than_one_block(self, blocks):

@@ -1,16 +1,27 @@
 """Linear scheme storage/retrieval, replication baseline, symmetrization."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from pirlab.audit import (
+    _correctness,
+    _download,
+    _privacy,
+    _storage,
+    _tabulate,
+    _views,
     check_privacy,
+    exhaustive_correctness,
     ideal_storage_bits,
+    measure_overhead,
     measure_rate,
     scheme_profile,
 )
+from pirlab.capacity import PirParameters
+from pirlab.descriptor import SchemeDescriptor, SessionRecord
 from pirlab.linear import (
     LinearMessages,
     PatternChoice,
@@ -29,6 +40,43 @@ from pirlab.linear import (
 from pirlab.multiround import multiround_descriptor
 
 F = Fraction
+
+
+def faulty_component() -> SchemeDescriptor:
+    """A 1-bit-block component that fails both verdicts, for composition.
+
+    Each message bit is 1 with probability 1/4 and the coin is 1 with
+    probability 3/4. DB1 stores both bits and answers the desired one, so
+    its view reveals theta whenever the bits differ. DB2 stores their XOR
+    and answers it on coin 1. Decoding flips the bit for theta = 2, coin 1.
+    """
+    bit = {0: F(3, 4), 1: F(1, 4)}
+
+    def message_space():
+        for w1, w2 in product((0, 1), repeat=2):
+            yield ((w1,), (w2,)), bit[w1] * bit[w2]
+
+    def randomness_space():
+        yield 0, F(1, 4)
+        yield 1, F(3, 4)
+
+    def store(msg):
+        (w1,), (w2,) = msg
+        return ((w1, w2), (w1 ^ w2,))
+
+    def run(msg, theta, f):
+        (w1,), (w2,) = msg
+        want = msg[theta - 1]
+        return SessionRecord(
+            queries=(("w",), (f,)),
+            answers=(want, (w1 ^ w2,) if f else (None,)),
+            decoded=(1 - want[0],) if (theta, f) == (2, 1) else want,
+            download_bits=1 + f,
+        )
+
+    return SchemeDescriptor(
+        "faulty", PirParameters(2, 2, 1), 1, message_space, randomness_space, store, run
+    )
 
 
 class TestStore:
@@ -141,6 +189,11 @@ class TestSymmetrize:
         with pytest.raises(ValueError, match="single-round"):
             symmetrize(multiround_descriptor())
 
+    def test_rejects_side_information(self):
+        scheme = dataclasses.replace(linear_descriptor(), side_information=lambda msg, f: ((), ()))
+        with pytest.raises(ValueError, match="no side information"):
+            symmetrize(scheme)
+
     def test_linear_scheme_is_fixed_point_on_metrics(self):
         scheme = linear_descriptor()
         symmetric = symmetrize(scheme)
@@ -175,9 +228,97 @@ class TestSymmetrize:
             assert record.download_bits == 24
             assert record.decoded == msg[theta - 1]
 
-    def test_correctness_preserved(self):
+
+def same(a, b) -> bool:
+    """Equal structures: rationals and counts exactly, entropies (floats)
+    to rounding, since a sum of two entropies may differ in the last bit."""
+    if isinstance(a, float):
+        return a == pytest.approx(b, rel=1e-12)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+class TestComposition:
+    """A symmetrised scheme is audited by one pass over its component; the
+    composed results equal the enumerated ones."""
+
+    @pytest.mark.parametrize(
+        "measure",
+        [check_privacy, exhaustive_correctness, measure_rate, measure_overhead, scheme_profile],
+    )
+    def test_composed_equals_enumerated(self, measure):
+        symmetric = symmetrize(faulty_component())
+        # Without the declaration the product's 64 sessions are enumerated;
+        # with it, a limit of the component's 8 sessions is enough.
+        assert same(measure(symmetric, limit=8), measure(dataclasses.replace(symmetric, product=None)))
+
+    def test_faulty_component_fails_in_composition(self):
+        symmetric = symmetrize(faulty_component())
+        privacy = check_privacy(symmetric, limit=8)
+        assert [db["total_variation"][(1, 2)] for db in privacy["databases"]] == [F(3, 8), F(3, 8)]
+        # Per theta, 16 messages x 4 coin pairs; at theta = 2 every message
+        # fails on the 3 coin pairs that hold a 1: 48 errors.
+        assert exhaustive_correctness(symmetric, limit=8) == {"cases": 128, "errors": 48, "pass": False}
+
+    def test_one_exhaustive_pass_over_the_symmetrised_toy(self):
+        # The oracle: the composed privacy, correctness, rate and storage
+        # equal one enumeration of all 262,144 sessions per theta of
+        # symmetrize(asymmetric_toy), which decodes every one of them; a
+        # replaced run is what gets enumerated. Its composed scheme_profile
+        # is pinned by the reproduce-ideal golden digest, recorded when
+        # criterion 10 enumerated it.
         symmetric = symmetrize(asymmetric_toy_descriptor())
-        for msg, _ in list(symmetric.message_space())[:64]:
-            for f, _ in symmetric.randomness_space():
-                for theta in (1, 2):
-                    assert symmetric.run(msg, theta, f).decoded == msg[theta - 1]
+        runs = []
+
+        def run(msg, theta, f):
+            runs.append(theta)
+            return symmetric.run(msg, theta, f)
+
+        oracle = dataclasses.replace(symmetric, run=run)
+        thetas = (1, 2)
+        views, correctness, download, storage = _tabulate(oracle, thetas, [
+            _views(oracle, thetas), _correctness(oracle, thetas), _download(oracle), _storage(oracle),
+        ])
+        assert len(runs) == 2 * 262_144
+        assert correctness == {"cases": 2 * 262_144, "errors": 0, "pass": True}
+        assert check_privacy(symmetric) == _privacy(oracle, views)
+        assert exhaustive_correctness(symmetric) == correctness
+        assert measure_rate(symmetric) == download
+        assert measure_overhead(symmetric)["ideal_bits_per_block"] == storage
+
+    def test_replaced_run_is_enumerated(self):
+        # Composed, this would read the component's 48 errors; enumerated,
+        # the replacement's decoder fails every theta = 1 session as well.
+        symmetric = symmetrize(faulty_component())
+
+        def broken(msg, theta, f):
+            record = symmetric.run(msg, theta, f)
+            return record._replace(decoded=tuple(1 - b for b in record.decoded)) if theta == 1 else record
+
+        assert exhaustive_correctness(dataclasses.replace(symmetric, run=broken)) == {
+            "cases": 128, "errors": 112, "pass": False,
+        }
+        # A replaced run of symmetrize(linear) is not composed either: the
+        # 512-session limit that the composed pass fits is refused.
+        symmetric = symmetrize(linear_descriptor())
+        assert exhaustive_correctness(symmetric, limit=512)["pass"]
+        with pytest.raises(ValueError, match="exceeds the exhaustion limit"):
+            exhaustive_correctness(dataclasses.replace(symmetric, run=lambda *args: symmetric.run(*args)), limit=512)
+
+    def test_nested_product_is_enumerated(self):
+        # 4,096 sessions, against 64 for its component, itself a product.
+        twice = symmetrize(symmetrize(faulty_component()))
+        with pytest.raises(ValueError, match="exceeds the exhaustion limit"):
+            exhaustive_correctness(twice, limit=64)
+        assert exhaustive_correctness(twice)["cases"] == 2 * 4_096
+
+    def test_limit_applies_to_the_component_pass(self):
+        # 256 messages x 2 coins; the product's 262,144 sessions per theta
+        # are never listed.
+        symmetric = symmetrize(linear_descriptor())
+        assert check_privacy(symmetric, limit=512)["pass"]
+        with pytest.raises(ValueError, match="exceeds the exhaustion limit"):
+            check_privacy(symmetric, limit=511)
