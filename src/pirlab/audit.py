@@ -15,7 +15,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Callable, NamedTuple, Sequence
 
 from .capacity import OverheadAccount, check_rate_admissible, mtpir_capacity, storage_overhead
@@ -47,12 +47,15 @@ def _thetas(scheme: SchemeDescriptor) -> tuple[int, ...]:
 
 
 def _spaces(scheme: SchemeDescriptor, limit: int):
-    messages = list(scheme.message_space())
+    """Both spaces, listed; a message space too large for ``limit`` is
+    refused after at most one message more than fits."""
     randomness = list(scheme.randomness_space())
-    size = len(messages) * len(randomness)
+    per_message = max(len(randomness), 1)
+    messages = list(islice(scheme.message_space(), limit // per_message + 1))
+    size = len(messages) * per_message
     if size > limit:
         raise ValueError(
-            f"state space of {size} sessions exceeds the exhaustion limit of {limit}"
+            f"state space of at least {size} sessions exceeds the exhaustion limit of {limit}"
         )
     return messages, randomness
 
@@ -69,9 +72,10 @@ class _Projection(NamedTuple):
     Either ``session(msg, stored, f, records)`` returns one key per table,
     ``records[i]`` being the session played with the pass's ``thetas[i]``,
     or ``message(msg, stored)`` does, once per message. ``stored`` is None
-    unless ``stores``. ``finish`` maps the tables' exact laws to the
-    measurement; ``compose``, if set, maps the same tables, tabulated over a
-    product's component, to the product's measurement.
+    unless ``stores``. ``finish`` maps the tables, as ``ExactDist`` counts
+    over the pass's common denominator, to the measurement; ``compose``, if
+    set, maps the same tables, tabulated over a product's component, to the
+    product's measurement.
     """
 
     finish: Callable[[list], object]
@@ -92,6 +96,7 @@ def _tabulate(
     Each message is stored once, and only if some projection reads storage;
     each (message, theta, randomness) triple is run once. Weights accumulate
     as integers over the product of the two spaces' common denominators.
+    Each table is handed on as an ``ExactDist`` of those integer counts.
     A product whose projections all compose is tabulated over its component,
     unless nested or with a replaced run, store or space: those are enumerated.
     """
@@ -123,9 +128,7 @@ def _tabulate(
     # The listed spaces can outweigh the tables: free them before finishing.
     del messages, randomness
     return [
-        (p.compose if compose else p.finish)(
-            [{key: Fraction(count, total) for key, count in table.items()} for table in tables.values()]
-        )
+        (p.compose if compose else p.finish)([ExactDist(table, total=total) for table in tables.values()])
         for p, tables in slots
     ]
 
@@ -151,7 +154,7 @@ def enumerate_view(
     if not (1 <= database <= scheme.params.num_databases):
         raise ValueError(f"database must be in [1, {scheme.params.num_databases}]")
     views = _tabulate(scheme, (theta,), [_views(scheme, (theta,))], limit)[0]
-    return PrivacyView(database, theta, ExactDist(views[theta, database]))
+    return PrivacyView(database, theta, views[theta, database])
 
 
 def _privacy(scheme: SchemeDescriptor, views: dict, product: bool = False) -> dict:
@@ -163,28 +166,33 @@ def _privacy(scheme: SchemeDescriptor, views: dict, product: bool = False) -> di
             laws, tv = {t: (views[t, database], views[t, 3 - database]) for t in thetas}, _product_tv
         else:
             tables = [views[t, database] for t in thetas]
-            arity = len(next(iter(tables[0])))
-            shared = tuple(frozenset(o[i] for table in tables for o in table) for i in range(arity))
-            laws, tv = {t: ExactDist(views[t, database], shared) for t in thetas}, total_variation
+            shared = tuple(frozenset().union(*symbols) for symbols in zip(*(table.alphabets for table in tables)))
+            laws = {t: ExactDist(table.counts, shared, total=table.total) for t, table in zip(thetas, tables)}
+            tv = total_variation
         distances = {(t1, t2): tv(laws[t1], laws[t2]) for t1 in thetas for t2 in thetas if t1 < t2}
         ok = all(d == 0 for d in distances.values())
         databases.append({"database": database, "total_variation": distances, "pass": ok})
     return {"databases": databases, "pass": all(d["pass"] for d in databases)}
 
 
-def _product_tv(p: tuple[dict, dict], q: tuple[dict, dict]) -> Fraction:
+def _product_tv(p: tuple[ExactDist, ExactDist], q: tuple[ExactDist, ExactDist]) -> Fraction:
     """Exact TV between the product laws p[0] x p[1] and q[0] x q[1]: 0 when
-    both factors agree, else the sum over both supports. The outer factor is
-    one that differs; an outer x in only one support adds its whole mass."""
+    both factors agree, else the sum over both supports, in integer counts
+    over the four totals. The outer factor is one that differs; an outer x
+    in only one support adds its whole mass."""
     if p == q:
         return Fraction(0)
     if p[0] == q[0]:
         p, q = p[::-1], q[::-1]
-    ys, total = p[1].keys() | q[1].keys(), Fraction(0)
-    for x in p[0].keys() | q[0].keys():
-        a, b = p[0].get(x, 0), q[0].get(x, 0)
-        total += a + b if not (a and b) else sum(abs(a * p[1].get(y, 0) - b * q[1].get(y, 0)) for y in ys)
-    return total / 2
+    (a, s0), (b, s1), (c, r0), (e, r1) = [(d.counts, d.total) for d in p + q]
+    ys, acc = b.keys() | e.keys(), 0
+    for x in a.keys() | c.keys():
+        ax, cx = a.get(x, 0) * r0, c.get(x, 0) * s0
+        if ax and cx:
+            acc += sum(abs(ax * r1 * b.get(y, 0) - cx * s1 * e.get(y, 0)) for y in ys)
+        else:
+            acc += (ax + cx) * s1 * r1
+    return Fraction(acc, 2 * s0 * r0 * s1 * r1)
 
 
 def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
@@ -234,8 +242,9 @@ def exhaustive_correctness(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIM
     return _tabulate(scheme, thetas, [_correctness(scheme, thetas)], limit)[0]
 
 
-def _expectation(table: dict) -> Fraction:
-    return sum((value * p for value, p in table.items()), Fraction(0))
+def _expectation(d: ExactDist) -> Fraction:
+    """E[value] under a law of one-coordinate outcomes ``(value,)``."""
+    return Fraction(sum(value * count for (value,), count in d.counts.items()), d.total)
 
 
 def _download(scheme: SchemeDescriptor) -> _Projection:
@@ -251,8 +260,7 @@ def _download(scheme: SchemeDescriptor) -> _Projection:
         return ((_f_symbols(f),) + record.answers, record.download_bits)
 
     def finish(tables):
-        answers, downloads = tables
-        joint = ExactDist(answers)
+        joint, downloads = tables
         per_db = [
             conditional_entropy(marginal(joint, range(n + 1)), range(n))
             for n in range(1, joint.arity)
@@ -261,7 +269,7 @@ def _download(scheme: SchemeDescriptor) -> _Projection:
 
     def compose(tables):
         # A product's A_1 is (A_1, A_2) and its A_2 is (A_2, A_1), from independent copies.
-        joint, h = ExactDist(tables[0]), _cond_entropy_of
+        joint, h = tables[0], _cond_entropy_of
         per_db = [h(joint, (1,), (0,)) + h(joint, (2,), (0,)), h(joint, (2,), (0, 1)) + h(joint, (1,), (0, 2))]
         return result(per_db, 2 * _expectation(tables[1]))
 
@@ -288,7 +296,7 @@ def _storage(scheme: SchemeDescriptor) -> _Projection:
     """
 
     def finish(tables):
-        return [conditional_entropy(ExactDist(table), (1,)) for table in tables]
+        return [conditional_entropy(table, (1,)) for table in tables]
 
     def compose(tables):
         bits = finish(tables)
@@ -329,7 +337,7 @@ def scheme_profile(
     def finish(tables):
         return {
             "answer_entropy": {
-                key: conditional_entropy(ExactDist(table), (0,)) for key, table in zip(keys, tables)
+                key: conditional_entropy(table, (0,)) for key, table in zip(keys, tables)
             },
             "expected_symbol_download": {
                 t: _expectation(d) for t, d in zip(thetas, tables[len(keys):])
@@ -358,12 +366,11 @@ def _upload(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
         per_db = []
         for n in range(n_dbs):
             tables = all_tables[n * len(thetas): (n + 1) * len(thetas)]
-            arity = len(next(iter(tables[0])))
             raw = 0.0
-            for i in range(arity):
-                symbols = {o[i] for table in tables for o in table}
-                raw += math.ceil(math.log2(len(symbols))) if len(symbols) > 1 else 0
-            ideal = max(entropy(ExactDist(table)) for table in tables)
+            for symbols in zip(*(table.alphabets for table in tables)):
+                size = len(frozenset().union(*symbols))
+                raw += math.ceil(math.log2(size)) if size > 1 else 0
+            ideal = max(entropy(table) for table in tables)
             per_db.append({"database": n + 1, "raw_bits": raw, "ideal_bits": ideal})
         return {"per_database": per_db, "note": "informational; download accounting never counts query bits"}
 
@@ -391,23 +398,29 @@ def _answer_streams(scheme: SchemeDescriptor) -> _Projection:
         return (records[0].answers[0] + records[0].answers[1],)
 
     def finish(tables):
-        law = tables[0].items()
-        if any(len(answers) != 2 or not {*answers} <= {0, 1, None} for answers, _ in law):
+        law = tables[0]
+        if law.arity != 2 or not all(symbols <= {0, 1, None} for symbols in law.alphabets):
             raise ValueError(f"scheme {scheme.name!r}: its coded layer needs one answer symbol "
                              "per database per session, a bit or None")
-        p1 = sum(w for (a1, _), w in law if a1 == 1)
-        p2 = sum(w for (_, a2), w in law if a2 == 1) / sum(w for (_, a2), w in law if a2 is not None)
+        counts = law.counts.items()
+        p1 = Fraction(sum(c for (a1, _), c in counts if a1 == 1), law.total)
+        p2 = Fraction(sum(c for (_, a2), c in counts if a2 == 1), sum(c for (_, a2), c in counts if a2 is not None))
         return SourceModel.bernoulli(p1), SourceModel.bernoulli(p2)
 
     return _Projection(finish, session)
 
 
-def _db1_cells() -> _Projection:
+def _db1_cells(scheme: SchemeDescriptor) -> _Projection:
     """Exact law of DB1's stored cell, the model of its coded storage."""
-    return _Projection(
-        lambda tables: SourceModel(tuple(sorted(tables[0])), tables[0]),
-        message=lambda msg, stored: (stored[0],), stores=True,
-    )
+
+    def finish(tables):
+        cells = tables[0]
+        if cells.arity != 2 or not all(symbols <= {0, 1} for symbols in cells.alphabets):
+            raise ValueError(f"scheme {scheme.name!r}: its coded layer needs DB1 to store "
+                             "one (x1, x2) cell pair per position")
+        return SourceModel(tuple(sorted(cells.support())), dict(cells.items()))
+
+    return _Projection(finish, message=lambda msg, stored: (stored[0],), stores=True)
 
 
 def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> tuple[SourceModel, SourceModel]:
@@ -496,7 +509,7 @@ def measure_overhead(
     """
     projections = [_storage(scheme)]
     if mode == "concrete" and scheme.coded is not None:
-        projections.append(_db1_cells())
+        projections.append(_db1_cells(scheme))
     storage, *cell_model = _tabulate(scheme, (), projections, limit)
     return _finish_overhead(scheme, storage, mode, L, seed, codec, *cell_model)
 
@@ -608,7 +621,7 @@ def _coupled(scheme: SchemeDescriptor) -> _Projection:
             key += record.queries + record.answers
         return (key,)
 
-    return _Projection(lambda tables: (ExactDist(tables[0]), groups), session)
+    return _Projection(lambda tables: (tables[0], groups), session)
 
 
 def _cond_entropy_of(joint: ExactDist, target: tuple[int, ...], given: tuple[int, ...]) -> float:
@@ -788,7 +801,7 @@ def build_audit_report(
     thetas = _thetas(scheme)
     coded = scheme.coded if mode == "concrete" else None
     coupled = [_coupled(scheme)] if params.rounds == 1 else []
-    models = [_answer_streams(scheme), _db1_cells()] if coded is not None else []
+    models = [_answer_streams(scheme), _db1_cells(scheme)] if coded is not None else []
     projections = [
         _views(scheme, thetas), _correctness(scheme, thetas), _download(scheme),
         _storage(scheme), _upload(scheme, thetas),
@@ -838,7 +851,7 @@ def build_audit_report(
         "converse": converse,
         "length_leakage": leakage,
         "views": {
-            f"database_{n}_theta_1": dist_table(ExactDist(views[1, n]))
+            f"database_{n}_theta_1": dist_table(views[1, n])
             for n in range(1, params.num_databases + 1)
         },
         "pass": all(verdicts),

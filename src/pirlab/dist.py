@@ -1,10 +1,14 @@
 """Exact probability distributions over finite outcome tuples.
 
-Weights are ``fractions.Fraction`` throughout: sums, marginals and total
-variation are computed with no rounding, so a distributional identity check
-means exact equality, never "close enough". Floating point enters only when
-a probability passes through ``log2``, which makes the information measures
-(entropy, conditional entropy, mutual information) floats.
+A law is held as non-negative integer counts over one common denominator,
+so sums, marginals and total variation are exact integer arithmetic: a
+distributional identity check means exact equality, never "close enough".
+``fractions.Fraction`` appears only at the API: rational weights in, and
+``items``, ``probability`` and total variation out. Floating point enters
+only when a probability passes through ``log2``, which makes the information
+measures (entropy, conditional entropy, mutual information) floats. Each
+probability there is ``count / total``, a correctly rounded integer division,
+so it is bit for bit the float of the reduced ``Fraction``.
 
 Outcomes are fixed-arity tuples of small hashable symbols (bits, query
 labels, ``None`` as a null marker). Per-coordinate alphabets may be declared
@@ -16,6 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
 Outcome = tuple
@@ -28,54 +34,58 @@ def _as_outcome(key) -> tuple:
 class ExactDist:
     """A probability mass function with exact rational weights.
 
-    Invariants enforced at construction: all weights are non-negative
-    rationals, they sum to exactly 1, zero-weight entries are dropped, and
-    every outcome has the same arity. If ``alphabets`` is omitted it is
-    inferred per coordinate from the support.
+    ``weights`` maps outcomes to probabilities; given ``total``, it maps
+    them to integer counts out of ``total`` instead. Invariants enforced at
+    construction: all weights are non-negative, they sum to exactly 1 (the
+    counts to ``total``), zero-weight entries are dropped, and every outcome
+    has the same arity. If ``alphabets`` is omitted it is inferred per
+    coordinate from the support.
     """
 
-    __slots__ = ("_weights", "_alphabets")
+    __slots__ = ("_counts", "_total", "_alphabets")
 
     def __init__(
         self,
         weights: Mapping[Hashable, Fraction | int],
         alphabets: Sequence[Iterable[Hashable]] | None = None,
+        total: int | None = None,
     ):
-        cleaned: dict[tuple, Fraction] = {}
-        for key, value in dict(weights).items():
-            outcome = _as_outcome(key)
-            weight = Fraction(value)
-            if weight < 0:
-                raise ValueError(f"negative weight {weight} for outcome {outcome!r}")
-            if weight == 0:
-                continue
-            cleaned[outcome] = weight
-        if not cleaned:
+        if total is None:
+            # Rational weights become counts over the lcm of their denominators.
+            weights = {key: Fraction(value) for key, value in dict(weights).items()}
+            total = math.lcm(*(w.denominator for w in weights.values()))
+            weights = {key: w.numerator * (total // w.denominator) for key, w in weights.items()}
+        counts: dict[tuple, int] = {}
+        for key, count in weights.items():
+            if count < 0:
+                raise ValueError(f"negative weight {Fraction(count, total)} for outcome {_as_outcome(key)!r}")
+            if count:
+                counts[key if isinstance(key, tuple) else (key,)] = count
+        if not counts:
             raise ValueError("distribution must have non-empty support")
-        arities = {len(outcome) for outcome in cleaned}
+        arities = set(map(len, counts))
         if len(arities) != 1:
             raise ValueError(f"outcomes must share a single arity, got {sorted(arities)}")
         (arity,) = arities
-        total = sum(cleaned.values())
-        if total != 1:
-            raise ValueError(f"weights must sum to exactly 1, got {total}")
+        mass = sum(counts.values())
+        if mass != total:
+            raise ValueError(f"weights must sum to exactly 1, got {Fraction(mass, total)}")
+        seen = tuple(map(frozenset, zip(*counts)))
         if alphabets is None:
-            alpha = tuple(
-                frozenset(outcome[i] for outcome in cleaned) for i in range(arity)
-            )
+            alpha = seen
         else:
             alpha = tuple(frozenset(a) for a in alphabets)
             if len(alpha) != arity:
                 raise ValueError(
                     f"declared {len(alpha)} alphabets for outcomes of arity {arity}"
                 )
-            for outcome in cleaned:
-                for i, symbol in enumerate(outcome):
-                    if symbol not in alpha[i]:
-                        raise ValueError(
-                            f"symbol {symbol!r} at coordinate {i} is outside the declared alphabet"
-                        )
-        self._weights = cleaned
+            for i, (symbols, declared) in enumerate(zip(seen, alpha)):
+                if not symbols <= declared:
+                    raise ValueError(
+                        f"symbol {next(iter(symbols - declared))!r} at coordinate {i} is outside the declared alphabet"
+                    )
+        self._counts = counts
+        self._total = total
         self._alphabets = alpha
 
     @classmethod
@@ -83,8 +93,7 @@ class ExactDist:
         support = [_as_outcome(o) for o in outcomes]
         if not support:
             raise ValueError("uniform distribution needs at least one outcome")
-        weight = Fraction(1, len(support))
-        return cls({o: weight for o in support})
+        return cls({o: 1 for o in support}, total=len(support))
 
     @property
     def arity(self) -> int:
@@ -94,25 +103,38 @@ class ExactDist:
     def alphabets(self) -> tuple[frozenset, ...]:
         return self._alphabets
 
-    def items(self):
-        return self._weights.items()
+    @property
+    def counts(self) -> Mapping[tuple, int]:
+        """The support's integer weights; ``counts[o] / total`` is p(o)."""
+        return MappingProxyType(self._counts)
+
+    @property
+    def total(self) -> int:
+        return self._total
+
+    def items(self) -> list[tuple[tuple, Fraction]]:
+        return [(o, Fraction(c, self._total)) for o, c in self._counts.items()]
 
     def support(self) -> tuple[tuple, ...]:
-        return tuple(self._weights)
+        return tuple(self._counts)
 
     def probability(self, outcome) -> Fraction:
-        return self._weights.get(_as_outcome(outcome), Fraction(0))
+        return Fraction(self._counts.get(_as_outcome(outcome), 0), self._total)
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactDist):
             return NotImplemented
-        return self._weights == other._weights
+        mine, theirs = self._counts, other._counts
+        t1, t2 = self._total, other._total
+        return mine.keys() == theirs.keys() and all(c * t2 == theirs[o] * t1 for o, c in mine.items())
 
     def __hash__(self):
-        return hash(frozenset(self._weights.items()))
+        # Equal laws may be held over different totals: hash the reduced counts.
+        g = math.gcd(self._total, *self._counts.values())
+        return hash((self._total // g, frozenset((o, c // g) for o, c in self._counts.items())))
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{o!r}: {w}" for o, w in sorted_items(self))
@@ -136,28 +158,41 @@ def _check_coords(coords, arity: int, *, allow_empty: bool = True) -> tuple[int,
     return coords
 
 
+def _symbols_at(coords: tuple[int, ...]):
+    """outcome -> its symbols at ``coords``: a tuple, or the lone symbol of one coordinate."""
+    return itemgetter(*coords) if coords else lambda outcome: ()
+
+
+def _plogp_sum(counts: Iterable[int], total: int) -> float:
+    """-sum p log2 p over p = count / total, in the counts' order."""
+    h = 0.0
+    for count in counts:
+        p = count / total
+        h -= p * math.log2(p)
+    return h
+
+
 def entropy(d: ExactDist) -> float:
     """Shannon entropy of ``d`` in bits.
 
-    Probabilities are exact; they are converted to floats only inside the
-    ``p * log2(p)`` terms.
+    Counts are exact; each probability becomes a float only inside its
+    ``p * log2(p)`` term.
     """
-    total = 0.0
-    for _, weight in d.items():
-        p = float(weight)
-        total -= p * math.log2(p)
-    return total
+    return _plogp_sum(d._counts.values(), d._total)
 
 
 def marginal(d: ExactDist, coords: Iterable[int]) -> ExactDist:
     """Marginal distribution onto ``coords``, in the order given."""
     coords = _check_coords(coords, d.arity)
-    collapsed: dict[tuple, Fraction] = {}
-    for outcome, weight in d.items():
-        key = tuple(outcome[c] for c in coords)
-        collapsed[key] = collapsed.get(key, Fraction(0)) + weight
+    symbols = _symbols_at(coords)
+    collapsed: dict = {}
+    for outcome, count in d._counts.items():
+        key = symbols(outcome)
+        collapsed[key] = collapsed.get(key, 0) + count
+    if len(coords) == 1:
+        collapsed = {(key,): count for key, count in collapsed.items()}
     alphabets = tuple(d.alphabets[c] for c in coords)
-    return ExactDist(collapsed, alphabets)
+    return ExactDist(collapsed, alphabets, total=d._total)
 
 
 def conditional_entropy(d: ExactDist, condition_coords: Iterable[int]) -> float:
@@ -170,22 +205,18 @@ def conditional_entropy(d: ExactDist, condition_coords: Iterable[int]) -> float:
     rest = tuple(c for c in range(d.arity) if c not in cond)
     if not rest:
         return 0.0
-    groups: dict[tuple, dict[tuple, Fraction]] = {}
-    totals: dict[tuple, Fraction] = {}
-    for outcome, weight in d.items():
-        key = tuple(outcome[c] for c in cond)
-        value = tuple(outcome[c] for c in rest)
+    key_of, value_of = _symbols_at(cond), _symbols_at(rest)
+    groups: dict = {}
+    totals: dict = {}
+    for outcome, count in d._counts.items():
+        key, value = key_of(outcome), value_of(outcome)
         bucket = groups.setdefault(key, {})
-        bucket[value] = bucket.get(value, Fraction(0)) + weight
-        totals[key] = totals.get(key, Fraction(0)) + weight
+        bucket[value] = bucket.get(value, 0) + count
+        totals[key] = totals.get(key, 0) + count
     result = 0.0
     for key, bucket in groups.items():
-        p_key = totals[key]
-        inner = 0.0
-        for weight in bucket.values():
-            p = float(weight / p_key)
-            inner -= p * math.log2(p)
-        result += float(p_key) * inner
+        group_total = totals[key]
+        result += group_total / d._total * _plogp_sum(bucket.values(), group_total)
     return result
 
 
@@ -209,8 +240,7 @@ def total_variation(d1: ExactDist, d2: ExactDist) -> Fraction:
     """
     if d1.alphabets != d2.alphabets:
         raise ValueError("total variation requires matching outcome alphabets")
-    outcomes = set(d1.support()) | set(d2.support())
-    acc = Fraction(0)
-    for o in outcomes:
-        acc += abs(d1.probability(o) - d2.probability(o))
-    return acc / 2
+    c1, t1, c2, t2 = d1._counts, d1._total, d2._counts, d2._total
+    acc = sum(abs(c * t2 - c2.get(o, 0) * t1) for o, c in c1.items())
+    acc += sum(c * t1 for o, c in c2.items() if o not in c1)
+    return Fraction(acc, 2 * t1 * t2)

@@ -29,7 +29,7 @@ from pirlab.audit import (
     verify_entropy_identities,
 )
 from pirlab.coding import CodecConfig
-from pirlab.linear import linear_descriptor, replicated_descriptor
+from pirlab.linear import linear_descriptor, replicated_descriptor, symmetrize
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
 
 F = Fraction
@@ -86,6 +86,22 @@ class TestEnumerateView:
     def test_exhaustion_limit_enforced(self):
         with pytest.raises(ValueError, match="exhaustion"):
             enumerate_view(linear_descriptor(), theta=1, database=1, limit=100)
+
+    def test_limit_refused_before_the_message_space_is_listed(self):
+        # 65,536 messages x 4 coins: the refusal may draw 511 // 4 + 1 = 128
+        # messages, never the whole space.
+        scheme = dataclasses.replace(symmetrize(linear_descriptor()), product=None)
+        drawn = 0
+
+        def message_space():
+            nonlocal drawn
+            for item in scheme.message_space():
+                drawn += 1
+                yield item
+
+        with pytest.raises(ValueError, match="exceeds the exhaustion limit"):
+            check_privacy(dataclasses.replace(scheme, message_space=message_space), limit=511)
+        assert 0 < drawn <= 512
 
     def test_bad_database_rejected(self):
         with pytest.raises(ValueError, match="database"):
@@ -329,6 +345,13 @@ class TestConcreteAccounting:
         scheme = dataclasses.replace(linear_descriptor(), coded=multiround_descriptor().coded)
         with pytest.raises(ValueError, match="'linear'.*one answer symbol per database per session, a bit or None"):
             build_audit_report(scheme, mode="concrete", L=200, trials=2, sw_blocks=10)
+
+    def test_coded_layer_rejects_another_storage_layout(self):
+        # Linear's DB1 stores six bits; the multiround layer codes one
+        # (x1, x2) cell pair per position.
+        scheme = dataclasses.replace(linear_descriptor(), coded=multiround_descriptor().coded)
+        with pytest.raises(ValueError, match=r"'linear'.*DB1 to store one \(x1, x2\) cell pair per position"):
+            measure_overhead(scheme, mode="concrete", L=64)
 
     @pytest.mark.parametrize("blocks", [0, -3])
     def test_sw_failure_rate_rejects_fewer_than_one_block(self, blocks):

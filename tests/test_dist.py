@@ -290,3 +290,121 @@ def test_total_variation_is_a_metric(triple):
     assert d01 == d10
     assert (d01 == 0) == (dists[0] == dists[1])
     assert total_variation(dists[0], dists[2]) <= d01 + total_variation(dists[1], dists[2])
+
+
+# --- the integer kernels against a plain Fraction reference ------------------
+#
+# The reference works on dicts of Fractions, in the order the law was written,
+# and rounds each probability exactly where the kernels do. Entropies must
+# agree bit for bit, and total variation as a rational.
+
+
+def fraction_law(counts, outcomes, alphabets=None):
+    """One law, as an ExactDist of integer counts and as a dict of Fractions."""
+    total = sum(counts)
+    counted = ExactDist(dict(zip(outcomes, counts)), alphabets, total=total)
+    return counted, {o: F(c, total) for o, c in zip(outcomes, counts) if c}
+
+
+def reference_entropy(weights):
+    h = 0.0
+    for w in weights.values():
+        p = float(w)
+        h -= p * math.log2(p)
+    return h
+
+
+def reference_marginal(weights, coords):
+    out = {}
+    for o, w in weights.items():
+        key = tuple(o[c] for c in coords)
+        out[key] = out.get(key, F(0)) + w
+    return out
+
+
+def reference_conditional_entropy(weights, cond, arity):
+    rest = tuple(c for c in range(arity) if c not in cond)
+    groups = {}
+    for o, w in weights.items():
+        bucket = groups.setdefault(tuple(o[c] for c in cond), {})
+        key = tuple(o[c] for c in rest)
+        bucket[key] = bucket.get(key, F(0)) + w
+    result = 0.0
+    for bucket in groups.values():
+        p_key = sum(bucket.values(), F(0))
+        result += float(p_key) * reference_entropy({k: w / p_key for k, w in bucket.items()})
+    return result
+
+
+cube = list(product((0, 1), repeat=3))
+cube_counts = st.lists(st.integers(min_value=0, max_value=9), min_size=8, max_size=8).filter(sum)
+splits = st.sampled_from([((0,), (1, 2)), ((1,), (0,)), ((2,), (0, 1)), ((0, 2), (1,)), ((2, 1), (0,))])
+
+
+@given(weights_strategy)
+def test_entropy_equals_fraction_reference(counts):
+    d, weights = fraction_law(counts, [(i,) for i in range(len(counts))])
+    assert entropy(d) == reference_entropy(weights)
+
+
+@given(cube_counts, splits)
+def test_conditional_entropy_and_mutual_information_equal_fraction_reference(counts, split):
+    d, weights = fraction_law(counts, cube)
+    a, b = split
+    for cond in ((), a, b, a + b):
+        assert conditional_entropy(d, cond) == reference_conditional_entropy(weights, cond, 3)
+    mi = (reference_entropy(reference_marginal(weights, a)) + reference_entropy(reference_marginal(weights, b))
+          - reference_entropy(reference_marginal(weights, a + b)))
+    assert mutual_information(d, a, b) == mi
+    assert marginal(d, a + b).items() == list(reference_marginal(weights, a + b).items())
+
+
+@given(cube_counts, cube_counts)
+def test_total_variation_equals_fraction_sum(c1, c2):
+    alphabets = [(0, 1)] * 3
+    d1, w1 = fraction_law(c1, cube, alphabets)
+    d2, w2 = fraction_law(c2, cube, alphabets)
+    exact = sum((abs(w1.get(o, 0) - w2.get(o, 0)) for o in cube), F(0)) / 2
+    tv = total_variation(d1, d2)
+    assert isinstance(tv, F) and tv == exact
+    assert total_variation(ExactDist(w1, alphabets), ExactDist(w2, alphabets)) == exact
+
+
+@given(weights_strategy, st.integers(min_value=2, max_value=12))
+def test_equal_laws_over_different_totals(counts, k):
+    reduced = dist_from_counts(counts)
+    scaled = ExactDist({(i,): k * c for i, c in enumerate(counts)}, total=k * sum(counts))
+    assert scaled == reduced and hash(scaled) == hash(reduced)
+    assert scaled.items() == reduced.items() and repr(scaled) == repr(reduced)
+    assert entropy(scaled) == entropy(reduced)
+
+
+def test_equal_laws_written_over_eighths_and_quarters():
+    eighths = ExactDist({"a": 2, "b": 6}, total=8)
+    quarters = ExactDist({"a": F(1, 4), "b": F(3, 4)})
+    assert eighths == quarters and hash(eighths) == hash(quarters)
+    assert eighths.probability("a") == F(2, 8) and eighths.counts[("a",)] == 2
+    assert eighths != ExactDist({"a": 3, "b": 5}, total=8)
+    assert eighths != ExactDist({"a": F(1, 4), "c": F(3, 4)})
+
+
+class TestCountedConstructor:
+    def test_counts_must_sum_to_the_total(self):
+        with pytest.raises(ValueError, match="sum"):
+            ExactDist({0: 1, 1: 2}, total=4)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="negative weight -1/2"):
+            ExactDist({0: 3, 1: -1}, total=2)
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="support"):
+            ExactDist({0: 0}, total=1)
+
+    def test_mixed_arity_rejected(self):
+        with pytest.raises(ValueError, match="arity"):
+            ExactDist({(0,): 1, (0, 1): 1}, total=2)
+
+    def test_declared_alphabet_enforced(self):
+        with pytest.raises(ValueError, match="symbol 2 at coordinate 1"):
+            ExactDist({(0, 2): 1}, [(0, 1), (0, 1)], total=1)
