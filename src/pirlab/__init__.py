@@ -8,8 +8,8 @@ binning coders, and closed-form capacity oracles.
 from .capacity import OverheadAccount, PirParameters, check_rate_admissible, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, SourceModel, SwBin, entropy_decode, entropy_encode, sw_decode, sw_encode
 from .descriptor import SchemeDescriptor, SessionRecord
-from .dist import ExactDist, conditional_entropy, entropy, marginal, mutual_information, total_variation
-from .linear import LinearMessages, PatternChoice, StoredLinear, asymmetric_toy_descriptor, linear_descriptor, linear_retrieve, linear_store, replicated_descriptor, replicated_store, symmetrize
+from .dist import ExactDist, conditional_entropy, entropy, marginal, total_variation
+from .linear import LinearMessages, PatternChoice, StoredLinear, asymmetric_toy_descriptor, linear_descriptor, linear_retrieve, linear_store, replicated_descriptor, symmetrize
 from .multiround import CellTable, MessagePair, Transcript, db2_answer, decode, derive_cells, multiround_descriptor, round1, round2_query, run_session
 from .seeds import derive_seed
 
@@ -44,9 +44,7 @@ __all__ = [
     "marginal",
     "mtpir_capacity",
     "multiround_descriptor",
-    "mutual_information",
     "replicated_descriptor",
-    "replicated_store",
     "round1",
     "round2_query",
     "run_session",

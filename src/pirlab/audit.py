@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .capacity import OverheadAccount, check_rate_admissible, mtpir_capacity, storage_overhead
@@ -29,15 +29,6 @@ EXHAUSTION_LIMIT = 1 << 20
 REAL_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class PrivacyView:
-    """Exact joint law of (queries, stored content, answers) at one database."""
-
-    database: int  # 1-based
-    theta: int
-    joint: ExactDist
-
-
 def _f_symbols(f) -> tuple:
     return f if isinstance(f, tuple) else (f,)
 
@@ -46,16 +37,16 @@ def _thetas(scheme: SchemeDescriptor) -> tuple[int, ...]:
     return tuple(range(1, scheme.params.num_messages + 1))
 
 
-def _spaces(scheme: SchemeDescriptor, limit: int):
-    """Both spaces, listed; a message space too large for ``limit`` is
-    refused after at most one message more than fits."""
+def _spaces(scheme: SchemeDescriptor):
+    """Both spaces, listed; a message space too large for ``EXHAUSTION_LIMIT``
+    is refused after at most one message more than fits."""
     randomness = list(scheme.randomness_space())
     per_message = max(len(randomness), 1)
-    messages = list(islice(scheme.message_space(), limit // per_message + 1))
+    messages = list(islice(scheme.message_space(), EXHAUSTION_LIMIT // per_message + 1))
     size = len(messages) * per_message
-    if size > limit:
+    if size > EXHAUSTION_LIMIT:
         raise ValueError(
-            f"state space of at least {size} sessions exceeds the exhaustion limit of {limit}"
+            f"state space of at least {size} sessions exceeds the exhaustion limit of {EXHAUSTION_LIMIT}"
         )
     return messages, randomness
 
@@ -89,7 +80,6 @@ def _tabulate(
     scheme: SchemeDescriptor,
     thetas: Sequence[int],
     projections: Sequence[_Projection],
-    limit: int = EXHAUSTION_LIMIT,
 ) -> list:
     """Each projection's finished result, from one exhaustive pass.
 
@@ -105,7 +95,7 @@ def _tabulate(
     compose = product is not None and product.built == built and product.component.product is None
     compose = compose and all(p.compose for p in projections)
     scheme = product.component if compose else scheme
-    messages, randomness = _spaces(scheme, limit)
+    messages, randomness = _spaces(scheme)
     messages, msg_den = _integer_weights(messages)
     randomness, f_den = _integer_weights(randomness)
     run = scheme.run
@@ -144,17 +134,12 @@ def _views(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
     return _Projection(lambda tables: dict(zip(keys, tables)), session, stores=True)
 
 
-def enumerate_view(
-    scheme: SchemeDescriptor,
-    theta: int,
-    database: int,
-    limit: int = EXHAUSTION_LIMIT,
-) -> PrivacyView:
-    """Exhaustively enumerate one database's view under desired index theta."""
+def enumerate_view(scheme: SchemeDescriptor, theta: int, database: int) -> ExactDist:
+    """Exact joint law of (queries, stored content, answers) at one database
+    under desired index theta, by exhaustive enumeration."""
     if not (1 <= database <= scheme.params.num_databases):
         raise ValueError(f"database must be in [1, {scheme.params.num_databases}]")
-    views = _tabulate(scheme, (theta,), [_views(scheme, (theta,))], limit)[0]
-    return PrivacyView(database, theta, views[theta, database])
+    return _tabulate(scheme, (theta,), [_views(scheme, (theta,))])[0][theta, database]
 
 
 def _privacy(scheme: SchemeDescriptor, views: dict, product: bool = False) -> dict:
@@ -195,7 +180,7 @@ def _product_tv(p: tuple[ExactDist, ExactDist], q: tuple[ExactDist, ExactDist]) 
     return Fraction(acc, 2 * s0 * r0 * s1 * r1)
 
 
-def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
+def check_privacy(scheme: SchemeDescriptor) -> dict:
     """Exact per-database privacy verdicts.
 
     For every database and every pair of desired indices, computes the total
@@ -208,7 +193,7 @@ def check_privacy(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> di
         finish=lambda tables: _privacy(scheme, views.finish(tables)),
         compose=lambda tables: _privacy(scheme, views.finish(tables), product=True),
     )
-    return _tabulate(scheme, thetas, [privacy], limit)[0]
+    return _tabulate(scheme, thetas, [privacy])[0]
 
 
 def _correctness(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
@@ -236,10 +221,10 @@ def _correctness(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection
     )
 
 
-def exhaustive_correctness(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
+def exhaustive_correctness(scheme: SchemeDescriptor) -> dict:
     """Count decoding errors over every (message, randomness, theta) triple."""
     thetas = _thetas(scheme)
-    return _tabulate(scheme, thetas, [_correctness(scheme, thetas)], limit)[0]
+    return _tabulate(scheme, thetas, [_correctness(scheme, thetas)])[0]
 
 
 def _expectation(d: ExactDist) -> Fraction:
@@ -311,22 +296,12 @@ def _storage(scheme: SchemeDescriptor) -> _Projection:
     )
 
 
-def ideal_storage_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> list[float]:
-    """Per-database stored bits per block under ideal compression.
-
-    Charged as H(S_n | side information available to the database at answer
-    time); without declared side information this is plain H(S_n).
-    """
-    return _tabulate(scheme, (), [_storage(scheme)], limit)[0]
-
-
-def scheme_profile(
-    scheme: SchemeDescriptor, thetas: Sequence[int] = (1, 2), limit: int = EXHAUSTION_LIMIT
-) -> dict:
+def scheme_profile(scheme: SchemeDescriptor) -> dict:
     """Exhaustive summary from one pass: per-database answer entropies
     H(A_n | F, G) and expected symbol download per theta, and per-database
     ideal storage bits. A product's H(A_n | F, G) is its component's at n
     plus at the other database, and its download doubles."""
+    thetas = _thetas(scheme)
     keys = list(product(thetas, range(1, scheme.params.num_databases + 1)))
 
     def session(msg, stored, f, records):
@@ -352,7 +327,7 @@ def scheme_profile(
         }
 
     projections = [_Projection(finish, session, compose=compose), _storage(scheme)]
-    profile, storage = _tabulate(scheme, thetas, projections, limit)
+    profile, storage = _tabulate(scheme, thetas, projections)
     return {**profile, "storage_bits": storage}
 
 
@@ -377,10 +352,10 @@ def _upload(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
     return _Projection(finish, session)
 
 
-def upload_bits(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> dict:
+def upload_bits(scheme: SchemeDescriptor) -> dict:
     """Informational query-uplink accounting (never part of the rate)."""
     thetas = _thetas(scheme)
-    return _tabulate(scheme, thetas, [_upload(scheme, thetas)], limit)[0]
+    return _tabulate(scheme, thetas, [_upload(scheme, thetas)])[0]
 
 
 # --- Concrete (finite-length) measurement through the scheme's coded layer --
@@ -423,9 +398,9 @@ def _db1_cells(scheme: SchemeDescriptor) -> _Projection:
     return _Projection(finish, message=lambda msg, stored: (stored[0],), stores=True)
 
 
-def answer_stream_models(scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT) -> tuple[SourceModel, SourceModel]:
+def answer_stream_models(scheme: SchemeDescriptor) -> tuple[SourceModel, SourceModel]:
     """Exact per-symbol models of the two answer streams, from enumeration."""
-    return _tabulate(scheme, (1,), [_answer_streams(scheme)], limit)[0]
+    return _tabulate(scheme, (1,), [_answer_streams(scheme)])[0]
 
 
 def measure_rate(
@@ -434,14 +409,13 @@ def measure_rate(
     L: int | None = None,
     trials: int = 1,
     seed: int = 0,
-    limit: int = EXHAUSTION_LIMIT,
 ) -> dict:
     """Rate statistics in ideal (exact entropy) or concrete (coded) accounting."""
     _check_flags(scheme, mode, L, trials)
     projections = [_download(scheme)]
     if mode == "concrete" and scheme.coded is not None:
         projections.append(_answer_streams(scheme))
-    download, *models = _tabulate(scheme, (1,), projections, limit)
+    download, *models = _tabulate(scheme, (1,), projections)
     return _finish_rate(scheme, download, mode, L, trials, seed, *models)[0]
 
 
@@ -499,7 +473,6 @@ def measure_overhead(
     L: int = 10_000,
     seed: int = 0,
     codec: CodecConfig | None = None,
-    limit: int = EXHAUSTION_LIMIT,
 ) -> dict:
     """Storage overhead in ideal (exact entropy) or concrete accounting.
 
@@ -507,10 +480,11 @@ def measure_overhead(
     coded storage bits; schemes whose storage is already incompressible
     bits are charged at face value.
     """
+    _check_flags(scheme, mode, L, 1)
     projections = [_storage(scheme)]
     if mode == "concrete" and scheme.coded is not None:
         projections.append(_db1_cells(scheme))
-    storage, *cell_model = _tabulate(scheme, (), projections, limit)
+    storage, *cell_model = _tabulate(scheme, (), projections)
     return _finish_overhead(scheme, storage, mode, L, seed, codec, *cell_model)
 
 
@@ -520,8 +494,6 @@ def _finish_overhead(
 ) -> dict:
     """Overhead accounting, in ``mode``, from the ideal per-database storage
     bits and, for a coded scheme, ``_db1_cells``' result."""
-    if mode not in ("ideal", "concrete"):
-        raise ValueError("mode must be 'ideal' or 'concrete'")
     account = OverheadAccount(
         per_database_storage_bits=tuple(ideal),
         message_length=scheme.block_length,
@@ -555,21 +527,12 @@ def _finish_overhead(
     return result
 
 
-def measure_length_leakage(
-    scheme: SchemeDescriptor, L: int, trials: int, seed: int,
-    limit: int = EXHAUSTION_LIMIT,
-) -> dict:
+def _leakage(coded, models: tuple[SourceModel, SourceModel], L: int, trials: int, seed: int) -> dict:
     """Distribution of compressed stream lengths per desired index.
 
     Informational: the symbol-level audit is the privacy verdict; this
     measures whether variable-length coding correlates with theta at all.
     """
-    if scheme.coded is None:
-        raise ValueError("length leakage needs a scheme with a coded layer")
-    return _leakage(scheme.coded, answer_stream_models(scheme, limit), L, trials, seed)
-
-
-def _leakage(coded, models: tuple[SourceModel, SourceModel], L: int, trials: int, seed: int) -> dict:
     lengths = {
         theta: [
             coded.session(theta, L, derive_seed(seed, "leakage", theta, trial), models)["download_bits"]
@@ -592,9 +555,7 @@ def _leakage(coded, models: tuple[SourceModel, SourceModel], L: int, trials: int
 # --- Entropy identities and converse spot checks ---------------------------
 
 
-def coupled_session_joint(
-    scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT
-) -> tuple[ExactDist, dict[str, tuple[int, ...]]]:
+def coupled_session_joint(scheme: SchemeDescriptor) -> tuple[ExactDist, dict[str, tuple[int, ...]]]:
     """Joint law of messages, randomness and both desired-index sessions.
 
     Sessions for theta = 1 and theta = 2 are coupled through the shared
@@ -604,7 +565,7 @@ def coupled_session_joint(
     """
     if scheme.params.rounds != 1:
         raise ValueError("coupled session joint is defined for single-round schemes")
-    return _tabulate(scheme, (1, 2), [_coupled(scheme)], limit)[0]
+    return _tabulate(scheme, (1, 2), [_coupled(scheme)])[0]
 
 
 def _coupled(scheme: SchemeDescriptor) -> _Projection:
@@ -636,12 +597,10 @@ def conditional_mutual_information(
     return _cond_entropy_of(joint, a, c) - _cond_entropy_of(joint, a, b + c)
 
 
-def verify_entropy_identities(
-    scheme: SchemeDescriptor, limit: int = EXHAUSTION_LIMIT
-) -> list[dict]:
+def verify_entropy_identities(scheme: SchemeDescriptor) -> list[dict]:
     """Exact-enumeration checks of the answer-entropy identities that pin the
     storage lower bound for single-round rate-2/3 zero-error schemes."""
-    return _identities(scheme, *coupled_session_joint(scheme, limit))
+    return _identities(scheme, *coupled_session_joint(scheme))
 
 
 def _check(name: str, value: float, target: float, relation: str = "==") -> dict:
@@ -692,14 +651,10 @@ def _identities(scheme: SchemeDescriptor, joint: ExactDist, g: dict) -> list[dic
     ]
 
 
-def verify_converse_bounds(
-    scheme: SchemeDescriptor,
-    rate: Fraction | None = None,
-    limit: int = EXHAUSTION_LIMIT,
-) -> list[dict]:
+def verify_converse_bounds(scheme: SchemeDescriptor) -> list[dict]:
     """Numeric converse spot checks on an implemented scheme.
 
-    For single-round schemes with a known exact rate R, instantiates the
+    For single-round schemes, with R the exact symbol rate, instantiates the
     zero-error (o(L) = 0) forms: the retrieved-information upper bound
     I(W2; Q[1], A[1], F | W1, G) <= L(1/R - 1) and the induction lower
     bound I(...) >= L * T / N. Every scheme also gets the exact
@@ -707,17 +662,16 @@ def verify_converse_bounds(
     """
     single_round = scheme.params.rounds == 1
     projections = [_download(scheme)] + ([_coupled(scheme)] if single_round else [])
-    download, *coupled = _tabulate(scheme, (1, 2) if single_round else (1,), projections, limit)
-    return _converse(scheme, download, coupled, rate)
+    download, *coupled = _tabulate(scheme, (1, 2) if single_round else (1,), projections)
+    return _converse(scheme, download, coupled)
 
 
-def _converse(scheme: SchemeDescriptor, download: dict, coupled: list, rate: Fraction | None) -> list[dict]:
+def _converse(scheme: SchemeDescriptor, download: dict, coupled: list) -> list[dict]:
     """The converse checks from ``_download``'s result and, for single-round
     schemes, the one-element list of ``_coupled``'s result."""
     params = scheme.params
     capacity = mtpir_capacity(params)
-    if rate is None:
-        rate = download["symbol_rate"]
+    rate = download["symbol_rate"]
     checks = [
         {
             "name": "symbol rate <= capacity",
@@ -760,7 +714,13 @@ def outcome_str(outcome: tuple) -> str:
 
 
 def dist_table(d: ExactDist) -> dict[str, str]:
-    return {outcome_str(o): fraction_str(w) for o, w in sorted(d.items(), key=lambda kv: outcome_str(kv[0]))}
+    """``outcome_str -> "p/q"`` in lowest terms, sorted (stably) by outcome string."""
+    total = d.total
+    table = {}
+    for key, count in sorted(((outcome_str(o), c) for o, c in d.counts.items()), key=itemgetter(0)):
+        g = math.gcd(count, total)
+        table[key] = f"{count // g}/{total // g}"
+    return table
 
 
 def _jsonify(value):
@@ -789,7 +749,6 @@ def build_audit_report(
     seed: int = 0,
     codec: CodecConfig | None = None,
     sw_blocks: int = 200,
-    limit: int = EXHAUSTION_LIMIT,
 ) -> dict:
     """Run the full audit battery for one scheme and return its JSON document.
 
@@ -806,7 +765,7 @@ def build_audit_report(
         _views(scheme, thetas), _correctness(scheme, thetas), _download(scheme),
         _storage(scheme), _upload(scheme, thetas),
     ] + coupled + models
-    views, correctness, download, storage, upload, *rest = _tabulate(scheme, thetas, projections, limit)
+    views, correctness, download, storage, upload, *rest = _tabulate(scheme, thetas, projections)
     coupled, models = rest[:len(coupled)], rest[len(coupled):]
     stream_models, cell_model = models or (None, None)
     privacy = _privacy(scheme, views)
@@ -823,7 +782,7 @@ def build_audit_report(
     }
     # The identities are premises of the single-round storage bound at capacity.
     identities = _identities(scheme, *coupled[0]) if coupled and symbol_rate == capacity else None
-    converse = _converse(scheme, download, coupled, None)
+    converse = _converse(scheme, download, coupled)
     leakage = None
     if coded is not None:
         leakage = _leakage(coded, stream_models, min(L, 2000), min(trials, 20), seed)
@@ -866,7 +825,6 @@ def build_simulation_report(
     seed: int = 0,
     codec: CodecConfig | None = None,
     sw_blocks: int = 1000,
-    limit: int = EXHAUSTION_LIMIT,
 ) -> dict:
     """The rate and either the coded sessions behind it or exhaustive
     correctness, from one pass, as a JSON document."""
@@ -874,14 +832,14 @@ def build_simulation_report(
     document = {"scheme": scheme.name, "mode": mode, "L": L, "trials": trials, "seed": seed}
     coded = scheme.coded if mode == "concrete" else None
     if coded is not None:
-        download, models = _tabulate(scheme, (1,), [_download(scheme), _answer_streams(scheme)], limit)
+        download, models = _tabulate(scheme, (1,), [_download(scheme), _answer_streams(scheme)])
         rate, sessions = _finish_rate(scheme, download, mode, L, trials, seed, models)
         errors = sum(run["decode_errors"] for run in sessions)
         document["sessions"] = sessions
         document["sw"] = coded.bin_failures(codec or CodecConfig(), sw_blocks, seed)
     else:
         thetas = _thetas(scheme)
-        download, correctness = _tabulate(scheme, thetas, [_download(scheme), _correctness(scheme, thetas)], limit)
+        download, correctness = _tabulate(scheme, thetas, [_download(scheme), _correctness(scheme, thetas)])
         rate, _ = _finish_rate(scheme, download, mode, L, trials, seed)
         errors = correctness["errors"]
         document["correctness"] = correctness

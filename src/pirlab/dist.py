@@ -6,7 +6,7 @@ distributional identity check means exact equality, never "close enough".
 ``fractions.Fraction`` appears only at the API: rational weights in, and
 ``items``, ``probability`` and total variation out. Floating point enters
 only when a probability passes through ``log2``, which makes the information
-measures (entropy, conditional entropy, mutual information) floats. Each
+measures (entropy and conditional entropy) floats. Each
 probability there is ``count / total``, a correctly rounded integer division,
 so it is bit for bit the float of the reduced ``Fraction``.
 
@@ -88,13 +88,6 @@ class ExactDist:
         self._total = total
         self._alphabets = alpha
 
-    @classmethod
-    def uniform(cls, outcomes: Iterable[Hashable]) -> "ExactDist":
-        support = [_as_outcome(o) for o in outcomes]
-        if not support:
-            raise ValueError("uniform distribution needs at least one outcome")
-        return cls({o: 1 for o in support}, total=len(support))
-
     @property
     def arity(self) -> int:
         return len(self._alphabets)
@@ -137,13 +130,9 @@ class ExactDist:
         return hash((self._total // g, frozenset((o, c // g) for o, c in self._counts.items())))
 
     def __repr__(self) -> str:
-        entries = ", ".join(f"{o!r}: {w}" for o, w in sorted_items(self))
+        items = sorted(self.items(), key=lambda item: repr(item[0]))
+        entries = ", ".join(f"{o!r}: {w}" for o, w in items)
         return f"ExactDist({{{entries}}})"
-
-
-def sorted_items(d: ExactDist):
-    """Support items in a stable order (sorted by repr of the outcome)."""
-    return sorted(d.items(), key=lambda item: repr(item[0]))
 
 
 def _check_coords(coords, arity: int, *, allow_empty: bool = True) -> tuple[int, ...]:
@@ -218,17 +207,6 @@ def conditional_entropy(d: ExactDist, condition_coords: Iterable[int]) -> float:
         group_total = totals[key]
         result += group_total / d._total * _plogp_sum(bucket.values(), group_total)
     return result
-
-
-def mutual_information(
-    d: ExactDist, coords_a: Iterable[int], coords_b: Iterable[int]
-) -> float:
-    """I(A; B) = H(A) + H(B) - H(A, B) in bits, marginalizing out the rest."""
-    a = _check_coords(coords_a, d.arity)
-    b = _check_coords(coords_b, d.arity)
-    if set(a) & set(b):
-        raise ValueError(f"coordinate sets overlap: {a} and {b}")
-    return entropy(marginal(d, a)) + entropy(marginal(d, b)) - entropy(marginal(d, a + b))
 
 
 def total_variation(d1: ExactDist, d2: ExactDist) -> Fraction:

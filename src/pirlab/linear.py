@@ -70,10 +70,6 @@ def linear_store(m: LinearMessages) -> StoredLinear:
     return StoredLinear(s1, s2)
 
 
-def db1_selector(pattern: int) -> int:
-    return pattern
-
-
 def db2_selector(pattern: int, theta: int) -> str:
     return TRIPLE_1 if pattern == theta else TRIPLE_2
 
@@ -113,37 +109,6 @@ def linear_retrieve(
     d1 = db1_answer(choice.pattern, stored.s1)
     d2 = db2_answer(db2_selector(choice.pattern, theta), stored.s2)
     return (d1, d2), linear_decode(theta, choice.pattern, d1, d2)
-
-
-def linear_retrieve_long(
-    theta: int, w1: tuple[int, ...], w2: tuple[int, ...], coins: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
-    """Blockwise extension: independent 4-bit blocks, one pattern coin each.
-
-    Returns (download bits, decoded message). Rate, zero error and privacy
-    carry over from the native block by the product construction.
-    """
-    if len(w1) != len(w2) or len(w1) % BLOCK != 0:
-        raise ValueError(f"message length must be a positive multiple of {BLOCK}")
-    blocks = len(w1) // BLOCK
-    if len(coins) != blocks:
-        raise ValueError("one pattern coin is needed per block")
-    decoded: list[int] = []
-    download = 0
-    for i in range(blocks):
-        lo, hi = BLOCK * i, BLOCK * (i + 1)
-        (d1, d2), out = linear_retrieve(
-            theta, PatternChoice(coins[i]), LinearMessages(w1[lo:hi], w2[lo:hi])
-        )
-        download += len(d1) + len(d2)
-        decoded.extend(out)
-    return download, tuple(decoded)
-
-
-def replicated_store(m: LinearMessages) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Replication baseline: both databases hold every message bit."""
-    full = m.a + m.b
-    return (full, full)
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -188,7 +153,7 @@ def linear_descriptor() -> SchemeDescriptor:
     def run(msg, theta, pattern):
         (d1, d2), decoded = linear_retrieve(theta, PatternChoice(pattern), LinearMessages(*msg))
         return SessionRecord(
-            queries=((db1_selector(pattern),), (db2_selector(pattern, theta),)),
+            queries=((pattern,), (db2_selector(pattern, theta),)),
             answers=(d1, d2),
             decoded=decoded,
             download_bits=6,

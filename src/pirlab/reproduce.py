@@ -100,8 +100,7 @@ def criterion_multiround_correctness() -> dict:
 
 def criterion_exact_privacy() -> dict:
     scheme = multiround_descriptor()
-    view = enumerate_view(scheme, theta=1, database=2)
-    table = marginal(view.joint, (0, 1, 2))
+    table = marginal(enumerate_view(scheme, theta=1, database=2), (0, 1, 2))
     expected = ExactDist(EXPECTED_VIEW_TABLE)
     table_ok = table == expected
     privacy = check_privacy(scheme)
@@ -241,11 +240,9 @@ def criterion_entropy_identities() -> dict:
 
 
 def criterion_converse() -> dict:
-    linear_checks = verify_converse_bounds(linear_descriptor(), rate=Fraction(2, 3))
+    linear_checks = verify_converse_bounds(linear_descriptor())
     replicated_checks = verify_converse_bounds(replicated_descriptor())
-    multiround_checks = verify_converse_bounds(
-        multiround_descriptor(), rate=Fraction(4, 7)
-    )
+    multiround_checks = verify_converse_bounds(multiround_descriptor())
     every = linear_checks + replicated_checks + multiround_checks
     ok = all(c["pass"] for c in every)
     return _row(

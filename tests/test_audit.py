@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from pirlab import audit
 from pirlab.audit import (
     answer_stream_models,
     build_audit_report,
@@ -18,8 +19,6 @@ from pirlab.audit import (
     enumerate_view,
     exhaustive_correctness,
     fraction_str,
-    ideal_storage_bits,
-    measure_length_leakage,
     measure_overhead,
     measure_rate,
     real_str,
@@ -69,25 +68,26 @@ class TestEnumerateView:
     def test_db2_view_matches_oracle_exactly(self):
         for theta in (1, 2):
             view = enumerate_view(multiround_descriptor(), theta=theta, database=2)
-            assert dict(view.joint.items()) == oracle_db2_view(theta)
+            assert dict(view.items()) == oracle_db2_view(theta)
 
     def test_db1_view_independent_of_theta(self):
         scheme = multiround_descriptor()
         v1 = enumerate_view(scheme, theta=1, database=1)
         v2 = enumerate_view(scheme, theta=2, database=1)
-        assert v1.joint == v2.joint
+        assert v1 == v2
 
     def test_linear_db1_view_independent_of_theta(self):
         scheme = linear_descriptor()
         v1 = enumerate_view(scheme, theta=1, database=1)
         v2 = enumerate_view(scheme, theta=2, database=1)
-        assert v1.joint == v2.joint
+        assert v1 == v2
 
-    def test_exhaustion_limit_enforced(self):
+    def test_exhaustion_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr(audit, "EXHAUSTION_LIMIT", 100)
         with pytest.raises(ValueError, match="exhaustion"):
-            enumerate_view(linear_descriptor(), theta=1, database=1, limit=100)
+            enumerate_view(linear_descriptor(), theta=1, database=1)
 
-    def test_limit_refused_before_the_message_space_is_listed(self):
+    def test_limit_refused_before_the_message_space_is_listed(self, monkeypatch):
         # 65,536 messages x 4 coins: the refusal may draw 511 // 4 + 1 = 128
         # messages, never the whole space.
         scheme = dataclasses.replace(symmetrize(linear_descriptor()), product=None)
@@ -99,8 +99,9 @@ class TestEnumerateView:
                 drawn += 1
                 yield item
 
-        with pytest.raises(ValueError, match="exceeds the exhaustion limit"):
-            check_privacy(dataclasses.replace(scheme, message_space=message_space), limit=511)
+        monkeypatch.setattr(audit, "EXHAUSTION_LIMIT", 511)
+        with pytest.raises(ValueError, match="exceeds the exhaustion limit of 511"):
+            check_privacy(dataclasses.replace(scheme, message_space=message_space))
         assert 0 < drawn <= 512
 
     def test_bad_database_rejected(self):
@@ -164,12 +165,12 @@ class TestEnumerationCounts:
             (check_privacy, 1024, 256),
             (measure_rate, 512, 0),
             (scheme_profile, 1024, None),
-            (ideal_storage_bits, 0, 256),
+            (measure_overhead, 0, 256),
             (exhaustive_correctness, 1024, 0),
             (build_audit_report, 1024, 256),
         ],
         ids=[
-            "check_privacy", "measure_rate", "scheme_profile", "ideal_storage_bits",
+            "check_privacy", "measure_rate", "scheme_profile", "measure_overhead",
             "exhaustive_correctness", "build_audit_report",
         ],
     )
@@ -201,6 +202,23 @@ class TestEnumerationCounts:
         scheme, calls = self.counted(multiround_descriptor())
         with pytest.raises(ValueError, match=message):
             build(scheme, mode="concrete", **{"L": 200, "trials": 2, "sw_blocks": 10, **flag})
+        assert calls == {"run": 0, "store": 0}
+
+    @pytest.mark.parametrize(
+        "descriptor, flags, message",
+        [
+            (multiround_descriptor, {"L": 0}, "concrete mode needs a message length L >= 1"),
+            (multiround_descriptor, {"L": -16}, "concrete mode needs a message length L >= 1"),
+            (linear_descriptor, {"L": 0}, "concrete mode needs a message length L >= 1"),
+            (linear_descriptor, {"L": 10_001}, "L must be a multiple of the native block 4"),
+            (linear_descriptor, {"mode": "bogus"}, "mode must be 'ideal' or 'concrete'"),
+        ],
+        ids=["multiround-L0", "multiround-L-16", "linear-L0", "linear-L10001", "mode"],
+    )
+    def test_overhead_flags_rejected_before_any_session(self, descriptor, flags, message):
+        scheme, calls = self.counted(descriptor())
+        with pytest.raises(ValueError, match=message):
+            measure_overhead(scheme, **{"mode": "concrete", **flags})
         assert calls == {"run": 0, "store": 0}
 
 
@@ -238,7 +256,7 @@ class TestIdealAccounting:
         assert rate["ideal_download_per_message_bit"] == pytest.approx(1.5, abs=TOL)
 
     def test_multiround_storage(self):
-        bits = ideal_storage_bits(multiround_descriptor())
+        bits = measure_overhead(multiround_descriptor())["ideal_bits_per_block"]
         assert bits[0] == pytest.approx(1.5, abs=TOL)
         assert bits[1] == pytest.approx(0.75 * math.log2(3), abs=TOL)
 
@@ -366,10 +384,11 @@ class TestConcreteAccounting:
         assert 0 <= first["failure_rate"] <= 1
 
     def test_length_leakage_report(self):
-        leak = measure_length_leakage(multiround_descriptor(), L=500, trials=6, seed=2)
-        assert set(leak["mean_bits"]) == {1, 2}
-        assert leak["mean_abs_difference"] >= 0
-        assert len(leak["stream_bits"][1]) == len(leak["stream_bits"][2]) == 6
+        report = build_audit_report(multiround_descriptor(), mode="concrete", L=500, trials=6, seed=2, sw_blocks=10)
+        leak = report["length_leakage"]
+        assert set(leak["mean_bits"]) == {"1", "2"}
+        assert float(leak["mean_abs_difference"]) >= 0
+        assert len(leak["stream_bits"]["1"]) == len(leak["stream_bits"]["2"]) == 6
 
 
 class TestIdentitiesAndConverse:
@@ -390,7 +409,7 @@ class TestIdentitiesAndConverse:
             verify_entropy_identities(multiround_descriptor())
 
     def test_linear_converse_at_boundary(self):
-        checks = verify_converse_bounds(linear_descriptor(), rate=F(2, 3))
+        checks = verify_converse_bounds(linear_descriptor())
         assert all(c["pass"] for c in checks)
         info = next(c for c in checks if "<= L(1/R - 1)" in c["name"])
         assert info["value"] == pytest.approx(2.0, abs=TOL)
@@ -403,7 +422,7 @@ class TestIdentitiesAndConverse:
         assert rate_check["value"] == F(1, 2) < F(2, 3)
 
     def test_multiround_converse_capacity_rows_only(self):
-        checks = verify_converse_bounds(multiround_descriptor(), rate=F(4, 7))
+        checks = verify_converse_bounds(multiround_descriptor())
         assert all(c["pass"] for c in checks)
         assert len(checks) == 2  # no single-round information rows
 

@@ -196,6 +196,46 @@ class TestReproduce:
         assert sorted(called) == sorted(defined)
 
 
+# Kept without a caller on purpose: reference implementations that tests
+# compare the package against.
+TEST_ORACLES = {"sw_decode_reference", "linear_storage_entropy_bits"}
+
+
+def test_every_top_level_definition_has_a_caller():
+    # A top-level def or class in src/pirlab must be named, outside its own
+    # body, by package code (re-exports in __init__.py do not count) or by
+    # the benchmark in perfbench/; tests alone are not a caller. A name counts
+    # as a variable, an attribute or a string (perfbench looks some up by name).
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "pirlab").glob("*.py"))
+    callers = [path for path in package if path.name != "__init__.py"]
+    callers += sorted((root / "perfbench").glob("*.py"))
+
+    def names(statement) -> set:
+        found = set()
+        for n in ast.walk(statement):
+            if isinstance(n, ast.Name):
+                found.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                found.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                found.add(n.value)
+        return found
+
+    trees = {path: ast.parse(path.read_text()) for path in package + callers}
+    # Each caller's top-level statements, with the names each one uses.
+    uses = [(stmt, names(stmt)) for path in callers for stmt in trees[path].body]
+    uncalled = [
+        f"{path.stem}.{node.name}"
+        for path in package
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in TEST_ORACLES
+        and not any(node.name in used for stmt, used in uses if stmt is not node)
+    ]
+    assert uncalled == []
+
+
 @pytest.mark.parametrize(
     "argv",
     list(GOLDEN),

@@ -8,12 +8,12 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from pirlab.audit import conditional_mutual_information
 from pirlab.dist import (
     ExactDist,
     conditional_entropy,
     entropy,
     marginal,
-    mutual_information,
     total_variation,
 )
 
@@ -109,13 +109,15 @@ class TestConditionalEntropy:
 
 
 class TestMutualInformation:
+    """I(A; B) as conditional_mutual_information with an empty condition."""
+
     def test_independent_coordinates(self):
         joint = ExactDist({(a, b): F(1, 4) for a in (0, 1) for b in (0, 1)})
-        assert mutual_information(joint, (0,), (1,)) == pytest.approx(0.0, abs=TOL)
+        assert conditional_mutual_information(joint, (0,), (1,), ()) == pytest.approx(0.0, abs=TOL)
 
     def test_duplicated_fair_bit(self):
         joint = ExactDist({(0, 0): F(1, 2), (1, 1): F(1, 2)})
-        assert mutual_information(joint, (0,), (1,)) == pytest.approx(1.0, abs=TOL)
+        assert conditional_mutual_information(joint, (0,), (1,), ()) == pytest.approx(1.0, abs=TOL)
 
     def test_cells_vs_indicator(self):
         # Oracle value: H(y1, y2) - H(y1, y2 | u) = 3/2 - (3/4) log2 3,
@@ -136,12 +138,12 @@ class TestMutualInformation:
             )
         oracle = h_pair - h_cond
         assert oracle == pytest.approx(1.5 - 0.75 * math.log2(3), abs=TOL)
-        assert mutual_information(joint, (0, 1), (2,)) == pytest.approx(oracle, abs=TOL)
+        assert conditional_mutual_information(joint, (0, 1), (2,), ()) == pytest.approx(oracle, abs=TOL)
 
     def test_overlap_rejected(self):
         joint = ExactDist({(0, 0): F(1)})
-        with pytest.raises(ValueError, match="overlap"):
-            mutual_information(joint, (0,), (0, 1))
+        with pytest.raises(ValueError, match="duplicate coordinates"):
+            conditional_mutual_information(joint, (0,), (0, 1), ())
 
 
 class TestTotalVariation:
@@ -239,8 +241,8 @@ def test_mutual_information_symmetric_nonnegative(counts):
     joint = ExactDist(
         {(a, b): F(c, total) for (a, b), c in zip(product((0, 1), repeat=2), counts)}
     )
-    ab = mutual_information(joint, (0,), (1,))
-    ba = mutual_information(joint, (1,), (0,))
+    ab = conditional_mutual_information(joint, (0,), (1,), ())
+    ba = conditional_mutual_information(joint, (1,), (0,), ())
     assert ab == pytest.approx(ba, abs=TOL)
     assert ab >= -TOL
 
@@ -353,9 +355,15 @@ def test_conditional_entropy_and_mutual_information_equal_fraction_reference(cou
     a, b = split
     for cond in ((), a, b, a + b):
         assert conditional_entropy(d, cond) == reference_conditional_entropy(weights, cond, 3)
-    mi = (reference_entropy(reference_marginal(weights, a)) + reference_entropy(reference_marginal(weights, b))
-          - reference_entropy(reference_marginal(weights, a + b)))
-    assert mutual_information(d, a, b) == mi
+
+    def h(target, given):
+        # H(target | given) over the marginal ordered (given, target), as the audit takes it.
+        law = reference_marginal(weights, given + target)
+        return reference_conditional_entropy(law, tuple(range(len(given))), len(given + target))
+
+    rest = tuple(i for i in range(3) if i not in a + b)
+    for c in ((), rest):
+        assert conditional_mutual_information(d, a, b, c) == h(a, c) - h(a, b + c)
     assert marginal(d, a + b).items() == list(reference_marginal(weights, a + b).items())
 
 

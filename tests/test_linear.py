@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from pirlab import audit
 from pirlab.audit import (
     _correctness,
     _download,
@@ -15,7 +16,6 @@ from pirlab.audit import (
     _views,
     check_privacy,
     exhaustive_correctness,
-    ideal_storage_bits,
     measure_overhead,
     measure_rate,
     scheme_profile,
@@ -30,11 +30,9 @@ from pirlab.linear import (
     gf2_rank,
     linear_descriptor,
     linear_retrieve,
-    linear_retrieve_long,
     linear_storage_entropy_bits,
     linear_store,
     replicated_descriptor,
-    replicated_store,
     symmetrize,
 )
 from pirlab.multiround import multiround_descriptor
@@ -92,7 +90,7 @@ class TestStore:
     def test_storage_entropy_is_six_bits_each(self):
         assert linear_storage_entropy_bits() == (6.0, 6.0)
         # Independent route: exhaustive enumeration instead of rank.
-        assert ideal_storage_bits(linear_descriptor()) == [6.0, 6.0]
+        assert measure_overhead(linear_descriptor())["ideal_bits_per_block"] == [6.0, 6.0]
 
     def test_rank_helper(self):
         assert gf2_rank([0b1, 0b10, 0b11]) == 2
@@ -137,36 +135,13 @@ class TestRetrieve:
         assert F(scheme.block_length) / download == F(2, 3)
 
 
-class TestBlockwiseExtension:
-    def test_long_messages_decode_exactly(self):
-        import random
-
-        rng = random.Random(77)
-        for _ in range(25):
-            blocks = rng.randrange(1, 6)
-            w1 = tuple(rng.getrandbits(1) for _ in range(4 * blocks))
-            w2 = tuple(rng.getrandbits(1) for _ in range(4 * blocks))
-            coins = tuple(rng.choice((1, 2)) for _ in range(blocks))
-            for theta in (1, 2):
-                download, decoded = linear_retrieve_long(theta, w1, w2, coins)
-                assert decoded == (w1 if theta == 1 else w2)
-                assert download == 6 * blocks
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError, match="multiple"):
-            linear_retrieve_long(1, (0,) * 6, (0,) * 6, (1,))
-        with pytest.raises(ValueError, match="coin"):
-            linear_retrieve_long(1, (0,) * 8, (0,) * 8, (1,))
-
-
 class TestReplicated:
     def test_both_databases_store_everything(self):
-        m = LinearMessages((1, 0, 1, 0), (0, 0, 1, 1))
-        s1, s2 = replicated_store(m)
+        s1, s2 = replicated_descriptor().store(((1, 0, 1, 0), (0, 0, 1, 1)))
         assert s1 == s2 == (1, 0, 1, 0, 0, 0, 1, 1)
 
     def test_overhead_is_two(self):
-        bits = ideal_storage_bits(replicated_descriptor())
+        bits = measure_overhead(replicated_descriptor())["ideal_bits_per_block"]
         assert bits == [8.0, 8.0]
         assert sum(bits) / (2 * 4) == 2.0
 
@@ -249,19 +224,23 @@ class TestComposition:
         "measure",
         [check_privacy, exhaustive_correctness, measure_rate, measure_overhead, scheme_profile],
     )
-    def test_composed_equals_enumerated(self, measure):
+    def test_composed_equals_enumerated(self, measure, monkeypatch):
         symmetric = symmetrize(faulty_component())
         # Without the declaration the product's 64 sessions are enumerated;
         # with it, a limit of the component's 8 sessions is enough.
-        assert same(measure(symmetric, limit=8), measure(dataclasses.replace(symmetric, product=None)))
+        with monkeypatch.context() as m:
+            m.setattr(audit, "EXHAUSTION_LIMIT", 8)
+            composed = measure(symmetric)
+        assert same(composed, measure(dataclasses.replace(symmetric, product=None)))
 
-    def test_faulty_component_fails_in_composition(self):
+    def test_faulty_component_fails_in_composition(self, monkeypatch):
+        monkeypatch.setattr(audit, "EXHAUSTION_LIMIT", 8)
         symmetric = symmetrize(faulty_component())
-        privacy = check_privacy(symmetric, limit=8)
+        privacy = check_privacy(symmetric)
         assert [db["total_variation"][(1, 2)] for db in privacy["databases"]] == [F(3, 8), F(3, 8)]
         # Per theta, 16 messages x 4 coin pairs; at theta = 2 every message
         # fails on the 3 coin pairs that hold a 1: 48 errors.
-        assert exhaustive_correctness(symmetric, limit=8) == {"cases": 128, "errors": 48, "pass": False}
+        assert exhaustive_correctness(symmetric) == {"cases": 128, "errors": 48, "pass": False}
 
     def test_one_exhaustive_pass_over_the_symmetrised_toy(self):
         # The oracle: the composed privacy, correctness, rate and storage
@@ -289,7 +268,7 @@ class TestComposition:
         assert measure_rate(symmetric) == download
         assert measure_overhead(symmetric)["ideal_bits_per_block"] == storage
 
-    def test_replaced_run_is_enumerated(self):
+    def test_replaced_run_is_enumerated(self, monkeypatch):
         # Composed, this would read the component's 48 errors; enumerated,
         # the replacement's decoder fails every theta = 1 session as well.
         symmetric = symmetrize(faulty_component())
@@ -304,21 +283,26 @@ class TestComposition:
         # A replaced run of symmetrize(linear) is not composed either: the
         # 512-session limit that the composed pass fits is refused.
         symmetric = symmetrize(linear_descriptor())
-        assert exhaustive_correctness(symmetric, limit=512)["pass"]
+        monkeypatch.setattr(audit, "EXHAUSTION_LIMIT", 512)
+        assert exhaustive_correctness(symmetric)["pass"]
         with pytest.raises(ValueError, match="exceeds the exhaustion limit"):
-            exhaustive_correctness(dataclasses.replace(symmetric, run=lambda *args: symmetric.run(*args)), limit=512)
+            exhaustive_correctness(dataclasses.replace(symmetric, run=lambda *args: symmetric.run(*args)))
 
-    def test_nested_product_is_enumerated(self):
+    def test_nested_product_is_enumerated(self, monkeypatch):
         # 4,096 sessions, against 64 for its component, itself a product.
         twice = symmetrize(symmetrize(faulty_component()))
-        with pytest.raises(ValueError, match="exceeds the exhaustion limit"):
-            exhaustive_correctness(twice, limit=64)
+        with monkeypatch.context() as m:
+            m.setattr(audit, "EXHAUSTION_LIMIT", 64)
+            with pytest.raises(ValueError, match="exceeds the exhaustion limit"):
+                exhaustive_correctness(twice)
         assert exhaustive_correctness(twice)["cases"] == 2 * 4_096
 
-    def test_limit_applies_to_the_component_pass(self):
+    def test_limit_applies_to_the_component_pass(self, monkeypatch):
         # 256 messages x 2 coins; the product's 262,144 sessions per theta
         # are never listed.
         symmetric = symmetrize(linear_descriptor())
-        assert check_privacy(symmetric, limit=512)["pass"]
+        monkeypatch.setattr(audit, "EXHAUSTION_LIMIT", 512)
+        assert check_privacy(symmetric)["pass"]
+        monkeypatch.setattr(audit, "EXHAUSTION_LIMIT", 511)
         with pytest.raises(ValueError, match="exceeds the exhaustion limit"):
-            check_privacy(symmetric, limit=511)
+            check_privacy(symmetric)
