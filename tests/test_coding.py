@@ -35,6 +35,8 @@ TERNARY = SourceModel(("a", "b", "c"), {"a": F(1, 2), "b": F(1, 3), "c": F(1, 6)
 # The likely middle symbol keeps the coder interval straddling the midpoint,
 # so each repeat defers one more output bit.
 CENTERED = SourceModel(("a", "b", "c"), {"a": F(1, 4), "b": F(1, 2), "c": F(1, 4)})
+# The multiround scheme's DB1 cell pair (x1, x2) under fair messages.
+CELLS = SourceModel(((0, 0), (0, 1), (1, 0)), {(0, 0): F(1, 2), (0, 1): F(1, 4), (1, 0): F(1, 4)})
 
 
 def biased_bits():
@@ -45,6 +47,17 @@ def biased_bits():
 def ternary_symbols():
     rng = random.Random(7)
     return rng.choices(("a", "b", "c"), weights=(3, 2, 1), k=500)
+
+
+def fair_bits():
+    rng = random.Random(20242)
+    return [rng.getrandbits(1) for _ in range(1 << 12)]
+
+
+def cell_symbols():
+    rng = random.Random(20243)
+    pairs = ((rng.getrandbits(1), rng.getrandbits(1)) for _ in range(1 << 12))
+    return [(a & b, (1 - a) & (1 - b)) for a, b in pairs]
 
 
 def pending_runs():
@@ -154,15 +167,18 @@ class TestEntropyCoder:
         assert entropy_decode(stream, CENTERED, 1000) == ["b"] * 1000
 
     # SHA-256 of framed streams recorded before the coder loops were
-    # rewritten; the framing is a stable interop format.
+    # rewritten (fair and multiround-cells: before the prefix-code path was
+    # added); the framing is a stable interop format.
     @pytest.mark.parametrize(
         "symbols, model, digest",
         [
             (biased_bits, BERN_QUARTER, "99ee4e3ec4158c65a0b94eb24d66279525809f89e4434cb443e5790969f9f6b7"),
             (ternary_symbols, TERNARY, "6a2ef8d5c6f6cb9c0db1a58fe8f79d512b6279935c71cea65435ab7ce45d1c8e"),
             (pending_runs, CENTERED, "a3b7611c34926d244671f4af88d69eda235324f492c7d6eae96b7abfddb237e8"),
+            (fair_bits, FAIR, "a9cdfd64dd23a4428b6e8616219c872d6beaf96fa3691625a98147c14ecc67d2"),
+            (cell_symbols, CELLS, "9854159e56c53f31f9a9900124f3563aaa1696a8f761c8642eb689ca4c6dc73b"),
         ],
-        ids=["bernoulli-quarter", "ternary", "pending-runs"],
+        ids=["bernoulli-quarter", "ternary", "pending-runs", "fair", "multiround-cells"],
     )
     def test_golden_stream(self, symbols, model, digest):
         stream = entropy_encode(symbols(), model)
