@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,11 +39,19 @@ _SECOND = _TOP >> 1
 _HEADER = struct.Struct(">QQ")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_INITIAL = (0, _MASK, 0)
 
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Finite alphabet with exact symbol probabilities (all positive, sum 1)."""
+    """Finite alphabet with exact symbol probabilities (all positive, sum 1).
+
+    When coding any one symbol from the coder's initial state returns it to
+    that state, the arithmetic coder is a prefix code: a stream is its
+    symbols' codewords joined. Such a model keeps those codewords (the
+    dyadic, aligned models; Shannon–Fano–Elias), and the coder writes and
+    reads them directly, bit for bit what the coding loop produces.
+    """
 
     alphabet: tuple[Hashable, ...]
     probabilities: Mapping[Hashable, Fraction]
@@ -69,6 +78,19 @@ class SourceModel:
             cumulative.append(cumulative[-1] + f)
         object.__setattr__(self, "_cumulative", tuple(cumulative))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.alphabet)})
+        codewords = {}
+        for symbol in self.alphabet:
+            bits, _, state = _arithmetic_bits((symbol,), self)
+            if state != _INITIAL:
+                codewords = None
+                break
+            codewords[symbol] = bits.translate(_DIGITS).decode()
+        object.__setattr__(self, "_codewords", codewords)
+        if codewords is not None:
+            # The code is prefix-free, so at every position at most one
+            # alternative matches.
+            object.__setattr__(self, "_parse", re.compile("|".join(codewords.values())).findall)
+            object.__setattr__(self, "_symbol_of", {word: s for s, word in codewords.items()})
 
     @classmethod
     def bernoulli(cls, p_one: Fraction) -> "SourceModel":
@@ -79,13 +101,17 @@ class SourceModel:
         return entropy(ExactDist({(s,): p for s, p in self.probabilities.items()}))
 
 
-def entropy_encode(symbols: Sequence[Hashable], model: SourceModel) -> bytes:
-    """Arithmetic-code ``symbols`` under ``model`` into a framed stream."""
+def _arithmetic_bits(symbols: Sequence[Hashable], model: SourceModel) -> tuple[bytearray, int, tuple[int, int, int]]:
+    """The Witten–Neal–Cleary coding loop from the initial state.
+
+    Returns the settled code bits, one per byte, the symbol count and the
+    final (low, high, pending) state. The closing bit is the caller's.
+    """
     cumulative = model._cumulative
     index = model._index
     total = cumulative[-1]
-    out = bytearray()  # one code bit per byte, packed once at the end
-    low, high, pending = 0, _MASK, 0
+    out = bytearray()
+    low, high, pending = _INITIAL
     count = 0
     for count, symbol in enumerate(symbols, 1):
         try:
@@ -107,11 +133,27 @@ def entropy_encode(symbols: Sequence[Hashable], model: SourceModel) -> bytes:
             pending += 1
             low = (low << 1) & (_MASK >> 1)
             high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
+    return out, count, (low, high, pending)
+
+
+def entropy_encode(symbols: Sequence[Hashable], model: SourceModel) -> bytes:
+    """Arithmetic-code ``symbols`` under ``model`` into a framed stream."""
+    codewords = model._codewords
+    if codewords is None:
+        bits, count, _ = _arithmetic_bits(symbols, model)
+        digits = bits.translate(_DIGITS).decode()
+    else:
+        # str.join: bytes.join would hold a buffer view of every codeword.
+        try:
+            digits = "".join(map(codewords.__getitem__, symbols))
+        except KeyError as missing:
+            raise ValueError(f"symbol {missing.args[0]!r} outside the model alphabet") from None
+        count = len(symbols)
     if count:
-        out.append(1)
+        digits += "1"
     # The leading "0" keeps int() defined for an empty payload.
-    digits = b"0" + out.translate(_DIGITS) + b"0" * (-len(out) % 8)
-    return _HEADER.pack(count, len(out)) + int(digits, 2).to_bytes(len(digits) // 8, "big")
+    padded = "0" + digits + "0" * (-len(digits) % 8)
+    return _HEADER.pack(count, len(digits)) + int(padded, 2).to_bytes(len(padded) // 8, "big")
 
 
 def _parse_frame(data: bytes) -> tuple[int, int, bytes]:
@@ -138,6 +180,18 @@ def entropy_decode(data: bytes, model: SourceModel, count: int) -> list:
     frame_count, bit_count, payload = _parse_frame(data)
     if count != frame_count:
         raise ValueError(f"count mismatch: stream holds {frame_count} symbols, asked for {count}")
+    if model._codewords is None:
+        return _arithmetic_decode(payload, model, count)
+    # Past the payload the zeros parse as the first symbol's codeword, the
+    # only all-zero one; _STATE_BITS zeros finish a codeword cut by the end.
+    digits = format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")
+    words = model._parse(digits + "0" * _STATE_BITS)
+    del words[count:]
+    return [*map(model._symbol_of.__getitem__, words), *[model.alphabet[0]] * (count - len(words))]
+
+
+def _arithmetic_decode(payload: bytes, model: SourceModel, count: int) -> list:
+    """The Witten–Neal–Cleary decoding loop over a frame's payload."""
     cumulative = model._cumulative
     total = cumulative[-1]
     size = len(model.alphabet)

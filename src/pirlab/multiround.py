@@ -18,11 +18,10 @@ Decoding is symbol-exact: the protocol itself makes no errors.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 from .capacity import PirParameters
@@ -38,12 +37,79 @@ NO_QUERY = None  # DB2 is not contacted at this position
 
 Bits = tuple
 
+# The kernel works on bitsets: a length-n bit sequence is an int whose n
+# bits, most significant first, are the positions in order, so one int
+# operation covers every position. The length is carried beside the int.
+# _DIGITS spells bit bytes as digits and every other byte as a non-digit.
+_DIGITS = bytes(48 + b if b < 2 else 120 for b in range(256))
+_BITS = bytes.maketrans(b"01", b"\0\1")
+# Entries equal to 0 or 1, as ``b in (0, 1)`` admits them (True, 1.0, ...).
+_BIT_VALUES = {0: 0, 1: 1}
+_Q1_CODES = {ASK_X1: 0, ASK_X2: 1}
+_Q2_CODES = {NO_QUERY: 0, ASK_Y1: 1, ASK_Y2: 2}
+_A2_CODES = {None: 0, 0: 1, 1: 2}
+# _WHERE[k] translates a code byte to b"1" where it equals k, else b"0".
+_WHERE = tuple(bytes(48 + (code == k) for code in range(256)) for k in range(3))
 
-def _check_bits(name: str, bits: Sequence[int]) -> tuple[int, ...]:
+
+def _words(values: tuple) -> tuple:
+    """The values of four positions for each byte of base-4 codes."""
+    return tuple(product(values + (None,) * (4 - len(values)), repeat=4))
+
+
+_Q1_WORDS = _words((ASK_X1, ASK_X2))
+_Q2_WORDS = _words((NO_QUERY, ASK_Y1, ASK_Y2))
+_A2_WORDS = _words((None, 0, 1))
+
+
+def _pack(name: str, bits: tuple) -> int:
+    """Bitset of ``bits``; raises unless every entry is a bit."""
+    try:
+        return int(b"0" + bytes(bits).translate(_DIGITS), 2)
+    except (TypeError, ValueError):  # an entry such as 2, -1, None, "1" or 1.0
+        pass
+    try:
+        return int(b"0" + bytes(map(_BIT_VALUES.__getitem__, bits)).translate(_DIGITS), 2)
+    except (KeyError, TypeError):
+        raise ValueError(f"{name} must contain only bits") from None
+
+
+def _codes(name: str, entries: Sequence, codes: dict) -> bytes:
+    """One code byte per entry; raises on an entry outside ``codes``."""
+    try:
+        return bytes(map(codes.__getitem__, entries))
+    except (KeyError, TypeError):
+        allowed = ", ".join(map(repr, codes))
+        raise ValueError(f"{name} must contain only {allowed}") from None
+
+
+def _where(codes: bytes, code: int) -> int:
+    """Bitset of the positions holding ``code``."""
+    return int(b"0" + codes.translate(_WHERE[code]), 2)
+
+
+def _unpack(bitset: int, n: int) -> tuple[int, ...]:
+    """The ``n`` bits of ``bitset`` in position order."""
+    return tuple(format(bitset | 1 << n, "b").encode()[1:].translate(_BITS))
+
+
+def _spell(words: tuple, n: int, first: int, second: int = 0) -> tuple:
+    """Per position, the value indexed by how many of two bitsets hold it.
+
+    A bitset's binary digits read in base 4 put one position in each
+    two-bit lane, so the sum has one base-4 code per position, four to a
+    byte, and ``words`` maps each byte to its four values.
+    """
+    pad = -n % 4
+    codes = int(format(first, "b"), 4) + int(format(second, "b"), 4)
+    if n <= 4:
+        return words[codes][pad:]
+    return tuple(chain.from_iterable(map(words.__getitem__, codes.to_bytes((n + pad) // 4, "big"))))[pad:]
+
+
+def _check_bits(name: str, bits: Sequence[int]) -> tuple[tuple[int, ...], int]:
     bits = tuple(bits)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"{name} must contain only bits")
-    return bits
+    return bits, _pack(name, bits)
 
 
 @dataclass(frozen=True)
@@ -54,16 +120,30 @@ class MessagePair:
     w2: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "w1", _check_bits("w1", self.w1))
-        object.__setattr__(self, "w2", _check_bits("w2", self.w2))
-        if len(self.w1) != len(self.w2):
+        w1, packed1 = _check_bits("w1", self.w1)
+        w2, packed2 = _check_bits("w2", self.w2)
+        if len(w1) != len(w2):
             raise ValueError("messages must have equal length")
-        if not self.w1:
+        if not w1:
             raise ValueError("messages must be non-empty")
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "w2", w2)
+        object.__setattr__(self, "_packed", (packed1, packed2))
 
     @property
     def length(self) -> int:
         return len(self.w1)
+
+
+def _cell_bits(m: MessagePair) -> tuple[int, int, int, int]:
+    """The bitsets (x1, x2, y1, y2) of the four cell conjunctions."""
+    w1, w2 = m._packed
+    return w1 & w2, ((1 << m.length) - 1) & ~(w1 | w2), w1 & ~w2, w2 & ~w1
+
+
+def _hits(coin: int, x1: int, x2: int) -> int:
+    """Where the coin-selected x cell is 1: round 1's answer, and u = 0."""
+    return (x1 & ~coin) | (x2 & coin)
 
 
 @dataclass(frozen=True)
@@ -81,16 +161,26 @@ class CellTable:
     u: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for cells in zip(self.x1, self.x2, self.y1, self.y2):
-            if sum(cells) != 1:
-                raise ValueError(f"cells must partition the position, got {cells}")
+        cells = (self.x1, self.x2, self.y1, self.y2)
+        n = len(self.x1)
+        if len(set(map(len, cells))) > 1:
+            raise ValueError("cells must have equal length")
+        try:
+            x1, x2, y1, y2 = packed = [_pack("cells", tuple(c)) for c in cells]
+        except ValueError:  # an entry is not a bit
+            packed = None
+        # One 1 per position: every position covered, and n ones in all.
+        if packed is None or (x1 | x2 | y1 | y2) != (1 << n) - 1 or sum(map(int.bit_count, packed)) != n:
+            first = next(c for c in zip(*cells) if c.count(1) != 1 or c.count(0) != 3)
+            raise ValueError(f"cells must partition the position, got {first}")
+        object.__setattr__(self, "_packed", tuple(packed))
         if self.u is not None:
-            object.__setattr__(self, "u", _check_bits("u", self.u))
-            if len(self.u) != len(self.x1):
+            u, packed_u = _check_bits("u", self.u)
+            object.__setattr__(self, "u", u)
+            if len(u) != n:
                 raise ValueError("u must match the cell length")
-            for flag, a, b in zip(self.u, self.y1, self.y2):
-                if flag == 0 and (a, b) != (0, 0):
-                    raise ValueError("u = 0 requires (y1, y2) = (0, 0)")
+            if ~packed_u & (y1 | y2):
+                raise ValueError("u = 0 requires (y1, y2) = (0, 0)")
 
     @property
     def length(self) -> int:
@@ -113,57 +203,67 @@ class Transcript:
     decoded: tuple[int, ...] | None = None
 
 
+def _check_coin(coin: Sequence[int], n: int, other: str) -> tuple[tuple[int, ...], int]:
+    coin, packed = _check_bits("coin", coin)
+    if len(coin) != n:
+        raise ValueError(f"coin length must match {other} length")
+    return coin, packed
+
+
+def _check_theta(theta: int) -> None:
+    if theta not in (1, 2):
+        raise ValueError("theta must be 1 or 2")
+
+
 def derive_cells(m: MessagePair, coin: Sequence[int] | None = None) -> CellTable:
-    """Evaluate the four cell conjunctions position-wise.
+    """Evaluate the four cell conjunctions on every position at once.
 
     With ``coin`` given, also fills the indicator: u = 0 exactly where the
     coin-selected x cell equals 1 (no round-2 query needed there).
     """
-    x1 = tuple(a & b for a, b in zip(m.w1, m.w2))
-    x2 = tuple((1 - a) & (1 - b) for a, b in zip(m.w1, m.w2))
-    y1 = tuple(a & (1 - b) for a, b in zip(m.w1, m.w2))
-    y2 = tuple((1 - a) & b for a, b in zip(m.w1, m.w2))
+    n = m.length
+    x1, x2, y1, y2 = _cell_bits(m)
     u = None
     if coin is not None:
-        coin = _check_bits("coin", coin)
-        if len(coin) != m.length:
-            raise ValueError("coin length must match message length")
-        u = tuple(
-            0 if (c == 0 and xa == 1) or (c == 1 and xb == 1) else 1
-            for c, xa, xb in zip(coin, x1, x2)
-        )
-    return CellTable(x1, x2, y1, y2, u)
+        hits = _hits(_check_coin(coin, n, "message")[1], x1, x2)
+        u = _unpack(((1 << n) - 1) & ~hits, n)
+    return CellTable(_unpack(x1, n), _unpack(x2, n), _unpack(y1, n), _unpack(y2, n), u)
 
 
 def round1(coin: Sequence[int], cells: CellTable) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """DB1 round: query x1 on coin 0, x2 on coin 1; answer the stored cell."""
-    coin = _check_bits("coin", coin)
-    if len(coin) != cells.length:
-        raise ValueError("coin length must match cell length")
-    query = tuple(ASK_X1 if c == 0 else ASK_X2 for c in coin)
-    answers = tuple(
-        xa if q == ASK_X1 else xb for q, xa, xb in zip(query, cells.x1, cells.x2)
-    )
-    return query, answers
+    n = cells.length
+    _, packed = _check_coin(coin, n, "cell")
+    x1, x2 = cells._packed[:2]
+    return _spell(_Q1_WORDS, n, packed), _unpack(_hits(packed, x1, x2), n)
+
+
+def _round2(theta: int, asked_x2: int, hits: int, n: int) -> tuple[int, int]:
+    """Bitsets of the positions that ask DB2 for y1 and for y2.
+
+    Asking x1 and missing, the desired bit is the y cell of index theta;
+    asking x2 and missing, it is the other one.
+    """
+    misses = ((1 << n) - 1) & ~hits
+    want_y2 = misses & (asked_x2 if theta == 1 else ~asked_x2)
+    return misses & ~want_y2, want_y2
 
 
 def round2_query(
     theta: int, q1: Sequence[str], a1: Sequence[int]
 ) -> tuple[str | None, ...]:
     """Pick the DB2 cell that reveals the desired bit; skip when a1 = 1."""
-    if theta not in (1, 2):
-        raise ValueError("theta must be 1 or 2")
+    _check_theta(theta)
     if len(q1) != len(a1):
         raise ValueError("q1 and a1 must have equal length")
-    out = []
-    for q, a in zip(q1, a1):
-        if a == 1:
-            out.append(NO_QUERY)
-        elif q == ASK_X1:
-            out.append(ASK_Y1 if theta == 1 else ASK_Y2)
-        else:
-            out.append(ASK_Y2 if theta == 1 else ASK_Y1)
-    return tuple(out)
+    n = len(q1)
+    asked_x2 = _where(_codes("q1", q1, _Q1_CODES), 1)
+    ask_y1, ask_y2 = _round2(theta, asked_x2, _pack("a1", tuple(a1)), n)
+    return _spell(_Q2_WORDS, n, ask_y1 | ask_y2, ask_y2)
+
+
+def _answer(ask_y1: int, ask_y2: int, y1: int, y2: int, n: int) -> tuple[int | None, ...]:
+    return _spell(_A2_WORDS, n, ask_y1 | ask_y2, (ask_y1 & y1) | (ask_y2 & y2))
 
 
 def db2_answer(
@@ -172,10 +272,8 @@ def db2_answer(
     """Answer the requested y cell; emit nothing (None) at skipped positions."""
     if not (len(q2) == len(y1) == len(y2)):
         raise ValueError("q2 and cell sequences must have equal length")
-    return tuple(
-        None if q is NO_QUERY else (a if q == ASK_Y1 else b)
-        for q, a, b in zip(q2, y1, y2)
-    )
+    codes = _codes("q2", q2, _Q2_CODES)
+    return _answer(_where(codes, 1), _where(codes, 2), _pack("y1", tuple(y1)), _pack("y2", tuple(y2)), len(q2))
 
 
 def decode(theta: int, t: Transcript) -> tuple[int, ...]:
@@ -184,29 +282,37 @@ def decode(theta: int, t: Transcript) -> tuple[int, ...]:
     a1 = 1 pins both bits. Otherwise the fetched y cell either equals the
     desired bit (asked x1) or its complement (asked x2).
     """
-    if theta not in (1, 2):
-        raise ValueError("theta must be 1 or 2")
-    if not (len(t.q1) == len(t.a1) == len(t.q2) == len(t.a2)):
+    _check_theta(theta)
+    return _decode(t.q1, t.a1, t.q2, t.a2)
+
+
+def _decode(q1: Sequence, a1: Sequence, q2: Sequence, a2: Sequence) -> tuple[int, ...]:
+    if not (len(q1) == len(a1) == len(q2) == len(a2)):
         raise ValueError("incomplete transcript")
-    out = []
-    for q1, a1, q2, a2 in zip(t.q1, t.a1, t.q2, t.a2):
-        if a1 == 1:
-            out.append(1 if q1 == ASK_X1 else 0)
-            continue
-        if q2 is NO_QUERY or a2 is None:
-            raise ValueError("incomplete transcript: missing round-2 answer")
-        out.append(a2 if q1 == ASK_X1 else 1 - a2)
-    return tuple(out)
+    asked_x2 = _where(_codes("q1", q1, _Q1_CODES), 1)
+    hits = _pack("a1", tuple(a1))
+    answers = _codes("a2", a2, _A2_CODES)
+    if ~hits & (_where(_codes("q2", q2, _Q2_CODES), 0) | _where(answers, 0)):
+        raise ValueError("incomplete transcript: missing round-2 answer")
+    return _unpack((hits & ~asked_x2) | (~hits & (_where(answers, 2) ^ asked_x2)), len(q1))
 
 
 def run_session(m: MessagePair, theta: int, coin: Sequence[int]) -> Transcript:
-    """Play one full session; the decoded output always equals the desired message."""
-    cells = derive_cells(m, coin)
-    q1, a1 = round1(coin, cells)
-    q2 = round2_query(theta, q1, a1)
-    a2 = db2_answer(q2, cells.y1, cells.y2)
-    t = Transcript(theta=theta, coin=tuple(coin), q1=q1, a1=a1, q2=q2, a2=a2)
-    return dataclasses.replace(t, decoded=decode(theta, t))
+    """Play one full session; the decoded output always equals the desired message.
+
+    The user decodes from the transcript's queries and answers alone.
+    """
+    n = m.length
+    coin, packed = _check_coin(coin, n, "message")
+    _check_theta(theta)
+    x1, x2, y1, y2 = _cell_bits(m)
+    hits = _hits(packed, x1, x2)
+    ask_y1, ask_y2 = _round2(theta, packed, hits, n)
+    q1 = _spell(_Q1_WORDS, n, packed)
+    a1 = _unpack(hits, n)
+    q2 = _spell(_Q2_WORDS, n, ask_y1 | ask_y2, ask_y2)
+    a2 = _answer(ask_y1, ask_y2, y1, y2, n)
+    return Transcript(theta, coin, q1, a1, q2, a2, _decode(q1, a1, q2, a2))
 
 
 def _draw(rng: random.Random, bias: float, n: int) -> tuple[MessagePair, tuple[int, ...]]:
@@ -320,13 +426,17 @@ def multiround_descriptor(
         return ((cells.x1[0], cells.x2[0]), (cells.y1[0], cells.y2[0]))
 
     def run(msg, theta, coin):
-        t = run_session(MessagePair(*msg), theta, coin)
-        download = 1 + sum(1 for a in t.a2 if a is not None)
+        # The audit sees each database's part, so the session is played
+        # through the per-round steps that run_session fuses.
+        cells = derive_cells(MessagePair(*msg), coin)
+        q1, a1 = round1(coin, cells)
+        q2 = round2_query(theta, q1, a1)
+        a2 = db2_answer(q2, cells.y1, cells.y2)
         return SessionRecord(
-            queries=(t.q1, t.q2),
-            answers=(t.a1, t.a2),
-            decoded=t.decoded,
-            download_bits=download,
+            queries=(q1, q2),
+            answers=(a1, a2),
+            decoded=decode(theta, Transcript(theta, coin, q1, a1, q2, a2)),
+            download_bits=1 + sum(1 for a in a2 if a is not None),
         )
 
     def side_information(msg, coin):

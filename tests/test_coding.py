@@ -1,5 +1,6 @@
 """Entropy coder round-trips, rate bands, and binning coder behavior."""
 
+import copy
 import hashlib
 import math
 import random
@@ -194,6 +195,88 @@ def test_round_trip_any_bits_any_bernoulli(bits, numerator):
     model = SourceModel.bernoulli(F(numerator, 10))
     stream = entropy_encode(bits, model)
     assert entropy_decode(stream, model, len(bits)) == bits
+
+
+def general_loop(model):
+    """``model`` with its codewords dropped, so the coder runs its loops."""
+    general = copy.copy(model)
+    object.__setattr__(general, "_codewords", None)
+    return general
+
+
+@st.composite
+def prefix_models(draw):
+    """A dyadic model whose symbols, most likely first, tile [0, 1) with
+    aligned intervals: the leaves of a random binary tree of 1-8 leaves."""
+    depths = [0]
+    for _ in range(draw(st.integers(0, 7))):
+        depths.append(depths.pop(draw(st.integers(0, len(depths) - 1))) + 1)
+        depths.append(depths[-1])
+    depths.sort()
+    alphabet = tuple(range(len(depths)))
+    return SourceModel(alphabet, {s: F(1, 2**d) for s, d in zip(alphabet, depths)})
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+class TestPrefixPath:
+    def test_which_models_are_prefix_codes(self):
+        assert CELLS._codewords == {(0, 0): "0", (0, 1): "10", (1, 0): "11"}
+        assert FAIR._codewords == {0: "0", 1: "1"}
+        # Not dyadic (a1 and a2 answer streams), or dyadic but not aligned.
+        for model in (BERN_QUARTER, BERN_THIRD, TERNARY, CENTERED):
+            assert model._codewords is None
+
+    @settings(max_examples=200)
+    @given(prefix_models(), st.data())
+    def test_same_bytes_as_the_coding_loop(self, model, data):
+        assert model._codewords is not None
+        symbols = data.draw(st.lists(st.sampled_from(model.alphabet), max_size=60))
+        stream = entropy_encode(symbols, model)
+        assert stream == entropy_encode(symbols, general_loop(model))
+        assert entropy_decode(stream, model, len(symbols)) == symbols
+
+    @settings(max_examples=300)
+    @given(
+        prefix_models(),
+        st.integers(0, 80),
+        st.integers(0, 48),
+        st.integers(0, 2**48 - 1),
+        st.booleans(),
+        st.integers(-1, 1),
+    )
+    def test_same_decode_of_any_frame(self, model, count, bit_count, bits, dirty, count_offset):
+        # Any header over any payload: counts beyond the codewords present
+        # read zeros past the end; ``dirty`` sets the last padding bit.
+        pad = -bit_count % 8
+        payload = (bits % 2**bit_count) << pad | (dirty and pad > 0)
+        frame = struct.pack(">QQ", count, bit_count) + payload.to_bytes((bit_count + pad) // 8, "big")
+        asked = max(count + count_offset, 0)
+        assert outcome(entropy_decode, frame, model, asked) == outcome(
+            entropy_decode, frame, general_loop(model), asked
+        )
+
+    def test_same_errors(self):
+        for model in (FAIR, CELLS):
+            symbols = list(model.alphabet) * 2
+            stream = entropy_encode(symbols, model)
+            assert stream_payload_bits(stream) % 8
+            corrupted = stream[:-1] + bytes((stream[-1] | 1,))
+            cases = [
+                (entropy_encode, symbols + ["z"], model),
+                (entropy_decode, stream, model, len(symbols) + 1),
+                (entropy_decode, corrupted, model, len(symbols)),
+            ]
+            for call, *args in cases:
+                got = outcome(call, *args)
+                assert got.startswith("ValueError")
+                args[1] = general_loop(model)
+                assert got == outcome(call, *args)
 
 
 class TestBinSizing:

@@ -1,10 +1,11 @@
 """Multiround scheme: cells, rounds, decoding, and exact scheme laws."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pirlab.multiround import (
     ASK_X1,
@@ -231,3 +232,210 @@ class TestDescriptor:
         fetch = scheme.run(((1,), (0,)), 1, (0,))
         assert skip.download_bits == 1
         assert fetch.download_bits == 2
+
+
+# --- Reference: the per-position kernel the bitset kernel replaced ---------
+#
+# Each function evaluates the scheme one position at a time, as the package
+# did before its functions moved to bitsets. The package must return equal
+# cells, transcripts and errors.
+
+
+def ref_bits(name, bits):
+    bits = tuple(bits)
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"{name} must contain only bits")
+    return bits
+
+
+def ref_message(w1, w2):
+    w1, w2 = ref_bits("w1", w1), ref_bits("w2", w2)
+    if len(w1) != len(w2):
+        raise ValueError("messages must have equal length")
+    if not w1:
+        raise ValueError("messages must be non-empty")
+    return w1, w2
+
+
+def ref_derive_cells(w1, w2, coin=None):
+    x1 = tuple(a & b for a, b in zip(w1, w2))
+    x2 = tuple((1 - a) & (1 - b) for a, b in zip(w1, w2))
+    y1 = tuple(a & (1 - b) for a, b in zip(w1, w2))
+    y2 = tuple((1 - a) & b for a, b in zip(w1, w2))
+    u = None
+    if coin is not None:
+        coin = ref_bits("coin", coin)
+        if len(coin) != len(w1):
+            raise ValueError("coin length must match message length")
+        u = tuple(
+            0 if (c == 0 and xa == 1) or (c == 1 and xb == 1) else 1
+            for c, xa, xb in zip(coin, x1, x2)
+        )
+    return x1, x2, y1, y2, u
+
+
+def ref_round1(coin, x1, x2):
+    coin = ref_bits("coin", coin)
+    if len(coin) != len(x1):
+        raise ValueError("coin length must match cell length")
+    query = tuple(ASK_X1 if c == 0 else ASK_X2 for c in coin)
+    return query, tuple(xa if q == ASK_X1 else xb for q, xa, xb in zip(query, x1, x2))
+
+
+def ref_round2_query(theta, q1, a1):
+    if theta not in (1, 2):
+        raise ValueError("theta must be 1 or 2")
+    if len(q1) != len(a1):
+        raise ValueError("q1 and a1 must have equal length")
+    out = []
+    for q, a in zip(q1, a1):
+        if a == 1:
+            out.append(NO_QUERY)
+        elif q == ASK_X1:
+            out.append(ASK_Y1 if theta == 1 else ASK_Y2)
+        else:
+            out.append(ASK_Y2 if theta == 1 else ASK_Y1)
+    return tuple(out)
+
+
+def ref_db2_answer(q2, y1, y2):
+    if not (len(q2) == len(y1) == len(y2)):
+        raise ValueError("q2 and cell sequences must have equal length")
+    return tuple(None if q is NO_QUERY else (a if q == ASK_Y1 else b) for q, a, b in zip(q2, y1, y2))
+
+
+def ref_decode(theta, q1, a1, q2, a2):
+    if theta not in (1, 2):
+        raise ValueError("theta must be 1 or 2")
+    if not (len(q1) == len(a1) == len(q2) == len(a2)):
+        raise ValueError("incomplete transcript")
+    out = []
+    for x, a, q, b in zip(q1, a1, q2, a2):
+        if a == 1:
+            out.append(1 if x == ASK_X1 else 0)
+            continue
+        if q is NO_QUERY or b is None:
+            raise ValueError("incomplete transcript: missing round-2 answer")
+        out.append(b if x == ASK_X1 else 1 - b)
+    return tuple(out)
+
+
+def ref_session(w1, w2, theta, coin):
+    w1, w2 = ref_message(w1, w2)
+    x1, x2, y1, y2, _ = ref_derive_cells(w1, w2, coin)
+    q1, a1 = ref_round1(coin, x1, x2)
+    q2 = ref_round2_query(theta, q1, a1)
+    a2 = ref_db2_answer(q2, y1, y2)
+    return (theta, tuple(coin), q1, a1, q2, a2, ref_decode(theta, q1, a1, q2, a2))
+
+
+def cell_fields(table):
+    return (table.x1, table.x2, table.y1, table.y2, table.u)
+
+
+def transcript_fields(t):
+    return (t.theta, t.coin, t.q1, t.a1, t.q2, t.a2, t.decoded)
+
+
+def assert_same_session(w1, w2, theta, coin):
+    m = MessagePair(w1, w2)
+    assert cell_fields(derive_cells(m)) == ref_derive_cells(w1, w2)
+    cells = derive_cells(m, coin)
+    assert cell_fields(cells) == ref_derive_cells(w1, w2, coin)
+    q1, a1 = round1(coin, cells)
+    assert (q1, a1) == ref_round1(coin, cells.x1, cells.x2)
+    q2 = round2_query(theta, q1, a1)
+    assert q2 == ref_round2_query(theta, q1, a1)
+    a2 = db2_answer(q2, cells.y1, cells.y2)
+    assert a2 == ref_db2_answer(q2, cells.y1, cells.y2)
+    t = run_session(m, theta, coin)
+    assert transcript_fields(t) == ref_session(w1, w2, theta, coin)
+    assert decode(theta, t) == t.decoded
+
+
+class TestBitsetKernelMatchesReference:
+    def test_exhaustive_up_to_three_positions(self):
+        for length in (1, 2, 3):
+            for w1, w2, coin in product(product((0, 1), repeat=length), repeat=3):
+                for theta in (1, 2):
+                    assert_same_session(w1, w2, theta, coin)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 300), st.integers(0, 2**32), st.sampled_from((1, 2)))
+    def test_random_lengths(self, length, seed, theta):
+        rng = random.Random(seed)
+        w1, w2, coin = ([rng.getrandbits(1) for _ in range(length)] for _ in range(3))
+        assert_same_session(w1, w2, theta, coin)
+
+    @pytest.mark.parametrize("entry", [2, -1, None, "1"])
+    def test_same_error_for_non_bits(self, entry):
+        def error(call, *args):
+            with pytest.raises(ValueError) as raised:
+                call(*args)
+            return str(raised.value)
+
+        good = (0, 1, 1)
+        bad = (0, entry, 1)
+        m = MessagePair(good, good)
+        cells = derive_cells(m)
+        assert error(MessagePair, bad, good) == error(ref_message, bad, good)
+        assert error(MessagePair, good, bad) == error(ref_message, good, bad)
+        assert error(derive_cells, m, bad) == error(ref_derive_cells, good, good, bad)
+        assert error(round1, bad, cells) == error(ref_round1, bad, cells.x1, cells.x2)
+        assert error(run_session, m, 1, bad) == error(ref_session, good, good, 1, bad)
+        with pytest.raises(ValueError, match="u must contain only bits"):
+            CellTable(cells.x1, cells.x2, cells.y1, cells.y2, u=bad)
+
+    def test_same_error_for_lengths_and_empty_messages(self):
+        for bad_pair in (((0, 1), (0,)), ((), ())):
+            with pytest.raises(ValueError) as want:
+                ref_message(*bad_pair)
+            with pytest.raises(ValueError, match=str(want.value)):
+                MessagePair(*bad_pair)
+        m = MessagePair((0, 1), (1, 1))
+        cells = derive_cells(m)
+        t = run_session(m, 1, (0, 1))
+        cases = [
+            (lambda: derive_cells(m, (0,)), lambda: ref_derive_cells(m.w1, m.w2, (0,))),
+            (lambda: round1((0,), cells), lambda: ref_round1((0,), cells.x1, cells.x2)),
+            (lambda: run_session(m, 1, (0, 1, 1)), lambda: ref_session(m.w1, m.w2, 1, (0, 1, 1))),
+            (lambda: round2_query(1, t.q1, t.a1[:1]), lambda: ref_round2_query(1, t.q1, t.a1[:1])),
+            (lambda: round2_query(3, t.q1, t.a1), lambda: ref_round2_query(3, t.q1, t.a1)),
+            (lambda: db2_answer(t.q2, cells.y1[:1], cells.y2), lambda: ref_db2_answer(t.q2, cells.y1[:1], cells.y2)),
+            (lambda: decode(0, t), lambda: ref_decode(0, t.q1, t.a1, t.q2, t.a2)),
+        ]
+        short = Transcript(1, t.coin, t.q1, t.a1, t.q2[:1], t.a2)
+        cases.append((lambda: decode(1, short), lambda: ref_decode(1, short.q1, short.a1, short.q2, short.a2)))
+        for q2, a2 in (((ASK_Y1,), (None,)), ((NO_QUERY,), (1,))):
+            missing = Transcript(1, (0,), (ASK_X1,), (0,), q2, a2)
+            cases.append((lambda t=missing: decode(1, t), lambda q2=q2, a2=a2: ref_decode(1, (ASK_X1,), (0,), q2, a2)))
+        for call, ref in cases:
+            with pytest.raises(ValueError) as want:
+                ref()
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    def test_true_and_float_one_are_bits(self):
+        # As with ``b in (0, 1)``, an entry equal to 0 or 1 is a bit: True
+        # and 1.0 are accepted, and the session runs on their int values.
+        m = MessagePair((True, 0.0), (1.0, False))
+        assert m.w1 == (1, 0) and m.w2 == (1, 0)
+        t = run_session(m, 2, (1.0, True))
+        assert transcript_fields(t)[2:] == ref_session((1, 0), (1, 0), 2, (1, 1))[2:]
+
+    def test_entries_outside_the_protocol_rejected(self):
+        m = MessagePair((0, 1), (1, 1))
+        t = run_session(m, 1, (0, 1))
+        with pytest.raises(ValueError, match="q1 must contain only 'x1', 'x2'"):
+            round2_query(1, ("x3", ASK_X1), t.a1)
+        with pytest.raises(ValueError, match="a1 must contain only bits"):
+            round2_query(1, t.q1, (2, 0))
+        with pytest.raises(ValueError, match="q2 must contain only None, 'y1', 'y2'"):
+            db2_answer(("x1", None), (0, 0), (0, 1))
+        with pytest.raises(ValueError, match="y1 must contain only bits"):
+            db2_answer(t.q2, (None, 0), (0, 1))
+        with pytest.raises(ValueError, match="a2 must contain only None, 0, 1"):
+            decode(1, Transcript(1, t.coin, t.q1, t.a1, t.q2, (2, None)))
+        with pytest.raises(ValueError, match="cells must have equal length"):
+            CellTable((1, 0), (0,), (0,), (0,))
