@@ -509,11 +509,12 @@ def _finish_overhead(
                 L, derive_seed(seed, "storage"), codec or CodecConfig(), cell_model
             )
         else:
+            # L native blocks' raw storage; L is a multiple of the block.
+            blocks = L // scheme.block_length
             concrete_bits = tuple(
-                float(len(s))
+                float(blocks * len(s))
                 for s in scheme.store(next(iter(scheme.message_space()))[0])
             )
-            L = scheme.block_length
         concrete_account = OverheadAccount(
             per_database_storage_bits=concrete_bits,
             message_length=L,

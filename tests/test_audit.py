@@ -342,8 +342,18 @@ class TestConcreteAccounting:
 
     def test_linear_concrete_overhead_raw_bits(self):
         stats = measure_overhead(linear_descriptor(), mode="concrete")
-        assert stats["concrete"]["bits_per_database"] == (6.0, 6.0)
+        assert stats["concrete"]["bits_per_database"] == (15_000.0, 15_000.0)
         assert stats["concrete"]["alpha_concrete"] == 1.5
+
+    def test_uncoded_concrete_overhead_is_charged_at_the_requested_length(self):
+        # L // block_length native blocks of raw storage, reported at the
+        # requested L; the ratio stays the native block's.
+        for scheme, L, bits, alpha in (
+            (linear_descriptor(), 2_000, 3_000.0, 1.5),
+            (multiround_descriptor(storage="replicated"), 64, 128.0, 2.0),
+        ):
+            concrete = measure_overhead(scheme, mode="concrete", L=L)["concrete"]
+            assert concrete == {"L": L, "bits_per_database": (bits, bits), "alpha_concrete": alpha}
 
     def test_concrete_accounting_follows_the_coded_layer_not_the_name(self):
         original = multiround_descriptor()

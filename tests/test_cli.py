@@ -34,9 +34,9 @@ GOLDEN = {
     ("simulate", "--scheme", "multiround", "--mode", "concrete"):
         (0, "dced4528db632374813f17f1c4c0932fa7d6e7f4a0dea4395b5a393bfc93fb2c"),
     ("audit", "--scheme", "linear", "--mode", "concrete"):
-        (0, "4d6cab084e50ad1b8b96f80c5f940b0d222c094a22188e3798de0ccbba732c84"),
+        (0, "81c137cb7bf77d2e5c99cf5ff1eb5299eaec34a8e35d546c056e2623048dce06"),
     ("audit", "--scheme", "multiround", "--storage", "replicated", "--mode", "concrete"):
-        (1, "c681769190ed1061e25367a8f596005332a01a2fceb50588ffe8884ec8dcdffb"),
+        (1, "1cda018e26174aa7b73d382967780d58c43c2ad44a651499c934d5f943ba46c2"),
     ("simulate", "--scheme", "linear", "--mode", "concrete"):
         (0, "6b3659d72932272fda9df8b789807e325bf2cbf692ad435a908acf94f9888311"),
 }
