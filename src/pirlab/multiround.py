@@ -102,7 +102,7 @@ def _spell(words: tuple, n: int, first: int, second: int = 0) -> tuple:
     """
     pad = -n % 4
     codes = int(format(first, "b"), 4) + int(format(second, "b"), 4)
-    if n <= 4:
+    if n <= 4:  # one byte: the audits' short sessions skip the chain
         return words[codes][pad:]
     return tuple(chain.from_iterable(map(words.__getitem__, codes.to_bytes((n + pad) // 4, "big"))))[pad:]
 
@@ -263,6 +263,7 @@ def round2_query(
 
 
 def _answer(ask_y1: int, ask_y2: int, y1: int, y2: int, n: int) -> tuple[int | None, ...]:
+    """DB2's answers: the asked y cell, None where nothing is asked."""
     return _spell(_A2_WORDS, n, ask_y1 | ask_y2, (ask_y1 & y1) | (ask_y2 & y2))
 
 
@@ -287,6 +288,7 @@ def decode(theta: int, t: Transcript) -> tuple[int, ...]:
 
 
 def _decode(q1: Sequence, a1: Sequence, q2: Sequence, a2: Sequence) -> tuple[int, ...]:
+    """:func:`decode` on a transcript's queries and answers."""
     if not (len(q1) == len(a1) == len(q2) == len(a2)):
         raise ValueError("incomplete transcript")
     asked_x2 = _where(_codes("q1", q1, _Q1_CODES), 1)
