@@ -53,8 +53,12 @@ _WHERE = tuple(bytes(48 + (code == k) for code in range(256)) for k in range(3))
 
 
 def _words(values: tuple) -> tuple:
-    """The values of four positions for each byte of base-4 codes."""
-    return tuple(product(values + (None,) * (4 - len(values)), repeat=4))
+    """The values of four positions for each byte of base-4 codes; a byte
+    holding a code with no value maps to ()."""
+    return tuple(
+        tuple(map(values.__getitem__, digits)) if max(digits) < len(values) else ()
+        for digits in product(range(4), repeat=4)
+    )
 
 
 _Q1_WORDS = _words((ASK_X1, ASK_X2))
