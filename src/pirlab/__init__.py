@@ -5,7 +5,7 @@ a single-round linear scheme, exact-rational privacy auditing, entropy and
 binning coders, and closed-form capacity oracles.
 """
 
-from .capacity import OverheadAccount, PirParameters, check_rate_admissible, mtpir_capacity, storage_overhead
+from .capacity import PirParameters, check_rate_admissible, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, SourceModel, SwBin, entropy_decode, entropy_encode, sw_decode, sw_encode
 from .descriptor import SchemeDescriptor, SessionRecord
 from .dist import ExactDist, conditional_entropy, entropy, marginal, total_variation
@@ -19,7 +19,6 @@ __all__ = [
     "ExactDist",
     "LinearMessages",
     "MessagePair",
-    "OverheadAccount",
     "PatternChoice",
     "PirParameters",
     "SchemeDescriptor",

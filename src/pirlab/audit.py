@@ -18,7 +18,7 @@ from itertools import islice, product
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .capacity import OverheadAccount, check_rate_admissible, mtpir_capacity, storage_overhead
+from .capacity import check_rate_admissible, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, SourceModel
 from .descriptor import SchemeDescriptor
 from .dist import ExactDist, conditional_entropy, entropy, marginal, total_variation
@@ -39,11 +39,13 @@ def _thetas(scheme: SchemeDescriptor) -> tuple[int, ...]:
 
 def _spaces(scheme: SchemeDescriptor):
     """Both spaces, listed; a message space too large for ``EXHAUSTION_LIMIT``
-    is refused after at most one message more than fits."""
+    is refused after at most one message more than fits. An empty space is
+    refused too: it would run no session, so every table would be empty."""
     randomness = list(scheme.randomness_space())
-    per_message = max(len(randomness), 1)
-    messages = list(islice(scheme.message_space(), EXHAUSTION_LIMIT // per_message + 1))
-    size = len(messages) * per_message
+    messages = list(islice(scheme.message_space(), EXHAUSTION_LIMIT // max(len(randomness), 1) + 1))
+    if not (messages and randomness):
+        raise ValueError(f"scheme {scheme.name!r} has an empty message or randomness space")
+    size = len(messages) * len(randomness)
     if size > EXHAUSTION_LIMIT:
         raise ValueError(
             f"state space of at least {size} sessions exceeds the exhaustion limit of {EXHAUSTION_LIMIT}"
@@ -60,18 +62,16 @@ def _integer_weights(space: list) -> tuple[list, int]:
 class _Projection(NamedTuple):
     """What one measurement reads from the pass, and how it finishes.
 
-    Either ``session(msg, stored, f, records)`` returns one key per table,
-    ``records[i]`` being the session played with the pass's ``thetas[i]``,
-    or ``message(msg, stored)`` does, once per message. ``stored`` is None
-    unless ``stores``. ``finish`` maps the tables, as ``ExactDist`` counts
-    over the pass's common denominator, to the measurement; ``compose``, if
-    set, maps the same tables, tabulated over a product's component, to the
-    product's measurement.
+    ``session(msg, stored, f, records)`` returns one key per table,
+    ``records[i]`` being the session played with the pass's ``thetas[i]``;
+    ``stored`` is None unless ``stores``. ``finish`` maps the tables, as
+    ``ExactDist`` counts over the pass's common denominator, to the
+    measurement; ``compose``, if set, maps the same tables, tabulated over a
+    product's component, to the product's measurement.
     """
 
     finish: Callable[[list], object]
-    session: Callable | None = None
-    message: Callable | None = None
+    session: Callable
     stores: bool = False
     compose: Callable[[list], object] | None = None
 
@@ -84,8 +84,9 @@ def _tabulate(
     """Each projection's finished result, from one exhaustive pass.
 
     Each message is stored once, and only if some projection reads storage;
-    each (message, theta, randomness) triple is run once. Weights accumulate
-    as integers over the product of the two spaces' common denominators.
+    each (message, theta, randomness) triple is run once. Every projection
+    reads each (message, randomness) pair, and weights accumulate as
+    integers over the product of the two spaces' common denominators.
     Each table is handed on as an ``ExactDist`` of those integer counts.
     A product whose projections all compose is tabulated over its component,
     unless nested or with a replaced run, store or space: those are enumerated.
@@ -101,14 +102,10 @@ def _tabulate(
     run = scheme.run
     stores = any(p.stores for p in projections)
     slots = [(p, defaultdict(lambda: defaultdict(int))) for p in projections]
-    by_session = [(p.session, tables) for p, tables in slots if p.session is not None]
-    by_message = [(p.message, tables) for p, tables in slots if p.message is not None]
+    by_session = [(p.session, tables) for p, tables in slots]
     for msg, w_msg in messages:
         stored = scheme.store(msg) if stores else None
-        for message, tables in by_message:
-            for i, key in enumerate(message(msg, stored)):
-                tables[i][key] += w_msg * f_den
-        for f, w_f in randomness if by_session else ():
+        for f, w_f in randomness:
             records = [run(msg, theta, f) for theta in thetas]
             weight = w_msg * w_f
             for session, tables in by_session:
@@ -273,11 +270,9 @@ def _download(scheme: SchemeDescriptor) -> _Projection:
 
 
 def _storage(scheme: SchemeDescriptor) -> _Projection:
-    """Per-database H(S_n | side information available at answer time).
-
-    Storage without side information depends only on the message, so it is
-    tabulated once per message; with side information, once per session.
-    Without it, a product's H(S_n) is its component's H(S_n) + H(S_other).
+    """Per-database H(S_n | side information available at answer time),
+    tabulated per session. Without side information, a product's H(S_n) is
+    its component's H(S_n) + H(S_other).
     """
 
     def finish(tables):
@@ -287,13 +282,12 @@ def _storage(scheme: SchemeDescriptor) -> _Projection:
         bits = finish(tables)
         return [a + b for a, b in zip(bits, bits[::-1])]
 
-    if scheme.side_information is None:
-        return _Projection(
-            finish, message=lambda msg, stored: [(s, ()) for s in stored], stores=True, compose=compose
-        )
-    return _Projection(
-        finish, lambda msg, stored, f, records: list(zip(stored, scheme.side_information(msg, f))), stores=True
-    )
+    side = scheme.side_information
+
+    def session(msg, stored, f, records):
+        return [(s, ()) for s in stored] if side is None else list(zip(stored, side(msg, f)))
+
+    return _Projection(finish, session, stores=True, compose=compose if side is None else None)
 
 
 def scheme_profile(scheme: SchemeDescriptor) -> dict:
@@ -395,7 +389,7 @@ def _db1_cells(scheme: SchemeDescriptor) -> _Projection:
                              "one (x1, x2) cell pair per position")
         return SourceModel(tuple(sorted(cells.support())), dict(cells.items()))
 
-    return _Projection(finish, message=lambda msg, stored: (stored[0],), stores=True)
+    return _Projection(finish, lambda msg, stored, f, records: (stored[0],), stores=True)
 
 
 def answer_stream_models(scheme: SchemeDescriptor) -> tuple[SourceModel, SourceModel]:
@@ -467,65 +461,41 @@ def _finish_rate(
     return result, sessions
 
 
-def measure_overhead(
-    scheme: SchemeDescriptor,
-    mode: str = "ideal",
-    L: int = 10_000,
-    seed: int = 0,
-    codec: CodecConfig | None = None,
-) -> dict:
-    """Storage overhead in ideal (exact entropy) or concrete accounting.
-
-    Concrete accounting charges a scheme with a coded layer the layer's
-    coded storage bits; schemes whose storage is already incompressible
-    bits are charged at face value.
-    """
-    _check_flags(scheme, mode, L, 1)
-    projections = [_storage(scheme)]
-    if mode == "concrete" and scheme.coded is not None:
-        projections.append(_db1_cells(scheme))
-    storage, *cell_model = _tabulate(scheme, (), projections)
-    return _finish_overhead(scheme, storage, mode, L, seed, codec, *cell_model)
+def measure_overhead(scheme: SchemeDescriptor) -> dict:
+    """Ideal storage overhead, from the exact per-database storage entropy."""
+    return _finish_overhead(scheme, _tabulate(scheme, (), [_storage(scheme)])[0])
 
 
-def _finish_overhead(
-    scheme: SchemeDescriptor, ideal: list[float], mode: str, L: int, seed: int,
-    codec: CodecConfig | None, cell_model: SourceModel | None = None,
-) -> dict:
-    """Overhead accounting, in ``mode``, from the ideal per-database storage
-    bits and, for a coded scheme, ``_db1_cells``' result."""
-    account = OverheadAccount(
-        per_database_storage_bits=tuple(ideal),
-        message_length=scheme.block_length,
-        num_messages=scheme.params.num_messages,
-    )
-    result = {
+def _finish_overhead(scheme: SchemeDescriptor, ideal: list[float]) -> dict:
+    """Ideal overhead accounting from ``_storage``'s per-database bits."""
+    return {
         "ideal_bits_per_block": ideal,
-        "alpha_ideal": storage_overhead(account),
+        "alpha_ideal": storage_overhead(ideal, scheme.block_length, scheme.params.num_messages),
     }
-    if mode == "concrete":
-        if scheme.coded is not None:
-            concrete_bits = scheme.coded.storage_bits(
-                L, derive_seed(seed, "storage"), codec or CodecConfig(), cell_model
-            )
-        else:
-            # L native blocks' raw storage; L is a multiple of the block.
-            blocks = L // scheme.block_length
-            concrete_bits = tuple(
-                float(blocks * len(s))
-                for s in scheme.store(next(iter(scheme.message_space()))[0])
-            )
-        concrete_account = OverheadAccount(
-            per_database_storage_bits=concrete_bits,
-            message_length=L,
-            num_messages=scheme.params.num_messages,
+
+
+def _concrete_overhead(
+    scheme: SchemeDescriptor, L: int, seed: int, codec: CodecConfig | None, cell_model: SourceModel | None,
+) -> dict:
+    """Concrete overhead at message length L. A scheme with a coded layer is
+    charged the layer's coded storage bits, with ``_db1_cells``' model; a
+    scheme without one stores incompressible bits, charged at face value."""
+    if scheme.coded is not None:
+        bits = scheme.coded.storage_bits(
+            L, derive_seed(seed, "storage"), codec or CodecConfig(), cell_model
         )
-        result["concrete"] = {
-            "L": L,
-            "bits_per_database": concrete_bits,
-            "alpha_concrete": storage_overhead(concrete_account),
-        }
-    return result
+    else:
+        # L native blocks' raw storage; L is a multiple of the block.
+        blocks = L // scheme.block_length
+        bits = tuple(
+            float(blocks * len(s))
+            for s in scheme.store(next(iter(scheme.message_space()))[0])
+        )
+    return {
+        "L": L,
+        "bits_per_database": bits,
+        "alpha_concrete": storage_overhead(bits, L, scheme.params.num_messages),
+    }
 
 
 def _leakage(coded, models: tuple[SourceModel, SourceModel], L: int, trials: int, seed: int) -> dict:
@@ -604,13 +574,19 @@ def verify_entropy_identities(scheme: SchemeDescriptor) -> list[dict]:
     return _identities(scheme, *coupled_session_joint(scheme))
 
 
-def _check(name: str, value: float, target: float, relation: str = "==") -> dict:
-    """One real-valued check, within ``REAL_TOLERANCE``."""
-    ok = {
+def real_holds(value: float, target: float, relation: str = "==") -> bool:
+    """``value relation target`` for reals, within ``REAL_TOLERANCE``: the one
+    place a real-valued verdict is decided."""
+    return {
         "==": abs(value - target) <= REAL_TOLERANCE,
         "<=": value <= target + REAL_TOLERANCE,
         ">=": value >= target - REAL_TOLERANCE,
     }[relation]
+
+
+def _check(name: str, value: float, target: float, relation: str = "==") -> dict:
+    """One real-valued check, as a report record."""
+    ok = real_holds(value, target, relation)
     return {"name": name, "value": value, "target": target, "relation": relation, "pass": ok}
 
 
@@ -771,24 +747,26 @@ def build_audit_report(
     stream_models, cell_model = models or (None, None)
     privacy = _privacy(scheme, views)
     rate, _ = _finish_rate(scheme, download, mode, L, trials, seed, stream_models)
-    overhead = _finish_overhead(scheme, storage, mode, L, seed, codec, cell_model)
+    overhead = _finish_overhead(scheme, storage)
+    if mode == "concrete":
+        overhead["concrete"] = _concrete_overhead(scheme, L, seed, codec, cell_model)
     capacity = mtpir_capacity(params)
     symbol_rate = rate["symbol_rate"]
+    converse = _converse(scheme, download, coupled)
     capacity_check = {
         "capacity": capacity,
         "symbol_rate": symbol_rate,
         "rate_ideal": rate["rate_ideal"],
-        "pass": check_rate_admissible(symbol_rate, params)
-        and rate["rate_ideal"] <= float(capacity) + REAL_TOLERANCE,
+        # The converse opens with the symbol and ideal rate-vs-capacity checks.
+        "pass": converse[0]["pass"] and converse[1]["pass"],
     }
     # The identities are premises of the single-round storage bound at capacity.
     identities = _identities(scheme, *coupled[0]) if coupled and symbol_rate == capacity else None
-    converse = _converse(scheme, download, coupled)
     leakage = None
     if coded is not None:
         leakage = _leakage(coded, stream_models, min(L, 2000), min(trials, 20), seed)
         overhead["sw"] = coded.bin_failures(codec or CodecConfig(), sw_blocks, seed)
-    verdicts = [privacy["pass"], correctness["pass"], capacity_check["pass"]]
+    verdicts = [privacy["pass"], correctness["pass"]]
     verdicts += [c["pass"] for c in (identities or []) + converse]
     return _jsonify({
         "scheme": scheme.name,

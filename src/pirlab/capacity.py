@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -32,26 +33,6 @@ class PirParameters:
             raise ValueError("rounds must be at least 1")
 
 
-@dataclass(frozen=True)
-class OverheadAccount:
-    """Per-database stored entropy (bits) plus message dimensions."""
-
-    per_database_storage_bits: tuple[float, ...]
-    message_length: int
-    num_messages: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "per_database_storage_bits", tuple(self.per_database_storage_bits)
-        )
-        if any(bits < 0 for bits in self.per_database_storage_bits):
-            raise ValueError("storage entries must be non-negative")
-        if self.message_length < 1:
-            raise ValueError("message_length must be positive")
-        if self.num_messages < 1:
-            raise ValueError("num_messages must be at least 1")
-
-
 def mtpir_capacity(p: PirParameters) -> Fraction:
     """Retrieval capacity (1 + T/N + ... + (T/N)^(K-1))^-1, exact.
 
@@ -62,10 +43,15 @@ def mtpir_capacity(p: PirParameters) -> Fraction:
     return 1 / series
 
 
-def storage_overhead(account: OverheadAccount) -> float:
+def storage_overhead(bits: Sequence[float], message_length: int, num_messages: int) -> float:
     """Total stored bits across databases divided by total message bits."""
-    total = sum(account.per_database_storage_bits)
-    return total / (account.num_messages * account.message_length)
+    if any(b < 0 for b in bits):
+        raise ValueError("storage entries must be non-negative")
+    if message_length < 1:
+        raise ValueError("message_length must be positive")
+    if num_messages < 1:
+        raise ValueError("num_messages must be at least 1")
+    return sum(bits) / (num_messages * message_length)
 
 
 def check_rate_admissible(rate: Fraction, p: PirParameters) -> bool:

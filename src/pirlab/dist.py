@@ -135,15 +135,13 @@ class ExactDist:
         return f"ExactDist({{{entries}}})"
 
 
-def _check_coords(coords, arity: int, *, allow_empty: bool = True) -> tuple[int, ...]:
+def _check_coords(coords, arity: int) -> tuple[int, ...]:
     coords = tuple(coords)
     if len(set(coords)) != len(coords):
         raise ValueError(f"duplicate coordinates in {coords}")
     for c in coords:
         if not (0 <= c < arity):
             raise ValueError(f"coordinate {c} out of range for arity {arity}")
-    if not allow_empty and not coords:
-        raise ValueError("coordinate set must be non-empty")
     return coords
 
 

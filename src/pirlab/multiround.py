@@ -106,7 +106,7 @@ def _spell(words: tuple, n: int, first: int, second: int = 0) -> tuple:
     """
     pad = -n % 4
     codes = int(format(first, "b"), 4) + int(format(second, "b"), 4)
-    if n <= 4:  # one byte: the audits' short sessions skip the chain
+    if n <= 4:  # one byte skips the chain: criterion 2 spells 3,504 times at n <= 3
         return words[codes][pad:]
     return tuple(chain.from_iterable(map(words.__getitem__, codes.to_bytes((n + pad) // 4, "big"))))[pad:]
 

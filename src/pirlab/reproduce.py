@@ -12,11 +12,11 @@ import math
 from fractions import Fraction
 
 from .audit import (
-    REAL_TOLERANCE,
     check_privacy,
     enumerate_view,
     measure_overhead,
     measure_rate,
+    real_holds,
     scheme_profile,
     verify_converse_bounds,
     verify_entropy_identities,
@@ -154,8 +154,8 @@ def criterion_ideal_rate_overhead() -> dict:
         "replicated_alpha": overhead_rep["alpha_ideal"],
     }
     ok = (
-        abs(rate_mr["ideal_download_per_message_bit"] - 1.5) <= REAL_TOLERANCE
-        and abs(overhead_mr["alpha_ideal"] - alpha_expected) <= REAL_TOLERANCE
+        real_holds(rate_mr["ideal_download_per_message_bit"], 1.5)
+        and real_holds(overhead_mr["alpha_ideal"], alpha_expected)
         and rate_lin["symbol_rate"] == Fraction(2, 3)
         and overhead_lin["alpha_ideal"] == 1.5
         and overhead_rep["alpha_ideal"] == 2.0
@@ -277,10 +277,10 @@ def criterion_symmetrization() -> dict:
     alpha_after = sum(storage_after) / (2 * symmetric.block_length)
 
     ok = (
-        abs(storage_after[0] - storage_after[1]) <= REAL_TOLERANCE
-        and max(answers_after) - min(answers_after) <= REAL_TOLERANCE
+        real_holds(storage_after[0], storage_after[1])
+        and real_holds(max(answers_after), min(answers_after))
         and rate_before == rate_after
-        and abs(alpha_before - alpha_after) <= REAL_TOLERANCE
+        and real_holds(alpha_before, alpha_after)
     )
     return _row(
         "10",

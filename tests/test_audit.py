@@ -108,6 +108,14 @@ class TestEnumerateView:
         with pytest.raises(ValueError, match="database"):
             enumerate_view(multiround_descriptor(), theta=1, database=3)
 
+    @pytest.mark.parametrize("space", ["message_space", "randomness_space"])
+    def test_empty_space_refused(self, space):
+        # Every table would be empty: no overhead of 0, no missing view.
+        scheme = dataclasses.replace(linear_descriptor(), **{space: lambda: iter(())})
+        for measure in (measure_overhead, check_privacy):
+            with pytest.raises(ValueError, match="'linear' has an empty message or randomness space"):
+                measure(scheme)
+
 
 class TestPrivacy:
     def test_multiround_passes_exactly(self):
@@ -218,7 +226,7 @@ class TestEnumerationCounts:
     def test_overhead_flags_rejected_before_any_session(self, descriptor, flags, message):
         scheme, calls = self.counted(descriptor())
         with pytest.raises(ValueError, match=message):
-            measure_overhead(scheme, **{"mode": "concrete", **flags})
+            build_audit_report(scheme, **{"mode": "concrete", **flags})
         assert calls == {"run": 0, "store": 0}
 
 
@@ -329,9 +337,24 @@ class TestConcreteAccounting:
             gaps.append(abs(stats["concrete"]["download_per_message_bit_mean"] - 1.5))
         assert gaps[0] > gaps[1] > gaps[2]
 
-    def test_measure_overhead_concrete(self):
-        stats = measure_overhead(
-            multiround_descriptor(), mode="concrete", L=16_000, seed=4,
+    @staticmethod
+    def overhead(scheme, **flags):
+        """The concrete report's overhead section, its reals read back as floats."""
+        flags = {"trials": 1, "sw_blocks": 10, **flags}
+        overhead = build_audit_report(scheme, mode="concrete", **flags)["overhead"]
+        concrete = overhead["concrete"]
+        return {
+            "alpha_ideal": float(overhead["alpha_ideal"]),
+            "concrete": {
+                "L": concrete["L"],
+                "bits_per_database": tuple(map(float, concrete["bits_per_database"])),
+                "alpha_concrete": float(concrete["alpha_concrete"]),
+            },
+        }
+
+    def test_report_overhead_concrete(self):
+        stats = self.overhead(
+            multiround_descriptor(), L=16_000, seed=4,
             codec=CodecConfig(block_length=16, rate_margin=0.15, seed=4),
         )
         db1, db2 = stats["concrete"]["bits_per_database"]
@@ -341,7 +364,7 @@ class TestConcreteAccounting:
         assert stats["concrete"]["alpha_concrete"] > stats["alpha_ideal"]
 
     def test_linear_concrete_overhead_raw_bits(self):
-        stats = measure_overhead(linear_descriptor(), mode="concrete")
+        stats = self.overhead(linear_descriptor())
         assert stats["concrete"]["bits_per_database"] == (15_000.0, 15_000.0)
         assert stats["concrete"]["alpha_concrete"] == 1.5
 
@@ -352,7 +375,7 @@ class TestConcreteAccounting:
             (linear_descriptor(), 2_000, 3_000.0, 1.5),
             (multiround_descriptor(storage="replicated"), 64, 128.0, 2.0),
         ):
-            concrete = measure_overhead(scheme, mode="concrete", L=L)["concrete"]
+            concrete = self.overhead(scheme, L=L)["concrete"]
             assert concrete == {"L": L, "bits_per_database": (bits, bits), "alpha_concrete": alpha}
 
     def test_concrete_accounting_follows_the_coded_layer_not_the_name(self):
@@ -360,12 +383,12 @@ class TestConcreteAccounting:
         renamed = dataclasses.replace(original, name="two-round")
         for measure in (
             lambda s: measure_rate(s, mode="concrete", L=1_600, trials=2, seed=5)["concrete"],
-            lambda s: measure_overhead(s, mode="concrete", L=1_600, seed=5)["concrete"],
+            lambda s: self.overhead(s, L=1_600, seed=5),
         ):
             assert measure(renamed) == measure(original)
         linear = linear_descriptor()
         renamed = dataclasses.replace(linear, name="multiround-linear")
-        assert measure_overhead(renamed, mode="concrete") == measure_overhead(linear, mode="concrete")
+        assert self.overhead(renamed) == self.overhead(linear)
 
     def test_coded_layer_rejects_another_answer_shape(self):
         # Linear answers three bits per database; the multiround layer
@@ -375,11 +398,14 @@ class TestConcreteAccounting:
             build_audit_report(scheme, mode="concrete", L=200, trials=2, sw_blocks=10)
 
     def test_coded_layer_rejects_another_storage_layout(self):
-        # Linear's DB1 stores six bits; the multiround layer codes one
-        # (x1, x2) cell pair per position.
-        scheme = dataclasses.replace(linear_descriptor(), coded=multiround_descriptor().coded)
-        with pytest.raises(ValueError, match=r"'linear'.*DB1 to store one \(x1, x2\) cell pair per position"):
-            measure_overhead(scheme, mode="concrete", L=64)
+        # This DB1 stores three bits per position, with the answers of the
+        # multiround scheme; its coded layer codes one (x1, x2) cell pair.
+        original = multiround_descriptor()
+        scheme = dataclasses.replace(
+            original, name="three-bit", store=lambda msg: (msg[0] + msg[1] + (0,), original.store(msg)[1])
+        )
+        with pytest.raises(ValueError, match=r"'three-bit'.*DB1 to store one \(x1, x2\) cell pair per position"):
+            self.overhead(scheme, L=64)
 
     @pytest.mark.parametrize("blocks", [0, -3])
     def test_sw_failure_rate_rejects_fewer_than_one_block(self, blocks):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from pirlab.capacity import (
-    OverheadAccount,
     PirParameters,
     check_rate_admissible,
     mtpir_capacity,
@@ -49,29 +48,29 @@ class TestCapacity:
 
 class TestOverhead:
     def test_replicated(self):
-        account = OverheadAccount((8.0, 8.0), message_length=4, num_messages=2)
-        assert storage_overhead(account) == 2.0
+        assert storage_overhead((8.0, 8.0), message_length=4, num_messages=2) == 2.0
 
     def test_linear(self):
-        account = OverheadAccount((6.0, 6.0), message_length=4, num_messages=2)
-        assert storage_overhead(account) == 1.5
+        assert storage_overhead((6.0, 6.0), message_length=4, num_messages=2) == 1.5
 
     def test_multiround_ideal(self):
         L = 1
-        account = OverheadAccount(
-            (1.5 * L, 0.75 * math.log2(3) * L), message_length=L, num_messages=2
-        )
+        alpha = storage_overhead((1.5 * L, 0.75 * math.log2(3) * L), message_length=L, num_messages=2)
         expected = 0.75 + 0.375 * math.log2(3)
-        assert storage_overhead(account) == pytest.approx(expected, abs=1e-9)
-        assert storage_overhead(account) == pytest.approx(1.34436, abs=1e-5)
+        assert alpha == pytest.approx(expected, abs=1e-9)
+        assert alpha == pytest.approx(1.34436, abs=1e-5)
 
     def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            OverheadAccount((1.0,), message_length=0, num_messages=2)
+        with pytest.raises(ValueError, match="message_length must be positive"):
+            storage_overhead((1.0,), message_length=0, num_messages=2)
+
+    def test_no_messages_rejected(self):
+        with pytest.raises(ValueError, match="num_messages must be at least 1"):
+            storage_overhead((1.0,), message_length=4, num_messages=0)
 
     def test_negative_storage_rejected(self):
-        with pytest.raises(ValueError):
-            OverheadAccount((-1.0,), message_length=4, num_messages=2)
+        with pytest.raises(ValueError, match="storage entries must be non-negative"):
+            storage_overhead((-1.0,), message_length=4, num_messages=2)
 
 
 class TestAdmissibility:
