@@ -9,6 +9,7 @@ when every requested verdict passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -101,7 +102,7 @@ def _add_run_flags(parser, default_L: int) -> None:
     parser.add_argument("--mode", choices=("ideal", "concrete"), default="ideal")
     parser.add_argument("-L", "--message-length", type=int, default=default_L)
     parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=_default_seed())
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     parser.add_argument(
         "--bias", default="1/2", help="per-bit probability of 1 in each message, e.g. 3/4"
     )
@@ -114,7 +115,10 @@ def _add_run_flags(parser, default_L: int) -> None:
     parser.add_argument("--sw-blocks", type=int, default=1000, help="blocks for the bin failure estimate")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use. ``--seed`` has no default here: ``main``
+    reads ``PIRLAB_SEED`` on every call."""
     parser = argparse.ArgumentParser(
         prog="pirlab",
         description="Two-database private information retrieval laboratory",
@@ -137,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="run every acceptance measurement")
     p_rep.add_argument("--mode", choices=("ideal", "full"), default="full")
-    p_rep.add_argument("--seed", type=int, default=_default_seed())
+    p_rep.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_rep.add_argument("--block-length", type=int, default=16)
     p_rep.add_argument("--delta", type=float, default=0.15)
     p_rep.set_defaults(func=cmd_reproduce)
@@ -147,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        seed = _default_seed()  # a bad value fails every subcommand, capacity too
         args = build_parser().parse_args(argv)
+        vars(args).setdefault("seed", seed)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

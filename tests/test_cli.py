@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pirlab import cli, reproduce
-from pirlab.cli import build_parser, main
+from pirlab.cli import main
 
 # SHA-256 of stdout and the exit code of commands whose JSON documents are
 # promised byte-identical across changes; perfbench/workloads.py checks the
@@ -164,9 +164,12 @@ class TestAudit:
 
 
 class TestReproduce:
-    def test_seed_env_override(self, monkeypatch):
-        monkeypatch.setenv("PIRLAB_SEED", "42")
-        assert build_parser().parse_args(["reproduce"]).seed == 42
+    def test_seed_env_override(self, capsys, monkeypatch):
+        # The parser is built once, but PIRLAB_SEED is read on every call.
+        for seed in (42, 7):
+            monkeypatch.setenv("PIRLAB_SEED", str(seed))
+            code, doc = run_cli(capsys, "reproduce", "--mode", "ideal")
+            assert (code, doc["seed"], doc["codec"]["seed"]) == (0, seed, seed)
 
     def test_non_integer_seed_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("PIRLAB_SEED", "abc")
@@ -234,6 +237,19 @@ def test_every_top_level_definition_has_a_caller():
         and not any(node.name in used for stmt, used in uses if stmt is not node)
     ]
     assert uncalled == []
+
+
+def test_benchmark_pins_the_same_digests():
+    # perfbench/workloads.py keeps its own GOLDEN for six of these commands;
+    # a re-pin must change both tables alike.
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (table,) = [
+        node.value for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["GOLDEN"]
+    ]
+    benchmark = ast.literal_eval(table)
+    assert len(benchmark) == 6
+    assert {argv: GOLDEN.get(argv) for argv in benchmark} == benchmark
 
 
 @pytest.mark.parametrize(
