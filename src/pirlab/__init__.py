@@ -9,7 +9,7 @@ from .capacity import PirParameters, check_rate_admissible, mtpir_capacity, stor
 from .coding import CodecConfig, SourceModel, SwBin, entropy_decode, entropy_encode, sw_decode, sw_encode
 from .descriptor import SchemeDescriptor, SessionRecord
 from .dist import ExactDist, conditional_entropy, entropy, marginal, total_variation
-from .linear import LinearMessages, PatternChoice, StoredLinear, asymmetric_toy_descriptor, linear_descriptor, linear_retrieve, linear_store, replicated_descriptor, symmetrize
+from .linear import asymmetric_toy_descriptor, linear_descriptor, linear_retrieve, linear_store, replicated_descriptor, symmetrize
 from .multiround import CellTable, MessagePair, Transcript, db2_answer, decode, derive_cells, multiround_descriptor, round1, round2_query, run_session
 from .seeds import derive_seed
 
@@ -17,14 +17,11 @@ __all__ = [
     "CellTable",
     "CodecConfig",
     "ExactDist",
-    "LinearMessages",
     "MessagePair",
-    "PatternChoice",
     "PirParameters",
     "SchemeDescriptor",
     "SessionRecord",
     "SourceModel",
-    "StoredLinear",
     "SwBin",
     "Transcript",
     "asymmetric_toy_descriptor",

@@ -147,9 +147,7 @@ def _privacy(scheme: SchemeDescriptor, views: dict, product: bool = False) -> di
         if product:
             laws, tv = {t: (views[t, database], views[t, 3 - database]) for t in thetas}, _product_tv
         else:
-            tables = [views[t, database] for t in thetas]
-            shared = tuple(frozenset().union(*symbols) for symbols in zip(*(table.alphabets for table in tables)))
-            laws = {t: ExactDist(table.counts, shared, total=table.total) for t, table in zip(thetas, tables)}
+            laws = {t: views[t, database] for t in thetas}
             tv = total_variation
         distances = {(t1, t2): tv(laws[t1], laws[t2]) for t1 in thetas for t2 in thetas if t1 < t2}
         ok = all(d == 0 for d in distances.values())

@@ -36,6 +36,11 @@ def _default_seed() -> int:
 def _scheme_from_args(args) -> object:
     if args.scheme == "multiround":
         return multiround_descriptor(bias=Fraction(args.bias), storage=args.storage)
+    # The other schemes have uniform messages and one storage layout.
+    multiround_only = (("--bias", Fraction(args.bias), Fraction(1, 2)), ("--storage", args.storage, "split"))
+    for flag, given, default in multiround_only:
+        if given != default:
+            raise ValueError(f"{flag} applies only to --scheme multiround")
     if args.scheme == "linear":
         return linear_descriptor()
     if args.scheme == "replicated":

@@ -11,9 +11,9 @@ probability there is ``count / total``, a correctly rounded integer division,
 so it is bit for bit the float of the reduced ``Fraction``.
 
 Outcomes are fixed-arity tuples of small hashable symbols (bits, query
-labels, ``None`` as a null marker). Per-coordinate alphabets may be declared
-explicitly so that outcomes missing from the support still count as
-probability zero when two distributions are compared.
+labels, ``None`` as a null marker). A law's per-coordinate alphabets are the
+symbols its support takes there; when two laws are compared, an outcome
+missing from one support counts there as probability zero.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import math
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Sequence
-
-Outcome = tuple
+from typing import Hashable, Iterable, Mapping
 
 
 def _as_outcome(key) -> tuple:
@@ -38,8 +36,8 @@ class ExactDist:
     them to integer counts out of ``total`` instead. Invariants enforced at
     construction: all weights are non-negative, they sum to exactly 1 (the
     counts to ``total``), zero-weight entries are dropped, and every outcome
-    has the same arity. If ``alphabets`` is omitted it is inferred per
-    coordinate from the support.
+    has the same arity. ``alphabets`` is read per coordinate from the
+    support.
     """
 
     __slots__ = ("_counts", "_total", "_alphabets")
@@ -47,7 +45,6 @@ class ExactDist:
     def __init__(
         self,
         weights: Mapping[Hashable, Fraction | int],
-        alphabets: Sequence[Iterable[Hashable]] | None = None,
         total: int | None = None,
     ):
         if total is None:
@@ -66,27 +63,12 @@ class ExactDist:
         arities = set(map(len, counts))
         if len(arities) != 1:
             raise ValueError(f"outcomes must share a single arity, got {sorted(arities)}")
-        (arity,) = arities
         mass = sum(counts.values())
         if mass != total:
             raise ValueError(f"weights must sum to exactly 1, got {Fraction(mass, total)}")
-        seen = tuple(map(frozenset, zip(*counts)))
-        if alphabets is None:
-            alpha = seen
-        else:
-            alpha = tuple(frozenset(a) for a in alphabets)
-            if len(alpha) != arity:
-                raise ValueError(
-                    f"declared {len(alpha)} alphabets for outcomes of arity {arity}"
-                )
-            for i, (symbols, declared) in enumerate(zip(seen, alpha)):
-                if not symbols <= declared:
-                    raise ValueError(
-                        f"symbol {next(iter(symbols - declared))!r} at coordinate {i} is outside the declared alphabet"
-                    )
         self._counts = counts
         self._total = total
-        self._alphabets = alpha
+        self._alphabets = tuple(map(frozenset, zip(*counts)))
 
     @property
     def arity(self) -> int:
@@ -178,8 +160,7 @@ def marginal(d: ExactDist, coords: Iterable[int]) -> ExactDist:
         collapsed[key] = collapsed.get(key, 0) + count
     if len(coords) == 1:
         collapsed = {(key,): count for key, count in collapsed.items()}
-    alphabets = tuple(d.alphabets[c] for c in coords)
-    return ExactDist(collapsed, alphabets, total=d._total)
+    return ExactDist(collapsed, total=d._total)
 
 
 def conditional_entropy(d: ExactDist, condition_coords: Iterable[int]) -> float:
@@ -210,12 +191,13 @@ def conditional_entropy(d: ExactDist, condition_coords: Iterable[int]) -> float:
 def total_variation(d1: ExactDist, d2: ExactDist) -> Fraction:
     """Exact total variation distance (1/2) sum |p1 - p2|.
 
-    Both distributions must be declared over the same alphabet; outcomes
-    absent from one support count as probability zero. Returns the rational
-    0 if and only if the distributions are identical.
+    The sum runs over the union of both supports, so an outcome absent from
+    one support counts there as probability zero; both laws must share one
+    arity. Returns the rational 0 if and only if the distributions are
+    identical.
     """
-    if d1.alphabets != d2.alphabets:
-        raise ValueError("total variation requires matching outcome alphabets")
+    if d1.arity != d2.arity:
+        raise ValueError(f"total variation requires one arity, got {d1.arity} and {d2.arity}")
     c1, t1, c2, t2 = d1._counts, d1._total, d2._counts, d2._total
     acc = sum(abs(c * t2 - c2.get(o, 0) * t1) for o, c in c1.items())
     acc += sum(c * t1 for o, c in c2.items() if o not in c1)

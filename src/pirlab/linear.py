@@ -9,7 +9,6 @@ All sums are XOR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -33,41 +32,12 @@ def _check_block(name: str, bits) -> tuple[int, ...]:
     return bits
 
 
-@dataclass(frozen=True)
-class LinearMessages:
-    """One native block: two messages of four bits each."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _check_block("a", self.a))
-        object.__setattr__(self, "b", _check_block("b", self.b))
-
-
-@dataclass(frozen=True)
-class PatternChoice:
-    """User randomness: one of the two download patterns, fair."""
-
-    pattern: int
-
-    def __post_init__(self):
-        if self.pattern not in PATTERNS:
-            raise ValueError("pattern must be 1 or 2")
-
-
-@dataclass(frozen=True)
-class StoredLinear:
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-
-
-def linear_store(m: LinearMessages) -> StoredLinear:
-    """Six stored bits per database."""
-    a, b = m.a, m.b
+def linear_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Six stored bits per database, (s1, s2), for the 4-bit messages a and b."""
+    a, b = _check_block("a", a), _check_block("b", b)
     s1 = (a[0], a[2], b[0], b[2], a[1] ^ b[1], a[3] ^ b[3])
     s2 = (a[1], a[3], b[1], b[3], a[2] ^ b[0], a[0] ^ b[2])
-    return StoredLinear(s1, s2)
+    return s1, s2
 
 
 def db2_selector(pattern: int, theta: int) -> str:
@@ -100,15 +70,17 @@ def linear_decode(
 
 
 def linear_retrieve(
-    theta: int, choice: PatternChoice, m: LinearMessages
+    theta: int, pattern: int, a, b
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
     """Run one block retrieval; returns ((db1 bits, db2 bits), decoded)."""
     if theta not in (1, 2):
         raise ValueError("theta must be 1 or 2")
-    stored = linear_store(m)
-    d1 = db1_answer(choice.pattern, stored.s1)
-    d2 = db2_answer(db2_selector(choice.pattern, theta), stored.s2)
-    return (d1, d2), linear_decode(theta, choice.pattern, d1, d2)
+    if pattern not in PATTERNS:
+        raise ValueError("pattern must be 1 or 2")
+    s1, s2 = linear_store(a, b)
+    d1 = db1_answer(pattern, s1)
+    d2 = db2_answer(db2_selector(pattern, theta), s2)
+    return (d1, d2), linear_decode(theta, pattern, d1, d2)
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -147,11 +119,10 @@ def linear_descriptor() -> SchemeDescriptor:
         yield 2, Fraction(1, 2)
 
     def store(msg):
-        stored = linear_store(LinearMessages(*msg))
-        return (stored.s1, stored.s2)
+        return linear_store(*msg)
 
     def run(msg, theta, pattern):
-        (d1, d2), decoded = linear_retrieve(theta, PatternChoice(pattern), LinearMessages(*msg))
+        (d1, d2), decoded = linear_retrieve(theta, pattern, *msg)
         return SessionRecord(
             queries=((pattern,), (db2_selector(pattern, theta),)),
             answers=(d1, d2),
@@ -214,8 +185,7 @@ def asymmetric_toy_descriptor() -> SchemeDescriptor:
         yield 1, Fraction(1, 2)
 
     def store(msg):
-        stored = linear_store(LinearMessages(*msg))
-        return (tuple(msg[0]) + tuple(msg[1]), stored.s2)
+        return (tuple(msg[0]) + tuple(msg[1]), linear_store(*msg)[1])
 
     def run(msg, theta, f):
         s1, s2 = store(msg)

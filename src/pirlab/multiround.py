@@ -35,8 +35,6 @@ ASK_Y1 = "y1"
 ASK_Y2 = "y2"
 NO_QUERY = None  # DB2 is not contacted at this position
 
-Bits = tuple
-
 # The kernel works on bitsets: a length-n bit sequence is an int whose n
 # bits, most significant first, are the positions in order, so one int
 # operation covers every position. The length is carried beside the int.

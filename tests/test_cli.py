@@ -128,6 +128,17 @@ class TestSimulate:
         assert doc["decode_errors"] == 0
 
 
+@pytest.mark.parametrize("scheme", ["linear", "replicated"])
+@pytest.mark.parametrize("flag, value", [("--bias", "3/4"), ("--storage", "replicated")])
+def test_multiround_only_flags_rejected_for_other_schemes(capsys, scheme, flag, value):
+    assert main(["audit", "--scheme", scheme, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} applies only to --scheme multiround\n"
+    # The default value, however spelled, is still accepted.
+    assert main(["simulate", "--scheme", scheme, "--bias", "0.5", "--storage", "split"]) == 0
+
+
 @pytest.mark.parametrize("command", ["simulate", "audit"])
 @pytest.mark.parametrize("blocks", ["0", "-3"])
 def test_sw_blocks_below_one_exit_2(capsys, command, blocks):
@@ -205,10 +216,11 @@ TEST_ORACLES = {"sw_decode_reference", "linear_storage_entropy_bits"}
 
 
 def test_every_top_level_definition_has_a_caller():
-    # A top-level def or class in src/pirlab must be named, outside its own
-    # body, by package code (re-exports in __init__.py do not count) or by
-    # the benchmark in perfbench/; tests alone are not a caller. A name counts
-    # as a variable, an attribute or a string (perfbench looks some up by name).
+    # A top-level def, class or non-dunder assigned name in src/pirlab must be
+    # named, outside its own statement, by package code (re-exports in
+    # __init__.py do not count) or by the benchmark in perfbench/; tests alone
+    # are not a caller. A name counts as a variable, an attribute or a string
+    # (perfbench looks some up by name).
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "pirlab").glob("*.py"))
     callers = [path for path in package if path.name != "__init__.py"]
@@ -225,16 +237,24 @@ def test_every_top_level_definition_has_a_caller():
                 found.add(n.value)
         return found
 
+    def defined(statement) -> list:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            return [statement.name]
+        targets = statement.targets if isinstance(statement, ast.Assign) else []
+        if isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
     trees = {path: ast.parse(path.read_text()) for path in package + callers}
     # Each caller's top-level statements, with the names each one uses.
     uses = [(stmt, names(stmt)) for path in callers for stmt in trees[path].body]
     uncalled = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{name}"
         for path in package
         for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in TEST_ORACLES
-        and not any(node.name in used for stmt, used in uses if stmt is not node)
+        for name in defined(node)
+        if name not in TEST_ORACLES
+        and not any(name in used for stmt, used in uses if stmt is not node)
     ]
     assert uncalled == []
 

@@ -62,13 +62,9 @@ class TestExactDist:
         with pytest.raises(ValueError, match="arity"):
             ExactDist({(0,): F(1, 2), (0, 1): F(1, 2)})
 
-    def test_declared_alphabet_enforced(self):
-        with pytest.raises(ValueError, match="alphabet"):
-            ExactDist({(2,): F(1)}, alphabets=[(0, 1)])
-
-    def test_declared_alphabet_kept(self):
-        d = ExactDist({(0,): F(1)}, alphabets=[(0, 1)])
-        assert d.alphabets == (frozenset({0, 1}),)
+    def test_alphabets_read_from_support(self):
+        d = ExactDist({(0, "x"): F(1, 2), (1, "x"): F(1, 2), (2, "y"): F(0)})
+        assert d.alphabets == (frozenset({0, 1}), frozenset({"x"}))
 
 
 class TestEntropy:
@@ -152,19 +148,19 @@ class TestTotalVariation:
         assert total_variation(d, d) == 0
 
     def test_known_distance(self):
-        d1 = ExactDist({0: F(1, 2), 1: F(1, 2)}, alphabets=[(0, 1)])
-        d2 = ExactDist({0: F(1, 4), 1: F(3, 4)}, alphabets=[(0, 1)])
+        d1 = ExactDist({0: F(1, 2), 1: F(1, 2)})
+        d2 = ExactDist({0: F(1, 4), 1: F(3, 4)})
         assert total_variation(d1, d2) == F(1, 4)
 
     def test_zero_probability_outcomes_count(self):
-        d1 = ExactDist({0: F(1)}, alphabets=[(0, 1)])
-        d2 = ExactDist({1: F(1)}, alphabets=[(0, 1)])
+        d1 = ExactDist({0: F(1)})
+        d2 = ExactDist({1: F(1)})
         assert total_variation(d1, d2) == 1
 
-    def test_mismatched_alphabets_rejected(self):
-        d1 = ExactDist({0: F(1)}, alphabets=[(0, 1)])
-        d2 = ExactDist({0: F(1)}, alphabets=[(0, 1, 2)])
-        with pytest.raises(ValueError, match="alphabet"):
+    def test_unequal_arity_rejected(self):
+        d1 = ExactDist({0: F(1)})
+        d2 = ExactDist({(0, 0): F(1)})
+        with pytest.raises(ValueError, match="arity, got 1 and 2"):
             total_variation(d1, d2)
 
 
@@ -264,10 +260,9 @@ def test_entropy_chain_rule(counts):
     st.lists(st.integers(min_value=0, max_value=9), min_size=4, max_size=4).filter(sum),
 )
 def test_marginalization_never_increases_total_variation(c1, c2):
-    alphabets = [(0, 1), (0, 1)]
     outcomes = list(product((0, 1), repeat=2))
-    d1 = ExactDist({o: F(c, sum(c1)) for o, c in zip(outcomes, c1)}, alphabets)
-    d2 = ExactDist({o: F(c, sum(c2)) for o, c in zip(outcomes, c2)}, alphabets)
+    d1 = ExactDist({o: F(c, sum(c1)) for o, c in zip(outcomes, c1)})
+    d2 = ExactDist({o: F(c, sum(c2)) for o, c in zip(outcomes, c2)})
     full = total_variation(d1, d2)
     for coord in (0, 1):
         assert total_variation(marginal(d1, (coord,)), marginal(d2, (coord,))) <= full
@@ -282,9 +277,8 @@ three_dists = st.tuples(
 
 @given(three_dists)
 def test_total_variation_is_a_metric(triple):
-    alphabet = [(0, 1, 2)]
     dists = [
-        ExactDist({i: F(c, sum(counts)) for i, c in enumerate(counts)}, alphabets=alphabet)
+        ExactDist({i: F(c, sum(counts)) for i, c in enumerate(counts)})
         for counts in triple
     ]
     d01 = total_variation(dists[0], dists[1])
@@ -301,10 +295,10 @@ def test_total_variation_is_a_metric(triple):
 # agree bit for bit, and total variation as a rational.
 
 
-def fraction_law(counts, outcomes, alphabets=None):
+def fraction_law(counts, outcomes):
     """One law, as an ExactDist of integer counts and as a dict of Fractions."""
     total = sum(counts)
-    counted = ExactDist(dict(zip(outcomes, counts)), alphabets, total=total)
+    counted = ExactDist(dict(zip(outcomes, counts)), total=total)
     return counted, {o: F(c, total) for o, c in zip(outcomes, counts) if c}
 
 
@@ -369,13 +363,12 @@ def test_conditional_entropy_and_mutual_information_equal_fraction_reference(cou
 
 @given(cube_counts, cube_counts)
 def test_total_variation_equals_fraction_sum(c1, c2):
-    alphabets = [(0, 1)] * 3
-    d1, w1 = fraction_law(c1, cube, alphabets)
-    d2, w2 = fraction_law(c2, cube, alphabets)
+    d1, w1 = fraction_law(c1, cube)
+    d2, w2 = fraction_law(c2, cube)
     exact = sum((abs(w1.get(o, 0) - w2.get(o, 0)) for o in cube), F(0)) / 2
     tv = total_variation(d1, d2)
     assert isinstance(tv, F) and tv == exact
-    assert total_variation(ExactDist(w1, alphabets), ExactDist(w2, alphabets)) == exact
+    assert total_variation(ExactDist(w1), ExactDist(w2)) == exact
 
 
 @given(weights_strategy, st.integers(min_value=2, max_value=12))
@@ -413,6 +406,3 @@ class TestCountedConstructor:
         with pytest.raises(ValueError, match="arity"):
             ExactDist({(0,): 1, (0, 1): 1}, total=2)
 
-    def test_declared_alphabet_enforced(self):
-        with pytest.raises(ValueError, match="symbol 2 at coordinate 1"):
-            ExactDist({(0, 2): 1}, [(0, 1), (0, 1)], total=1)

@@ -23,9 +23,6 @@ from pirlab.audit import (
 from pirlab.capacity import PirParameters
 from pirlab.descriptor import SchemeDescriptor, SessionRecord
 from pirlab.linear import (
-    LinearMessages,
-    PatternChoice,
-    StoredLinear,
     asymmetric_toy_descriptor,
     gf2_rank,
     linear_descriptor,
@@ -79,13 +76,13 @@ def faulty_component() -> SchemeDescriptor:
 
 class TestStore:
     def test_all_zero_messages(self):
-        stored = linear_store(LinearMessages((0, 0, 0, 0), (0, 0, 0, 0)))
-        assert stored == StoredLinear((0,) * 6, (0,) * 6)
+        stored = linear_store((0, 0, 0, 0), (0, 0, 0, 0))
+        assert stored == ((0,) * 6, (0,) * 6)
 
     def test_single_bits_propagate(self):
-        stored = linear_store(LinearMessages((1, 0, 0, 0), (0, 1, 0, 0)))
-        assert stored.s1 == (1, 0, 0, 0, 1, 0)
-        assert stored.s2 == (0, 0, 1, 0, 0, 1)
+        s1, s2 = linear_store((1, 0, 0, 0), (0, 1, 0, 0))
+        assert s1 == (1, 0, 0, 0, 1, 0)
+        assert s2 == (0, 0, 1, 0, 0, 1)
 
     def test_storage_entropy_is_six_bits_each(self):
         assert linear_storage_entropy_bits() == (6.0, 6.0)
@@ -98,21 +95,25 @@ class TestStore:
         assert gf2_rank([0b101, 0b011, 0b110]) == 2
 
     def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            LinearMessages((1, 0), (0, 0, 0, 0))
+        with pytest.raises(ValueError, match="^a must be a 4-bit tuple$"):
+            linear_store((1, 0), (0, 0, 0, 0))
+
+    def test_non_bit_entry_rejected(self):
+        with pytest.raises(ValueError, match="^b must be a 4-bit tuple$"):
+            linear_store((0, 0, 0, 0), (0, 2, 0, 0))
 
 
 class TestRetrieve:
     def test_pattern1_want_first(self):
         a, b = (1, 0, 1, 1), (0, 1, 1, 0)
-        (d1, d2), decoded = linear_retrieve(1, PatternChoice(1), LinearMessages(a, b))
+        (d1, d2), decoded = linear_retrieve(1, 1, a, b)
         assert d1 == (a[0], b[0], a[1] ^ b[1])
         assert d2 == (a[3], b[1], a[2] ^ b[0])
         assert decoded == a
 
     def test_pattern2_want_second(self):
         a, b = (1, 1, 0, 0), (1, 0, 0, 1)
-        (d1, d2), decoded = linear_retrieve(2, PatternChoice(2), LinearMessages(a, b))
+        (d1, d2), decoded = linear_retrieve(2, 2, a, b)
         assert d1 == (a[2], b[2], a[3] ^ b[3])
         assert d2 == (a[3], b[1], a[2] ^ b[0])
         assert decoded == b
@@ -120,13 +121,20 @@ class TestRetrieve:
     def test_exhaustive_zero_error(self):
         cases = 0
         for bits in product((0, 1), repeat=8):
-            m = LinearMessages(bits[:4], bits[4:])
+            a, b = bits[:4], bits[4:]
             for pattern in (1, 2):
                 for theta in (1, 2):
-                    _, decoded = linear_retrieve(theta, PatternChoice(pattern), m)
-                    assert decoded == (m.a if theta == 1 else m.b)
+                    _, decoded = linear_retrieve(theta, pattern, a, b)
+                    assert decoded == (a if theta == 1 else b)
                     cases += 1
         assert cases == 1024
+
+    @pytest.mark.parametrize(
+        "theta, pattern, message", [(3, 1, "theta must be 1 or 2"), (1, 3, "pattern must be 1 or 2")]
+    )
+    def test_bad_theta_or_pattern_rejected(self, theta, pattern, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            linear_retrieve(theta, pattern, (0, 0, 0, 0), (0, 0, 0, 0))
 
     def test_download_is_six_bits(self):
         scheme = linear_descriptor()
