@@ -34,10 +34,14 @@ def _default_seed() -> int:
 
 
 def _scheme_from_args(args) -> object:
+    try:
+        bias = Fraction(args.bias)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--bias must be a fraction such as 3/4, got {args.bias!r}") from None
     if args.scheme == "multiround":
-        return multiround_descriptor(bias=Fraction(args.bias), storage=args.storage)
+        return multiround_descriptor(bias=bias, storage=args.storage)
     # The other schemes have uniform messages and one storage layout.
-    multiround_only = (("--bias", Fraction(args.bias), Fraction(1, 2)), ("--storage", args.storage, "split"))
+    multiround_only = (("--bias", bias, Fraction(1, 2)), ("--storage", args.storage, "split"))
     for flag, given, default in multiround_only:
         if given != default:
             raise ValueError(f"{flag} applies only to --scheme multiround")

@@ -105,11 +105,14 @@ def _arithmetic_bits(symbols: Sequence[Hashable], model: SourceModel) -> tuple[b
     """The Witten–Neal–Cleary coding loop from the initial state.
 
     Returns the settled code bits, one per byte, the symbol count and the
-    final (low, high, pending) state. The closing bit is the caller's.
+    final (low, high, pending) state. The closing bit is the caller's. The
+    first symbol keeps ``low`` and the last keeps ``high``.
     """
     cumulative = model._cumulative
     index = model._index
     total = cumulative[-1]
+    last = len(cumulative) - 2
+    shift, top, second, mask, half = _STATE_BITS - 1, _TOP, _SECOND, _MASK, _MASK >> 1
     out = bytearray()
     low, high, pending = _INITIAL
     count = 0
@@ -119,20 +122,22 @@ def _arithmetic_bits(symbols: Sequence[Hashable], model: SourceModel) -> tuple[b
         except KeyError:
             raise ValueError(f"symbol {symbol!r} outside the model alphabet") from None
         span = high - low + 1
-        high = low + span * cumulative[i + 1] // total - 1
-        low = low + span * cumulative[i] // total
-        while ((low ^ high) & _TOP) == 0:
-            bit = low >> (_STATE_BITS - 1)
+        if i != last:
+            high = low + span * cumulative[i + 1] // total - 1
+        if i:
+            low += span * cumulative[i] // total
+        while ((low ^ high) & top) == 0:
+            bit = low >> shift
             out.append(bit)
             if pending:
                 out.extend([bit ^ 1] * pending)
                 pending = 0
-            low = (low << 1) & _MASK
-            high = ((high << 1) & _MASK) | 1
-        while (low & ~high & _SECOND) != 0:
+            low = (low << 1) & mask
+            high = ((high << 1) & mask) | 1
+        while (low & ~high & second) != 0:
             pending += 1
-            low = (low << 1) & (_MASK >> 1)
-            high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
+            low = (low << 1) & half
+            high = ((high << 1) & half) | top | 1
     return out, count, (low, high, pending)
 
 
@@ -191,10 +196,17 @@ def entropy_decode(data: bytes, model: SourceModel, count: int) -> list:
 
 
 def _arithmetic_decode(payload: bytes, model: SourceModel, count: int) -> list:
-    """The Witten–Neal–Cleary decoding loop over a frame's payload."""
+    """The Witten–Neal–Cleary decoding loop over a frame's payload.
+
+    The symbol is the number of cut points ``low + span * cumulative[s] //
+    total`` (s >= 1) at or below the code; the last one passed is the new
+    ``low`` and the first one not reached, less 1, the new ``high``.
+    """
     cumulative = model._cumulative
+    cuts = cumulative[1:-1]
     total = cumulative[-1]
-    size = len(model.alphabet)
+    alphabet = model.alphabet
+    top, second, mask, half = _TOP, _SECOND, _MASK, _MASK >> 1
     # One code bit per byte. Padding bits are zero, and reads past the
     # payload see zeros too (the decoder's lookahead).
     bits = format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b").encode().translate(_BITS)
@@ -206,27 +218,25 @@ def _arithmetic_decode(payload: bytes, model: SourceModel, count: int) -> list:
     out = []
     for _ in range(count):
         span = high - low + 1
-        value = ((code - low + 1) * total - 1) // span
-        lo, hi = 0, size
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if cumulative[mid] > value:
-                hi = mid
-            else:
-                lo = mid
-        out.append(model.alphabet[lo])
-        high = low + span * cumulative[lo + 1] // total - 1
-        low = low + span * cumulative[lo] // total
-        while ((low ^ high) & _TOP) == 0:
-            code = ((code << 1) & _MASK) | (bits[pos] if pos < end else 0)
+        base, s = low, 0
+        for c in cuts:
+            cut = base + span * c // total
+            if code < cut:
+                high = cut - 1
+                break
+            low = cut
+            s += 1
+        out.append(alphabet[s])
+        while ((low ^ high) & top) == 0:
+            code = ((code << 1) & mask) | (bits[pos] if pos < end else 0)
             pos += 1
-            low = (low << 1) & _MASK
-            high = ((high << 1) & _MASK) | 1
-        while (low & ~high & _SECOND) != 0:
-            code = (code & _TOP) | ((code << 1) & (_MASK >> 1)) | (bits[pos] if pos < end else 0)
+            low = (low << 1) & mask
+            high = ((high << 1) & mask) | 1
+        while (low & ~high & second) != 0:
+            code = (code & top) | ((code << 1) & half) | (bits[pos] if pos < end else 0)
             pos += 1
-            low = (low << 1) & (_MASK >> 1)
-            high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
+            low = (low << 1) & half
+            high = ((high << 1) & half) | top | 1
     return out
 
 

@@ -139,6 +139,15 @@ def test_multiround_only_flags_rejected_for_other_schemes(capsys, scheme, flag, 
     assert main(["simulate", "--scheme", scheme, "--bias", "0.5", "--storage", "split"]) == 0
 
 
+@pytest.mark.parametrize("scheme", ["multiround", "linear"])
+@pytest.mark.parametrize("value", ["1/0", "abc", "nan"])
+def test_unparsable_bias_exit_2(capsys, scheme, value):
+    assert main(["audit", "--scheme", scheme, "--bias", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --bias must be a fraction such as 3/4, got {value!r}\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "audit"])
 @pytest.mark.parametrize("blocks", ["0", "-3"])
 def test_sw_blocks_below_one_exit_2(capsys, command, blocks):

@@ -45,6 +45,11 @@ def biased_bits():
     return [1 if rng.random() < 0.25 else 0 for _ in range(100_000)]
 
 
+def third_bits():
+    rng = random.Random(20244)
+    return [int(rng.randrange(3) == 0) for _ in range(100_000)]
+
+
 def ternary_symbols():
     rng = random.Random(7)
     return rng.choices(("a", "b", "c"), weights=(3, 2, 1), k=500)
@@ -174,16 +179,35 @@ class TestEntropyCoder:
         "symbols, model, digest",
         [
             (biased_bits, BERN_QUARTER, "99ee4e3ec4158c65a0b94eb24d66279525809f89e4434cb443e5790969f9f6b7"),
+            (third_bits, BERN_THIRD, "61c13cf3f87529602b9bd2c1363cf03f72eb6b10406f3df940001f8e60c697dd"),
             (ternary_symbols, TERNARY, "6a2ef8d5c6f6cb9c0db1a58fe8f79d512b6279935c71cea65435ab7ce45d1c8e"),
             (pending_runs, CENTERED, "a3b7611c34926d244671f4af88d69eda235324f492c7d6eae96b7abfddb237e8"),
             (fair_bits, FAIR, "a9cdfd64dd23a4428b6e8616219c872d6beaf96fa3691625a98147c14ecc67d2"),
             (cell_symbols, CELLS, "9854159e56c53f31f9a9900124f3563aaa1696a8f761c8642eb689ca4c6dc73b"),
         ],
-        ids=["bernoulli-quarter", "ternary", "pending-runs", "fair", "multiround-cells"],
+        ids=["bernoulli-quarter", "bernoulli-third", "ternary", "pending-runs", "fair", "multiround-cells"],
     )
     def test_golden_stream(self, symbols, model, digest):
         stream = entropy_encode(symbols(), model)
         assert hashlib.sha256(stream).hexdigest() == digest
+
+    def test_golden_decode_of_arbitrary_frames(self):
+        # 200 seeded frames, each asked for one symbol fewer, as many and one
+        # more than its header holds; reads past the payload see zeros, and
+        # one padded frame in eight has a dirty padding bit. SHA-256 of the
+        # outcomes recorded before the coder loops were rewritten.
+        rng = random.Random(20245)
+        outcomes = []
+        for _ in range(200):
+            count, bit_count = rng.randrange(81), rng.randrange(49)
+            pad = -bit_count % 8
+            payload = rng.getrandbits(bit_count) << pad | (pad > 0 and rng.randrange(8) == 0)
+            frame = struct.pack(">QQ", count, bit_count) + payload.to_bytes((bit_count + pad) // 8, "big")
+            for model in (BERN_QUARTER, BERN_THIRD, TERNARY, CENTERED):
+                for asked in (count - 1, count, count + 1):
+                    outcomes.append(outcome(entropy_decode, frame, model, max(asked, 0)))
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == "abdfdd88bc815baa4a38d0f050b270f0380a0236e5822cd9cae16752cd3084c0"
 
 
 @settings(max_examples=60)
