@@ -9,7 +9,7 @@ from .capacity import PirParameters, check_rate_admissible, mtpir_capacity, stor
 from .coding import CodecConfig, SourceModel, SwBin, entropy_decode, entropy_encode, sw_decode, sw_encode
 from .descriptor import SchemeDescriptor, SessionRecord
 from .dist import ExactDist, conditional_entropy, entropy, marginal, total_variation
-from .linear import asymmetric_toy_descriptor, linear_descriptor, linear_retrieve, linear_store, replicated_descriptor, symmetrize
+from .linear import asymmetric_toy_descriptor, linear_descriptor, linear_store, replicated_descriptor, symmetrize
 from .multiround import CellTable, MessagePair, Transcript, db2_answer, decode, derive_cells, multiround_descriptor, round1, round2_query, run_session
 from .seeds import derive_seed
 
@@ -35,7 +35,6 @@ __all__ = [
     "entropy_decode",
     "entropy_encode",
     "linear_descriptor",
-    "linear_retrieve",
     "linear_store",
     "marginal",
     "mtpir_capacity",

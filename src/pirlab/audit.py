@@ -281,9 +281,17 @@ def _storage(scheme: SchemeDescriptor) -> _Projection:
         return [a + b for a, b in zip(bits, bits[::-1])]
 
     side = scheme.side_information
+    # The pass reads one message's storage for each randomness value in turn;
+    # without side information its keys depend on that storage alone.
+    last = None, []
 
     def session(msg, stored, f, records):
-        return [(s, ()) for s in stored] if side is None else list(zip(stored, side(msg, f)))
+        nonlocal last
+        if side is not None:
+            return list(zip(stored, side(msg, f)))
+        if stored is not last[0]:
+            last = stored, [(s, ()) for s in stored]
+        return last[1]
 
     return _Projection(finish, session, stores=True, compose=compose if side is None else None)
 

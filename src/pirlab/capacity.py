@@ -34,13 +34,16 @@ class PirParameters:
 
 
 def mtpir_capacity(p: PirParameters) -> Fraction:
-    """Retrieval capacity (1 + T/N + ... + (T/N)^(K-1))^-1, exact.
+    """Retrieval capacity (1 + T/N + ... + (T/N)^(K-1))^-1, exact, from the
+    geometric series' closed form (1 - r)/(1 - r^K) with r = T/N, or 1/K when
+    r = 1.
 
     Independent of the round count.
     """
     ratio = Fraction(p.collusion, p.num_databases)
-    series = sum((ratio**i for i in range(p.num_messages)), Fraction(0))
-    return 1 / series
+    if ratio == 1:
+        return Fraction(1, p.num_messages)
+    return (1 - ratio) / (1 - ratio**p.num_messages)
 
 
 def storage_overhead(bits: Sequence[float], message_length: int, num_messages: int) -> float:

@@ -62,12 +62,19 @@ def cmd_capacity(args) -> int:
         num_messages=args.K, num_databases=args.N, collusion=args.T
     )
     value = mtpir_capacity(params)
+    try:
+        capacity = fraction_str(value)
+    except ValueError:  # Python prints no integer longer than its digit limit
+        raise ValueError(
+            f"-K {args.K} is too large: at N={args.N}, T={args.T} the exact capacity "
+            f"has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     _emit(
         {
             "num_messages": args.K,
             "num_databases": args.N,
             "collusion": args.T,
-            "capacity": fraction_str(value),
+            "capacity": capacity,
             "capacity_real": real_str(float(value)),
         }
     )

@@ -25,19 +25,33 @@ TRIPLE_2 = "t2"
 BLOCK = 4
 
 
-def _check_block(name: str, bits) -> tuple[int, ...]:
-    bits = tuple(bits)
-    if len(bits) != BLOCK or any(b not in (0, 1) for b in bits):
+def _check_block(name: str, bits) -> None:
+    if not isinstance(bits, tuple) or len(bits) != BLOCK or any(b not in (0, 1) for b in bits):
         raise ValueError(f"{name} must be a {BLOCK}-bit tuple")
-    return bits
 
 
 def linear_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Six stored bits per database, (s1, s2), for the 4-bit messages a and b."""
-    a, b = _check_block("a", a), _check_block("b", b)
+    _check_block("a", a)
+    _check_block("b", b)
     s1 = (a[0], a[2], b[0], b[2], a[1] ^ b[1], a[3] ^ b[3])
     s2 = (a[1], a[3], b[1], b[3], a[2] ^ b[0], a[0] ^ b[2])
     return s1, s2
+
+
+def _stored_memo():
+    """``linear_store`` of a message (a, b), checked once per message for the
+    life of one descriptor; a fresh descriptor starts with an empty memo."""
+    memo = lru_cache(maxsize=None)(linear_store)
+
+    def stored(msg):
+        try:
+            return memo(*msg)
+        except TypeError:
+            # An unhashable block, such as a list: linear_store refuses it by name.
+            return linear_store(*msg)
+
+    return stored
 
 
 def db2_selector(pattern: int, theta: int) -> str:
@@ -67,20 +81,6 @@ def linear_decode(
     if pattern == 2 and theta == 1:
         return (d2[2] ^ d1[1], d2[0], d1[0], d1[2] ^ d2[1])
     return (d2[2] ^ d1[0], d2[1], d1[1], d1[2] ^ d2[0])
-
-
-def linear_retrieve(
-    theta: int, pattern: int, a, b
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
-    """Run one block retrieval; returns ((db1 bits, db2 bits), decoded)."""
-    if theta not in (1, 2):
-        raise ValueError("theta must be 1 or 2")
-    if pattern not in PATTERNS:
-        raise ValueError("pattern must be 1 or 2")
-    s1, s2 = linear_store(a, b)
-    d1 = db1_answer(pattern, s1)
-    d2 = db2_answer(db2_selector(pattern, theta), s2)
-    return (d1, d2), linear_decode(theta, pattern, d1, d2)
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -118,15 +118,20 @@ def linear_descriptor() -> SchemeDescriptor:
         yield 1, Fraction(1, 2)
         yield 2, Fraction(1, 2)
 
-    def store(msg):
-        return linear_store(*msg)
+    store = _stored_memo()
 
     def run(msg, theta, pattern):
-        (d1, d2), decoded = linear_retrieve(theta, pattern, *msg)
+        if theta not in (1, 2):
+            raise ValueError("theta must be 1 or 2")
+        if pattern not in PATTERNS:
+            raise ValueError("pattern must be 1 or 2")
+        s1, s2 = store(msg)
+        selector = db2_selector(pattern, theta)
+        d1, d2 = db1_answer(pattern, s1), db2_answer(selector, s2)
         return SessionRecord(
-            queries=((pattern,), (db2_selector(pattern, theta),)),
+            queries=((pattern,), (selector,)),
             answers=(d1, d2),
-            decoded=decoded,
+            decoded=linear_decode(theta, pattern, d1, d2),
             download_bits=6,
         )
 
@@ -184,12 +189,15 @@ def asymmetric_toy_descriptor() -> SchemeDescriptor:
         yield 0, Fraction(1, 2)
         yield 1, Fraction(1, 2)
 
+    stored = _stored_memo()
+
     def store(msg):
-        return (tuple(msg[0]) + tuple(msg[1]), linear_store(*msg)[1])
+        s2 = stored(msg)[1]  # checks both blocks before they are joined
+        return (msg[0] + msg[1], s2)
 
     def run(msg, theta, f):
-        s1, s2 = store(msg)
-        a1 = tuple(msg[theta - 1])
+        s2 = stored(msg)[1]
+        a1 = msg[theta - 1]
         a2 = (s2[0], s2[1]) if f == 0 else (s2[2], s2[3])
         return SessionRecord(
             queries=((f"m{theta}",), (f"half{f}",)),

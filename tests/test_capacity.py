@@ -45,6 +45,19 @@ class TestCapacity:
         for rounds in (1, 2, 7):
             assert mtpir_capacity(PirParameters(2, 2, 1, rounds)) == F(2, 3)
 
+    def test_closed_form_equals_the_series(self):
+        for k in range(1, 13):
+            for n in range(1, 7):
+                for t in range(1, n + 1):
+                    ratio = F(t, n)
+                    series = sum((ratio**i for i in range(k)), F(0))
+                    assert mtpir_capacity(PirParameters(k, n, t)) == 1 / series
+
+    def test_many_messages(self):
+        # 2^(K-1) / (2^K - 1) at T/N = 1/2, from one power instead of K terms.
+        k = 10**6
+        assert mtpir_capacity(PirParameters(k, 2, 1)) == F(2 ** (k - 1), 2**k - 1)
+
 
 class TestOverhead:
     def test_replicated(self):

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,17 @@ class TestCapacity:
         code, doc = run_cli(capsys, "capacity", "-K", "1", "-N", "5")
         assert code == 0
         assert doc["capacity"] == "1/1"
+
+    def test_too_many_digits_exit_2(self, capsys):
+        # At N = 2 the exact capacity has about 0.3 K digits, beyond what
+        # Python prints from K = 14,300 on.
+        start = time.perf_counter()
+        assert main(["capacity", "-K", "20000", "-N", "2"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: -K 20000 is too large")
+        assert "Traceback" not in captured.err
 
     def test_three_messages(self, capsys):
         code, doc = run_cli(capsys, "capacity", "-K", "3", "-N", "2")

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from pirlab import audit
+from pirlab import audit, linear
 from pirlab.audit import (
     _correctness,
     _download,
@@ -14,6 +14,7 @@ from pirlab.audit import (
     _storage,
     _tabulate,
     _views,
+    build_audit_report,
     check_privacy,
     exhaustive_correctness,
     measure_overhead,
@@ -26,7 +27,6 @@ from pirlab.linear import (
     asymmetric_toy_descriptor,
     gf2_rank,
     linear_descriptor,
-    linear_retrieve,
     linear_storage_entropy_bits,
     linear_store,
     replicated_descriptor,
@@ -106,26 +106,28 @@ class TestStore:
 class TestRetrieve:
     def test_pattern1_want_first(self):
         a, b = (1, 0, 1, 1), (0, 1, 1, 0)
-        (d1, d2), decoded = linear_retrieve(1, 1, a, b)
+        record = linear_descriptor().run((a, b), 1, 1)
+        d1, d2 = record.answers
         assert d1 == (a[0], b[0], a[1] ^ b[1])
         assert d2 == (a[3], b[1], a[2] ^ b[0])
-        assert decoded == a
+        assert record.decoded == a
 
     def test_pattern2_want_second(self):
         a, b = (1, 1, 0, 0), (1, 0, 0, 1)
-        (d1, d2), decoded = linear_retrieve(2, 2, a, b)
+        record = linear_descriptor().run((a, b), 2, 2)
+        d1, d2 = record.answers
         assert d1 == (a[2], b[2], a[3] ^ b[3])
         assert d2 == (a[3], b[1], a[2] ^ b[0])
-        assert decoded == b
+        assert record.decoded == b
 
     def test_exhaustive_zero_error(self):
+        scheme = linear_descriptor()
         cases = 0
         for bits in product((0, 1), repeat=8):
             a, b = bits[:4], bits[4:]
             for pattern in (1, 2):
                 for theta in (1, 2):
-                    _, decoded = linear_retrieve(theta, pattern, a, b)
-                    assert decoded == (a if theta == 1 else b)
+                    assert scheme.run((a, b), theta, pattern).decoded == (a if theta == 1 else b)
                     cases += 1
         assert cases == 1024
 
@@ -134,13 +136,66 @@ class TestRetrieve:
     )
     def test_bad_theta_or_pattern_rejected(self, theta, pattern, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            linear_retrieve(theta, pattern, (0, 0, 0, 0), (0, 0, 0, 0))
+            linear_descriptor().run(((0, 0, 0, 0), (0, 0, 0, 0)), theta, pattern)
 
     def test_download_is_six_bits(self):
         scheme = linear_descriptor()
         download = measure_rate(scheme)["expected_symbol_download_per_block"]
         assert download == 6
         assert F(scheme.block_length) / download == F(2, 3)
+
+
+class TestChecking:
+    """Blocks are checked at the public entry point and once per message per
+    descriptor; what the memo holds never outlives its descriptor."""
+
+    @pytest.mark.parametrize("factory", [linear_descriptor, asymmetric_toy_descriptor])
+    @pytest.mark.parametrize("call", ["store", "run"])
+    @pytest.mark.parametrize(
+        "msg, name",
+        [
+            (((1, 0), (0, 0, 0, 0)), "a"),
+            (((0, 0, 0, 0), (0, 2, 0, 0)), "b"),
+            (([0, 0, 0, 0], (0, 0, 0, 0)), "a"),
+            (((0, 0, 0, 0), [0, 1, 0, 0]), "b"),
+        ],
+        ids=["short", "entry-2", "list-a", "list-b"],
+    )
+    def test_malformed_message_refused(self, factory, call, msg, name):
+        scheme = factory()
+        scheme.store(((0, 0, 0, 0), (0, 0, 0, 0)))  # a warm memo refuses it too
+        with pytest.raises(ValueError, match=f"^{name} must be a 4-bit tuple$"):
+            scheme.store(msg) if call == "store" else scheme.run(msg, 1, 1)
+
+    def test_list_block_refused_by_linear_store(self):
+        with pytest.raises(ValueError, match="^a must be a 4-bit tuple$"):
+            linear_store([1, 0, 0, 0], (0, 0, 0, 0))
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        names = []
+        check = linear._check_block
+
+        def counted(name, bits):
+            names.append(name)
+            check(name, bits)
+
+        monkeypatch.setattr(linear, "_check_block", counted)
+        return names
+
+    def test_audit_report_checks_each_message_once(self, checks):
+        assert build_audit_report(linear_descriptor())["pass"]
+        assert len(checks) == 2 * 256
+
+    def test_symmetrised_audits_check_each_message_once_per_descriptor(self, checks):
+        # The four exact audits of one symmetrize(linear) store each of the
+        # component's 256 messages once; a second descriptor starts cold.
+        for _ in range(2):
+            checks.clear()
+            scheme = symmetrize(linear_descriptor())
+            for measure in (check_privacy, exhaustive_correctness, measure_rate, measure_overhead):
+                measure(scheme)
+            assert len(checks) == 2 * 256
 
 
 class TestReplicated:
