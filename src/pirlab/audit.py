@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 from .capacity import check_rate_admissible, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, SourceModel
 from .descriptor import SchemeDescriptor
-from .dist import ExactDist, conditional_entropy, entropy, marginal, total_variation
+from .dist import ExactDist, _check_coords, _grouped_entropy, conditional_entropy, entropy, total_variation
 from .seeds import derive_seed
 
 EXHAUSTION_LIMIT = 1 << 20
@@ -241,10 +241,7 @@ def _download(scheme: SchemeDescriptor) -> _Projection:
 
     def finish(tables):
         joint, downloads = tables
-        per_db = [
-            conditional_entropy(marginal(joint, range(n + 1)), range(n))
-            for n in range(1, joint.arity)
-        ]
+        per_db = [_cond_entropy_of(joint, (n,), tuple(range(n))) for n in range(1, joint.arity)]
         return result(per_db, _expectation(downloads))
 
     def compose(tables):
@@ -301,6 +298,13 @@ def scheme_profile(scheme: SchemeDescriptor) -> dict:
     H(A_n | F, G) and expected symbol download per theta, and per-database
     ideal storage bits. A product's H(A_n | F, G) is its component's at n
     plus at the other database, and its download doubles."""
+    profile, storage = _tabulate(scheme, _thetas(scheme), _profile(scheme))
+    return {**profile, "storage_bits": storage}
+
+
+def _profile(scheme: SchemeDescriptor) -> list[_Projection]:
+    """``scheme_profile``'s projections over every theta: answer entropies
+    and downloads, then storage bits."""
     thetas = _thetas(scheme)
     keys = list(product(thetas, range(1, scheme.params.num_databases + 1)))
 
@@ -326,9 +330,14 @@ def scheme_profile(scheme: SchemeDescriptor) -> dict:
             "expected_symbol_download": {t: 2 * d for t, d in download.items()},
         }
 
-    projections = [_Projection(finish, session, compose=compose), _storage(scheme)]
-    profile, storage = _tabulate(scheme, thetas, projections)
-    return {**profile, "storage_bits": storage}
+    return [_Projection(finish, session, compose=compose), _storage(scheme)]
+
+
+def _with_product(p: _Projection) -> _Projection:
+    """``p`` finishing to the pair (its result, the product's ``compose``
+    result) from the same tables: one pass measures a scheme and the two-copy
+    product of it."""
+    return p._replace(finish=lambda tables: (p.finish(tables), p.compose(tables)))
 
 
 def _upload(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
@@ -563,8 +572,10 @@ def _coupled(scheme: SchemeDescriptor) -> _Projection:
 
 
 def _cond_entropy_of(joint: ExactDist, target: tuple[int, ...], given: tuple[int, ...]) -> float:
-    marg = marginal(joint, given + target)
-    return conditional_entropy(marg, range(len(given)))
+    """H(target | given), grouped straight from the joint's counts: the same
+    sums, in the same order, as ``conditional_entropy`` of their marginal."""
+    _check_coords(given + target, joint.arity)
+    return _grouped_entropy(joint, given, target)
 
 
 def conditional_mutual_information(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -61,14 +62,20 @@ def cmd_capacity(args) -> int:
     params = PirParameters(
         num_messages=args.K, num_databases=args.N, collusion=args.T
     )
+    too_large = ValueError(
+        f"-K {args.K} is too large: at N={args.N}, T={args.T} the exact capacity "
+        f"has more than {sys.get_int_max_str_digits()} digits"
+    )
+    # With T/N = p/q in lowest terms the capacity's numerator is q^(K-1):
+    # refuse before computing when that alone is over a digit past the limit.
+    limit, q = sys.get_int_max_str_digits(), Fraction(args.T, args.N).denominator
+    if limit and (args.K - 1) * math.log10(q) > limit + 1:
+        raise too_large
     value = mtpir_capacity(params)
     try:
         capacity = fraction_str(value)
     except ValueError:  # Python prints no integer longer than its digit limit
-        raise ValueError(
-            f"-K {args.K} is too large: at N={args.N}, T={args.T} the exact capacity "
-            f"has more than {sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise too_large from None
     _emit(
         {
             "num_messages": args.K,

@@ -173,17 +173,22 @@ def conditional_entropy(d: ExactDist, condition_coords: Iterable[int]) -> float:
     rest = tuple(c for c in range(d.arity) if c not in cond)
     if not rest:
         return 0.0
-    key_of, value_of = _symbols_at(cond), _symbols_at(rest)
+    return _grouped_entropy(d, cond, rest)
+
+
+def _grouped_entropy(d: ExactDist, given: tuple[int, ...], target: tuple[int, ...]) -> float:
+    """H(target | given) for checked coordinates, grouping ``d``'s counts by
+    the ``given`` symbols and, within a group, by the ``target`` symbols.
+    Groups and their entries sum in first-occurrence order."""
+    key_of, value_of = _symbols_at(given), _symbols_at(target)
     groups: dict = {}
-    totals: dict = {}
     for outcome, count in d._counts.items():
-        key, value = key_of(outcome), value_of(outcome)
-        bucket = groups.setdefault(key, {})
+        bucket = groups.setdefault(key_of(outcome), {})
+        value = value_of(outcome)
         bucket[value] = bucket.get(value, 0) + count
-        totals[key] = totals.get(key, 0) + count
     result = 0.0
-    for key, bucket in groups.items():
-        group_total = totals[key]
+    for bucket in groups.values():
+        group_total = sum(bucket.values())
         result += group_total / d._total * _plogp_sum(bucket.values(), group_total)
     return result
 

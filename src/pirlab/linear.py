@@ -39,17 +39,24 @@ def linear_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return s1, s2
 
 
-def _stored_memo():
-    """``linear_store`` of a message (a, b), checked once per message for the
-    life of one descriptor; a fresh descriptor starts with an empty memo."""
-    memo = lru_cache(maxsize=None)(linear_store)
+def _replicated_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both 4-bit messages, whole, at each database."""
+    _check_block("a", a)
+    _check_block("b", b)
+    return a + b, a + b
+
+
+def _stored_memo(store=linear_store):
+    """``store`` of a message (a, b), checked once per message for the life
+    of one descriptor; a fresh descriptor starts with an empty memo."""
+    memo = lru_cache(maxsize=None)(store)
 
     def stored(msg):
         try:
             return memo(*msg)
         except TypeError:
-            # An unhashable block, such as a list: linear_store refuses it by name.
-            return linear_store(*msg)
+            # An unhashable block, such as a list: store refuses it by name.
+            return store(*msg)
 
     return stored
 
@@ -152,16 +159,14 @@ def replicated_descriptor() -> SchemeDescriptor:
     def randomness_space():
         yield 0, Fraction(1)
 
-    def store(msg):
-        full = tuple(msg[0]) + tuple(msg[1])
-        return (full, full)
+    store = _stored_memo(_replicated_store)
 
     def run(msg, theta, _f):
-        full = tuple(msg[0]) + tuple(msg[1])
+        full = store(msg)[0]
         return SessionRecord(
             queries=(("all",), ()),
             answers=(full, ()),
-            decoded=tuple(msg[theta - 1]),
+            decoded=msg[theta - 1],
             download_bits=len(full),
         )
 

@@ -2,8 +2,11 @@
 
 Each row states what was expected, what was measured, and whether it passed;
 the CLI serializes the bundle as JSON. Ideal mode runs only the exact rows
-(no Monte-Carlo, a few seconds); full mode adds the finite-length coding
-rows.
+(no Monte-Carlo, well under a second); full mode adds the finite-length
+coding rows. The exact rows enumerate each scheme once: ``exact_passes``
+makes one pass each over multiround, linear and replicated for criteria 3,
+5, 7, 8 and 9, criterion 4 one over each negative control, and criterion 10
+one over the asymmetric toy, from which it also composes ``symmetrize(toy)``.
 """
 
 from __future__ import annotations
@@ -12,14 +15,8 @@ import math
 from fractions import Fraction
 
 from .audit import (
-    check_privacy,
-    enumerate_view,
-    measure_overhead,
-    measure_rate,
-    real_holds,
-    scheme_profile,
-    verify_converse_bounds,
-    verify_entropy_identities,
+    _converse, _coupled, _download, _finish_overhead, _finish_rate, _identities, _privacy, _profile,
+    _storage, _tabulate, _thetas, _views, _with_product, check_privacy, measure_rate, real_holds,
 )
 from .capacity import PirParameters, mtpir_capacity
 from .coding import CodecConfig, side_info_conditional_entropy, sw_bin_bits
@@ -48,22 +45,53 @@ def _row(criterion: str, description: str, expected, measured, ok: bool) -> dict
     }
 
 
+def exact_passes() -> dict[str, dict]:
+    """What criteria 3, 5, 7, 8 and 9 read, from one pass per scheme over
+    theta in (1, 2), by scheme name: ``rate`` as ideal ``measure_rate``,
+    ``overhead`` and ``converse`` as ``measure_overhead`` and
+    ``verify_converse_bounds``; multiround's ``privacy`` and ``view`` as
+    ``check_privacy`` and ``enumerate_view`` at theta 1, database 2; and
+    linear's ``identities`` as ``verify_entropy_identities``."""
+    thetas = (1, 2)
+
+    def measures(scheme, download, storage, coupled) -> dict:
+        return {
+            "rate": _finish_rate(scheme, download, "ideal", None, 1, 0)[0],
+            "overhead": _finish_overhead(scheme, storage),
+            "converse": _converse(scheme, download, coupled),
+        }
+
+    multiround = multiround_descriptor()
+    projections = [_views(multiround, thetas), _download(multiround), _storage(multiround)]
+    views, download, storage = _tabulate(multiround, thetas, projections)
+    passes = {"multiround": measures(multiround, download, storage, [])}
+    passes["multiround"].update(privacy=_privacy(multiround, views), view=views[1, 2])
+    for scheme in (linear_descriptor(), replicated_descriptor()):
+        projections = [_download(scheme), _storage(scheme), _coupled(scheme)]
+        download, storage, coupled = _tabulate(scheme, thetas, projections)
+        passes[scheme.name] = measures(scheme, download, storage, [coupled])
+        # As in an audit report: the identities are premises of the storage bound at capacity.
+        if download["symbol_rate"] == mtpir_capacity(scheme.params):
+            passes[scheme.name]["identities"] = _identities(scheme, *coupled)
+    return passes
+
+
 def criterion_capacity() -> dict:
     base = mtpir_capacity(PirParameters(2, 2, 1))
+    cells = [(k, n, t) for n in range(1, 7) for t in range(1, n + 1) for k in range(1, 7)]
+    grid = {cell: mtpir_capacity(PirParameters(*cell)) for cell in cells}
     grid_ok = True
     single_db_privacy_match = True
     for n in range(1, 6):
         for t in range(1, n + 1):
             for k in range(1, 6):
-                c = mtpir_capacity(PirParameters(k, n, t))
-                grid_ok &= mtpir_capacity(PirParameters(k + 1, n, t)) <= c
+                c = grid[k, n, t]
+                grid_ok &= grid[k + 1, n, t] <= c
                 if t < n:
-                    grid_ok &= mtpir_capacity(PirParameters(k, n, t + 1)) <= c
-                grid_ok &= mtpir_capacity(PirParameters(k, n + 1, t)) >= c
+                    grid_ok &= grid[k, n, t + 1] <= c
+                grid_ok &= grid[k, n + 1, t] >= c
                 if t == 1:
-                    direct = 1 / sum(
-                        (Fraction(1, n**i) for i in range(k)), Fraction(0)
-                    )
+                    direct = 1 / sum((Fraction(1, n**i) for i in range(k)), Fraction(0))
                     single_db_privacy_match &= c == direct
     ok = base == Fraction(2, 3) and grid_ok and single_db_privacy_match
     return _row(
@@ -83,9 +111,10 @@ def criterion_multiround_correctness() -> dict:
     for length in (1, 2, 3):
         for w1 in product((0, 1), repeat=length):
             for w2 in product((0, 1), repeat=length):
+                pair = MessagePair(w1, w2)
                 for coin in product((0, 1), repeat=length):
                     for theta in (1, 2):
-                        transcript = run_session(MessagePair(w1, w2), theta, coin)
+                        transcript = run_session(pair, theta, coin)
                         cases += 1
                         if transcript.decoded != (w1 if theta == 1 else w2):
                             errors += 1
@@ -98,12 +127,11 @@ def criterion_multiround_correctness() -> dict:
     )
 
 
-def criterion_exact_privacy() -> dict:
-    scheme = multiround_descriptor()
-    table = marginal(enumerate_view(scheme, theta=1, database=2), (0, 1, 2))
+def criterion_exact_privacy(passes: dict) -> dict:
+    table = marginal(passes["multiround"]["view"], (0, 1, 2))
     expected = ExactDist(EXPECTED_VIEW_TABLE)
     table_ok = table == expected
-    privacy = check_privacy(scheme)
+    privacy = passes["multiround"]["privacy"]
     tvs = {
         f"db{entry['database']}": entry["total_variation"][(1, 2)]
         for entry in privacy["databases"]
@@ -133,32 +161,22 @@ def criterion_negative_controls() -> dict:
     )
 
 
-def criterion_ideal_rate_overhead() -> dict:
-    multiround = multiround_descriptor()
-    linear = linear_descriptor()
-    replicated = replicated_descriptor()
-
-    rate_mr = measure_rate(multiround)
-    overhead_mr = measure_overhead(multiround)
+def criterion_ideal_rate_overhead(passes: dict) -> dict:
+    multiround, linear = passes["multiround"], passes["linear"]
     alpha_expected = 0.75 + 0.375 * math.log2(3)
-
-    rate_lin = measure_rate(linear)
-    overhead_lin = measure_overhead(linear)
-    overhead_rep = measure_overhead(replicated)
-
     checks = {
-        "multiround_download_per_bit": rate_mr["ideal_download_per_message_bit"],
-        "multiround_alpha": overhead_mr["alpha_ideal"],
-        "linear_symbol_rate": rate_lin["symbol_rate"],
-        "linear_alpha": overhead_lin["alpha_ideal"],
-        "replicated_alpha": overhead_rep["alpha_ideal"],
+        "multiround_download_per_bit": multiround["rate"]["ideal_download_per_message_bit"],
+        "multiround_alpha": multiround["overhead"]["alpha_ideal"],
+        "linear_symbol_rate": linear["rate"]["symbol_rate"],
+        "linear_alpha": linear["overhead"]["alpha_ideal"],
+        "replicated_alpha": passes["replicated"]["overhead"]["alpha_ideal"],
     }
     ok = (
-        real_holds(rate_mr["ideal_download_per_message_bit"], 1.5)
-        and real_holds(overhead_mr["alpha_ideal"], alpha_expected)
-        and rate_lin["symbol_rate"] == Fraction(2, 3)
-        and overhead_lin["alpha_ideal"] == 1.5
-        and overhead_rep["alpha_ideal"] == 2.0
+        real_holds(checks["multiround_download_per_bit"], 1.5)
+        and real_holds(checks["multiround_alpha"], alpha_expected)
+        and checks["linear_symbol_rate"] == Fraction(2, 3)
+        and checks["linear_alpha"] == 1.5
+        and checks["replicated_alpha"] == 2.0
     )
     return _row(
         "5",
@@ -215,8 +233,8 @@ def criterion_sw_storage(codec: CodecConfig) -> dict:
     )
 
 
-def criterion_symbol_download() -> dict:
-    value = measure_rate(multiround_descriptor())["expected_symbol_download_per_block"]
+def criterion_symbol_download(passes: dict) -> dict:
+    value = passes["multiround"]["rate"]["expected_symbol_download_per_block"]
     ok = value == Fraction(7, 4)
     return _row(
         "7",
@@ -227,8 +245,8 @@ def criterion_symbol_download() -> dict:
     )
 
 
-def criterion_entropy_identities() -> dict:
-    checks = verify_entropy_identities(linear_descriptor())
+def criterion_entropy_identities(passes: dict) -> dict:
+    checks = passes["linear"]["identities"]
     ok = all(c["pass"] for c in checks)
     return _row(
         "8",
@@ -239,21 +257,14 @@ def criterion_entropy_identities() -> dict:
     )
 
 
-def criterion_converse() -> dict:
-    linear_checks = verify_converse_bounds(linear_descriptor())
-    replicated_checks = verify_converse_bounds(replicated_descriptor())
-    multiround_checks = verify_converse_bounds(multiround_descriptor())
-    every = linear_checks + replicated_checks + multiround_checks
-    ok = all(c["pass"] for c in every)
+def criterion_converse(passes: dict) -> dict:
+    checks = {name: passes[name]["converse"] for name in ("linear", "replicated", "multiround")}
+    ok = all(c["pass"] for every in checks.values() for c in every)
     return _row(
         "9",
         "retrieved-information bound with o(L) = 0 and rate-vs-capacity on every scheme",
         "all inequalities hold",
-        {
-            "linear": linear_checks,
-            "replicated": replicated_checks,
-            "multiround": multiround_checks,
-        },
+        checks,
         ok,
     )
 
@@ -261,18 +272,14 @@ def criterion_converse() -> dict:
 def criterion_symmetrization() -> dict:
     toy = asymmetric_toy_descriptor()
     symmetric = symmetrize(toy)
-
-    profile_before = scheme_profile(toy)
-    profile_after = scheme_profile(symmetric)
-    storage_before = profile_before["storage_bits"]
-    storage_after = profile_after["storage_bits"]
-    answers_after = [
-        profile_after["answer_entropy"][(1, 1)],
-        profile_after["answer_entropy"][(1, 2)],
-        profile_after["answer_entropy"][(2, 2)],
-    ]
-    rate_before = Fraction(toy.block_length) / profile_before["expected_symbol_download"][1]
-    rate_after = Fraction(symmetric.block_length) / profile_after["expected_symbol_download"][1]
+    # One pass over the toy: each projection's finish measures the toy, and
+    # its compose measures symmetrize(toy) from the same tables.
+    (before, after), (storage_before, storage_after) = _tabulate(
+        toy, _thetas(toy), [_with_product(p) for p in _profile(toy)]
+    )
+    answers_after = [after["answer_entropy"][key] for key in ((1, 1), (1, 2), (2, 2))]
+    rate_before = Fraction(toy.block_length) / before["expected_symbol_download"][1]
+    rate_after = Fraction(symmetric.block_length) / after["expected_symbol_download"][1]
     alpha_before = sum(storage_before) / (2 * toy.block_length)
     alpha_after = sum(storage_after) / (2 * symmetric.block_length)
 
@@ -306,21 +313,22 @@ def reproduce_all(mode: str = "full", seed: int = 0, codec: CodecConfig | None =
     if mode not in ("ideal", "full"):
         raise ValueError("mode must be 'ideal' or 'full'")
     codec = codec or CodecConfig(seed=seed)
+    passes = exact_passes()
     rows = [
         criterion_capacity(),
         criterion_multiround_correctness(),
-        criterion_exact_privacy(),
+        criterion_exact_privacy(passes),
         criterion_negative_controls(),
-        criterion_ideal_rate_overhead(),
+        criterion_ideal_rate_overhead(passes),
     ]
     if mode == "full":
         rows.append(criterion_concrete_download(seed))
         rows.append(criterion_sw_failure(seed, codec))
         rows.append(criterion_sw_storage(codec))
     rows += [
-        criterion_symbol_download(),
-        criterion_entropy_identities(),
-        criterion_converse(),
+        criterion_symbol_download(passes),
+        criterion_entropy_identities(passes),
+        criterion_converse(passes),
         criterion_symmetrization(),
     ]
     return {

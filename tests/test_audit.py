@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from pirlab import audit
+from pirlab import audit, reproduce
 from pirlab.audit import (
     answer_stream_models,
     build_audit_report,
@@ -28,7 +28,8 @@ from pirlab.audit import (
     verify_entropy_identities,
 )
 from pirlab.coding import CodecConfig
-from pirlab.linear import linear_descriptor, replicated_descriptor, symmetrize
+from pirlab.dist import conditional_entropy, marginal
+from pirlab.linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
 
 F = Fraction
@@ -195,6 +196,67 @@ class TestEnumerationCounts:
         scheme, calls = self.counted(multiround_descriptor())
         build_audit_report(scheme, mode="concrete", L=200, trials=2, sw_blocks=10)
         assert calls == {"run": 16, "store": 4}
+
+    def test_reproduce_enumerates_each_scheme_once(self, monkeypatch):
+        # reproduce --mode ideal makes six passes: linear runs 256 messages x
+        # 2 patterns x 2 thetas, replicated 256 x 2, the toy 256 x 2 coins x 2
+        # (symmetrize(toy) is composed from that pass) and each multiround
+        # variant 4 x 2 x 2; each pass stores each message once.
+        made, passes = [], []
+
+        def counting(factory):
+            def make(*args, **kwargs):
+                scheme, calls = self.counted(factory(*args, **kwargs))
+                made.append((scheme.name, calls))
+                return scheme
+
+            return make
+
+        for name in ("multiround_descriptor", "linear_descriptor", "replicated_descriptor",
+                     "asymmetric_toy_descriptor"):
+            monkeypatch.setattr(reproduce, name, counting(getattr(reproduce, name)))
+        tabulate = audit._tabulate
+
+        def counted_tabulate(scheme, thetas, projections):
+            passes.append(scheme.name)
+            return tabulate(scheme, thetas, projections)
+
+        monkeypatch.setattr(audit, "_tabulate", counted_tabulate)
+        monkeypatch.setattr(reproduce, "_tabulate", counted_tabulate)
+        assert reproduce.reproduce_all(mode="ideal")["pass"]
+        names = ["asymmetric-toy", "linear", "multiround", "multiround-bias-3-4",
+                 "multiround-replicated", "replicated"]
+        assert sorted(passes) == names
+        assert sorted(name for name, _ in made) == names
+        assert dict(made) == {
+            "linear": {"run": 1024, "store": 256},
+            "replicated": {"run": 512, "store": 256},
+            "asymmetric-toy": {"run": 1024, "store": 256},
+            "multiround": {"run": 16, "store": 4},
+            "multiround-replicated": {"run": 16, "store": 4},
+            "multiround-bias-3-4": {"run": 16, "store": 4},
+        }
+
+    def test_reproduce_passes_equal_the_public_measurements(self):
+        passes = reproduce.exact_passes()
+        for factory in (multiround_descriptor, linear_descriptor, replicated_descriptor):
+            scheme = factory()
+            entry = passes[scheme.name]
+            assert entry["rate"] == measure_rate(scheme)
+            assert entry["overhead"] == measure_overhead(scheme)
+            assert entry["converse"] == verify_converse_bounds(scheme)
+        multiround = multiround_descriptor()
+        assert passes["multiround"]["privacy"] == check_privacy(multiround)
+        assert passes["multiround"]["view"] == enumerate_view(multiround, theta=1, database=2)
+        assert passes["linear"]["identities"] == verify_entropy_identities(linear_descriptor())
+        assert "identities" not in passes["replicated"]
+
+    def test_one_toy_pass_profiles_the_toy_and_its_symmetrisation(self):
+        toy = asymmetric_toy_descriptor()
+        projections = [audit._with_product(p) for p in audit._profile(toy)]
+        (before, after), (storage_before, storage_after) = audit._tabulate(toy, (1, 2), projections)
+        assert {**before, "storage_bits": storage_before} == scheme_profile(toy)
+        assert {**after, "storage_bits": storage_after} == scheme_profile(symmetrize(toy))
 
     @pytest.mark.parametrize("build", [build_audit_report, build_simulation_report])
     @pytest.mark.parametrize(
@@ -461,6 +523,33 @@ class TestIdentitiesAndConverse:
         checks = verify_converse_bounds(multiround_descriptor())
         assert all(c["pass"] for c in checks)
         assert len(checks) == 2  # no single-round information rows
+
+    def test_grouped_entropies_bit_identical_to_the_marginal_route(self):
+        # Every identity and converse entropy, grouped straight from the joint,
+        # is the float that conditional_entropy of its marginal gives.
+        joint, g = coupled_session_joint(linear_descriptor())
+        w1f, w2f = g["W1"] + g["F"], g["W2"] + g["F"]
+        first = g["Q1^1"] + g["Q2^1"] + g["A1^1"] + g["A2^1"] + g["F"]
+        sets = [
+            (g["A1^1"], w1f), (g["A2^2"], w1f), (g["A2^2"], w2f), (g["A2^2"], g["W1"] + g["A2^1"] + g["F"]),
+            (g["A2^1"] + g["A2^2"], g["F"]),
+            (g["A2^1"], w1f), (g["A2^1"], g["A2^2"] + w1f), (g["A2^1"], w2f), (g["A2^1"], g["A2^2"] + w2f),
+            (g["W2"], g["F"] + g["Q1^2"] + g["Q2^2"] + g["A1^2"] + g["A2^2"]),
+            (g["W2"], g["W1"]), (g["W2"], first + g["W1"]),
+        ]
+        for target, given in sets:
+            grouped = audit._cond_entropy_of(joint, target, given)
+            via_marginal = conditional_entropy(marginal(joint, given + target), range(len(given)))
+            assert grouped.hex() == via_marginal.hex(), (target, given)
+
+    @pytest.mark.parametrize("descriptor", [multiround_descriptor, linear_descriptor])
+    def test_download_entropies_bit_identical_to_the_marginal_route(self, descriptor):
+        scheme = descriptor()
+        tables = audit._download(scheme)._replace(finish=lambda tables: tables[0])
+        (joint,) = audit._tabulate(scheme, (1,), [tables])
+        via_marginal = [conditional_entropy(marginal(joint, range(n + 1)), range(n)) for n in range(1, joint.arity)]
+        per_db = measure_rate(scheme)["ideal_download_per_db_per_block"]
+        assert [v.hex() for v in per_db] == [v.hex() for v in via_marginal]
 
     def test_conditional_mutual_information_chain_rule(self):
         joint, groups = coupled_session_joint(linear_descriptor())

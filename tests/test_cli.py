@@ -71,6 +71,18 @@ class TestCapacity:
         assert captured.err.startswith("error: -K 20000 is too large")
         assert "Traceback" not in captured.err
 
+    def test_oversized_K_refused_before_computing(self, capsys, monkeypatch):
+        # At N = 3, T = 2 the capacity's numerator 3^(K-1) alone has about
+        # 4.8 million digits.
+        def refuse(params):
+            raise AssertionError("the capacity was computed")
+
+        monkeypatch.setattr(cli, "mtpir_capacity", refuse)
+        assert main(["capacity", "-K", "10000000", "-N", "3", "-T", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: -K 10000000 is too large: at N=3, T=2")
+
     def test_three_messages(self, capsys):
         code, doc = run_cli(capsys, "capacity", "-K", "3", "-N", "2")
         assert code == 0

@@ -149,7 +149,7 @@ class TestChecking:
     """Blocks are checked at the public entry point and once per message per
     descriptor; what the memo holds never outlives its descriptor."""
 
-    @pytest.mark.parametrize("factory", [linear_descriptor, asymmetric_toy_descriptor])
+    @pytest.mark.parametrize("factory", [linear_descriptor, asymmetric_toy_descriptor, replicated_descriptor])
     @pytest.mark.parametrize("call", ["store", "run"])
     @pytest.mark.parametrize(
         "msg, name",
@@ -185,6 +185,10 @@ class TestChecking:
 
     def test_audit_report_checks_each_message_once(self, checks):
         assert build_audit_report(linear_descriptor())["pass"]
+        assert len(checks) == 2 * 256
+
+    def test_replicated_audit_checks_each_message_once(self, checks):
+        assert build_audit_report(replicated_descriptor())["pass"]
         assert len(checks) == 2 * 256
 
     def test_symmetrised_audits_check_each_message_once_per_descriptor(self, checks):
