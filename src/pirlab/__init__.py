@@ -10,7 +10,7 @@ from .coding import CodecConfig, SourceModel, SwBin, entropy_decode, entropy_enc
 from .descriptor import SchemeDescriptor, SessionRecord
 from .dist import ExactDist, conditional_entropy, entropy, marginal, total_variation
 from .linear import asymmetric_toy_descriptor, linear_descriptor, linear_store, replicated_descriptor, symmetrize
-from .multiround import CellTable, MessagePair, Transcript, db2_answer, decode, derive_cells, multiround_descriptor, round1, round2_query, run_session
+from .multiround import CellTable, MessagePair, Transcript, decode, derive_cells, multiround_descriptor, run_session
 from .seeds import derive_seed
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "asymmetric_toy_descriptor",
     "check_rate_admissible",
     "conditional_entropy",
-    "db2_answer",
     "decode",
     "derive_cells",
     "derive_seed",
@@ -40,8 +39,6 @@ __all__ = [
     "mtpir_capacity",
     "multiround_descriptor",
     "replicated_descriptor",
-    "round1",
-    "round2_query",
     "run_session",
     "storage_overhead",
     "sw_decode",

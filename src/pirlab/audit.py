@@ -549,13 +549,17 @@ def coupled_session_joint(scheme: SchemeDescriptor) -> tuple[ExactDist, dict[str
     converse quantities range over. Each named group is one coordinate that
     holds the group's symbol tuple. Only defined for single-round schemes.
     """
-    if scheme.params.rounds != 1:
+    coupled = _coupled(scheme)
+    if not coupled:
         raise ValueError("coupled session joint is defined for single-round schemes")
-    return _tabulate(scheme, (1, 2), [_coupled(scheme)])[0]
+    return _tabulate(scheme, (1, 2), coupled)[0]
 
 
-def _coupled(scheme: SchemeDescriptor) -> _Projection:
-    """``coupled_session_joint``'s projection; the pass's thetas start (1, 2)."""
+def _coupled(scheme: SchemeDescriptor) -> list[_Projection]:
+    """``coupled_session_joint``'s projection in a list, or [] unless single-round:
+    the one place that decides it. The pass's thetas start (1, 2)."""
+    if scheme.params.rounds != 1:
+        return []
     databases = range(1, scheme.params.num_databases + 1)
     names = ["W1", "W2", "F"] + [
         f"{kind}{n}^{theta}" for theta in (1, 2) for kind in "QA" for n in databases
@@ -568,7 +572,7 @@ def _coupled(scheme: SchemeDescriptor) -> _Projection:
             key += record.queries + record.answers
         return (key,)
 
-    return _Projection(lambda tables: (tables[0], groups), session)
+    return [_Projection(lambda tables: (tables[0], groups), session)]
 
 
 def _cond_entropy_of(joint: ExactDist, target: tuple[int, ...], given: tuple[int, ...]) -> float:
@@ -645,6 +649,13 @@ def _identities(scheme: SchemeDescriptor, joint: ExactDist, g: dict) -> list[dic
     ]
 
 
+def _identities_at_capacity(scheme: SchemeDescriptor, download: dict, coupled: list) -> list[dict] | None:
+    """The identities, premises of the single-round storage bound at capacity:
+    None unless ``coupled`` holds a joint and the symbol rate is capacity."""
+    at_capacity = coupled and download["symbol_rate"] == mtpir_capacity(scheme.params)
+    return _identities(scheme, *coupled[0]) if at_capacity else None
+
+
 def verify_converse_bounds(scheme: SchemeDescriptor) -> list[dict]:
     """Numeric converse spot checks on an implemented scheme.
 
@@ -654,15 +665,14 @@ def verify_converse_bounds(scheme: SchemeDescriptor) -> list[dict]:
     bound I(...) >= L * T / N. Every scheme also gets the exact
     rate-vs-capacity check.
     """
-    single_round = scheme.params.rounds == 1
-    projections = [_download(scheme)] + ([_coupled(scheme)] if single_round else [])
-    download, *coupled = _tabulate(scheme, (1, 2) if single_round else (1,), projections)
+    coupled = _coupled(scheme)
+    download, *coupled = _tabulate(scheme, (1, 2) if coupled else (1,), [_download(scheme)] + coupled)
     return _converse(scheme, download, coupled)
 
 
 def _converse(scheme: SchemeDescriptor, download: dict, coupled: list) -> list[dict]:
-    """The converse checks from ``_download``'s result and, for single-round
-    schemes, the one-element list of ``_coupled``'s result."""
+    """The converse checks from ``_download``'s result and the list of
+    ``_coupled``'s results."""
     params = scheme.params
     capacity = mtpir_capacity(params)
     rate = download["symbol_rate"]
@@ -753,7 +763,7 @@ def build_audit_report(
     params = scheme.params
     thetas = _thetas(scheme)
     coded = scheme.coded if mode == "concrete" else None
-    coupled = [_coupled(scheme)] if params.rounds == 1 else []
+    coupled = _coupled(scheme)
     models = [_answer_streams(scheme), _db1_cells(scheme)] if coded is not None else []
     projections = [
         _views(scheme, thetas), _correctness(scheme, thetas), _download(scheme),
@@ -767,18 +777,15 @@ def build_audit_report(
     overhead = _finish_overhead(scheme, storage)
     if mode == "concrete":
         overhead["concrete"] = _concrete_overhead(scheme, L, seed, codec, cell_model)
-    capacity = mtpir_capacity(params)
-    symbol_rate = rate["symbol_rate"]
     converse = _converse(scheme, download, coupled)
     capacity_check = {
-        "capacity": capacity,
-        "symbol_rate": symbol_rate,
+        "capacity": mtpir_capacity(params),
+        "symbol_rate": rate["symbol_rate"],
         "rate_ideal": rate["rate_ideal"],
         # The converse opens with the symbol and ideal rate-vs-capacity checks.
         "pass": converse[0]["pass"] and converse[1]["pass"],
     }
-    # The identities are premises of the single-round storage bound at capacity.
-    identities = _identities(scheme, *coupled[0]) if coupled and symbol_rate == capacity else None
+    identities = _identities_at_capacity(scheme, download, coupled)
     leakage = None
     if coded is not None:
         leakage = _leakage(coded, stream_models, min(L, 2000), min(trials, 20), seed)

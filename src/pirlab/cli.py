@@ -25,6 +25,11 @@ from .multiround import multiround_descriptor
 
 DEFAULT_SEED_ENV = "PIRLAB_SEED"
 
+# Binning flags are bounded before any mask is drawn: the mask table grows with
+# n and delta, and a block of n unknown positions decodes in about 3^(n/2) steps.
+MAX_BLOCK_LENGTH = 24  # one such block took about 1.7 s and 189 MB on a 2-core VM
+MAX_DELTA = 1.0  # bits per symbol; from (1/4) log2 3, about 0.40, a bin has room for every block
+
 
 def _default_seed() -> int:
     value = os.environ.get(DEFAULT_SEED_ENV, "0")
@@ -51,6 +56,14 @@ def _scheme_from_args(args) -> object:
     if args.scheme == "replicated":
         return replicated_descriptor()
     raise ValueError(f"unknown scheme {args.scheme!r}")
+
+
+def _codec_from_args(args) -> CodecConfig:
+    if not 1 <= args.block_length <= MAX_BLOCK_LENGTH:
+        raise ValueError(f"--block-length must be between 1 and {MAX_BLOCK_LENGTH}, got {args.block_length}")
+    if args.delta > MAX_DELTA:  # NaN and non-positive margins are CodecConfig's to refuse
+        raise ValueError(f"--delta must be at most {MAX_DELTA} bits per symbol, got {args.delta}")
+    return CodecConfig(block_length=args.block_length, rate_margin=args.delta, seed=args.seed)
 
 
 def _emit(document: dict) -> None:
@@ -91,16 +104,13 @@ def cmd_capacity(args) -> int:
 def cmd_report(args) -> int:
     """``simulate`` or ``audit``: the subcommand's ``build`` document for one scheme."""
     scheme = _scheme_from_args(args)
-    codec = CodecConfig(
-        block_length=args.block_length, rate_margin=args.delta, seed=args.seed
-    )
     document = args.build(
         scheme,
         mode=args.mode,
         L=args.message_length,
         trials=args.trials,
         seed=args.seed,
-        codec=codec,
+        codec=_codec_from_args(args),
         sw_blocks=args.sw_blocks,
     )
     _emit(document)
@@ -108,12 +118,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    codec = CodecConfig(
-        block_length=args.block_length, rate_margin=args.delta, seed=args.seed
-    )
-    document = reproduce_mod.reproduce_all(
-        mode=args.mode, seed=args.seed, codec=codec
-    )
+    document = reproduce_mod.reproduce_all(mode=args.mode, seed=args.seed, codec=_codec_from_args(args))
     _emit(_jsonify(document))
     return 0 if document["pass"] else 1
 

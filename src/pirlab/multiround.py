@@ -144,7 +144,7 @@ def _cell_bits(m: MessagePair) -> tuple[int, int, int, int]:
 
 
 def _hits(coin: int, x1: int, x2: int) -> int:
-    """Where the coin-selected x cell is 1: round 1's answer, and u = 0."""
+    """DB1's round-1 answer: where the coin-selected x cell is 1 (u = 0)."""
     return (x1 & ~coin) | (x2 & coin)
 
 
@@ -175,7 +175,6 @@ class CellTable:
         if packed is None or (x1 | x2 | y1 | y2) != (1 << n) - 1 or sum(map(int.bit_count, packed)) != n:
             first = next(c for c in zip(*cells) if c.count(1) != 1 or c.count(0) != 3)
             raise ValueError(f"cells must partition the position, got {first}")
-        object.__setattr__(self, "_packed", tuple(packed))
         if self.u is not None:
             u, packed_u = _check_bits("u", self.u)
             object.__setattr__(self, "u", u)
@@ -183,10 +182,6 @@ class CellTable:
                 raise ValueError("u must match the cell length")
             if ~packed_u & (y1 | y2):
                 raise ValueError("u = 0 requires (y1, y2) = (0, 0)")
-
-    @property
-    def length(self) -> int:
-        return len(self.x1)
 
 
 @dataclass(frozen=True)
@@ -205,10 +200,10 @@ class Transcript:
     decoded: tuple[int, ...] | None = None
 
 
-def _check_coin(coin: Sequence[int], n: int, other: str) -> tuple[tuple[int, ...], int]:
+def _check_coin(coin: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
     coin, packed = _check_bits("coin", coin)
     if len(coin) != n:
-        raise ValueError(f"coin length must match {other} length")
+        raise ValueError("coin length must match message length")
     return coin, packed
 
 
@@ -227,21 +222,14 @@ def derive_cells(m: MessagePair, coin: Sequence[int] | None = None) -> CellTable
     x1, x2, y1, y2 = _cell_bits(m)
     u = None
     if coin is not None:
-        hits = _hits(_check_coin(coin, n, "message")[1], x1, x2)
+        hits = _hits(_check_coin(coin, n)[1], x1, x2)
         u = _unpack(((1 << n) - 1) & ~hits, n)
     return CellTable(_unpack(x1, n), _unpack(x2, n), _unpack(y1, n), _unpack(y2, n), u)
 
 
-def round1(coin: Sequence[int], cells: CellTable) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """DB1 round: query x1 on coin 0, x2 on coin 1; answer the stored cell."""
-    n = cells.length
-    _, packed = _check_coin(coin, n, "cell")
-    x1, x2 = cells._packed[:2]
-    return _spell(_Q1_WORDS, n, packed), _unpack(_hits(packed, x1, x2), n)
-
-
 def _round2(theta: int, asked_x2: int, hits: int, n: int) -> tuple[int, int]:
-    """Bitsets of the positions that ask DB2 for y1 and for y2.
+    """The user's round-2 query: bitsets of the positions that ask DB2 for
+    y1 and for y2, from the coin and DB1's answer.
 
     Asking x1 and missing, the desired bit is the y cell of index theta;
     asking x2 and missing, it is the other one.
@@ -251,32 +239,9 @@ def _round2(theta: int, asked_x2: int, hits: int, n: int) -> tuple[int, int]:
     return misses & ~want_y2, want_y2
 
 
-def round2_query(
-    theta: int, q1: Sequence[str], a1: Sequence[int]
-) -> tuple[str | None, ...]:
-    """Pick the DB2 cell that reveals the desired bit; skip when a1 = 1."""
-    _check_theta(theta)
-    if len(q1) != len(a1):
-        raise ValueError("q1 and a1 must have equal length")
-    n = len(q1)
-    asked_x2 = _where(_codes("q1", q1, _Q1_CODES), 1)
-    ask_y1, ask_y2 = _round2(theta, asked_x2, _pack("a1", tuple(a1)), n)
-    return _spell(_Q2_WORDS, n, ask_y1 | ask_y2, ask_y2)
-
-
 def _answer(ask_y1: int, ask_y2: int, y1: int, y2: int, n: int) -> tuple[int | None, ...]:
-    """DB2's answers: the asked y cell, None where nothing is asked."""
+    """DB2's round-2 answer: the asked y cell, None where nothing is asked."""
     return _spell(_A2_WORDS, n, ask_y1 | ask_y2, (ask_y1 & y1) | (ask_y2 & y2))
-
-
-def db2_answer(
-    q2: Sequence[str | None], y1: Sequence[int], y2: Sequence[int]
-) -> tuple[int | None, ...]:
-    """Answer the requested y cell; emit nothing (None) at skipped positions."""
-    if not (len(q2) == len(y1) == len(y2)):
-        raise ValueError("q2 and cell sequences must have equal length")
-    codes = _codes("q2", q2, _Q2_CODES)
-    return _answer(_where(codes, 1), _where(codes, 2), _pack("y1", tuple(y1)), _pack("y2", tuple(y2)), len(q2))
 
 
 def decode(theta: int, t: Transcript) -> tuple[int, ...]:
@@ -290,7 +255,7 @@ def decode(theta: int, t: Transcript) -> tuple[int, ...]:
 
 
 def _decode(q1: Sequence, a1: Sequence, q2: Sequence, a2: Sequence) -> tuple[int, ...]:
-    """:func:`decode` on a transcript's queries and answers."""
+    """The user's decoding, from the queries and answers alone."""
     if not (len(q1) == len(a1) == len(q2) == len(a2)):
         raise ValueError("incomplete transcript")
     asked_x2 = _where(_codes("q1", q1, _Q1_CODES), 1)
@@ -304,10 +269,12 @@ def _decode(q1: Sequence, a1: Sequence, q2: Sequence, a2: Sequence) -> tuple[int
 def run_session(m: MessagePair, theta: int, coin: Sequence[int]) -> Transcript:
     """Play one full session; the decoded output always equals the desired message.
 
-    The user decodes from the transcript's queries and answers alone.
+    Each party's step is one helper: DB1 answers with ``_hits``, the user
+    asks round 2 with ``_round2``, DB2 answers with ``_answer``, and the
+    user decodes with ``_decode`` from the queries and answers alone.
     """
     n = m.length
-    coin, packed = _check_coin(coin, n, "message")
+    coin, packed = _check_coin(coin, n)
     _check_theta(theta)
     x1, x2, y1, y2 = _cell_bits(m)
     hits = _hits(packed, x1, x2)
@@ -430,17 +397,13 @@ def multiround_descriptor(
         return ((cells.x1[0], cells.x2[0]), (cells.y1[0], cells.y2[0]))
 
     def run(msg, theta, coin):
-        # The audit sees each database's part, so the session is played
-        # through the per-round steps that run_session fuses.
-        cells = derive_cells(MessagePair(*msg), coin)
-        q1, a1 = round1(coin, cells)
-        q2 = round2_query(theta, q1, a1)
-        a2 = db2_answer(q2, cells.y1, cells.y2)
+        # The audit checks the session the coded layer and criterion 2 run.
+        t = run_session(MessagePair(*msg), theta, coin)
         return SessionRecord(
-            queries=(q1, q2),
-            answers=(a1, a2),
-            decoded=decode(theta, Transcript(theta, coin, q1, a1, q2, a2)),
-            download_bits=1 + sum(1 for a in a2 if a is not None),
+            queries=(t.q1, t.q2),
+            answers=(t.a1, t.a2),
+            decoded=t.decoded,
+            download_bits=1 + sum(1 for a in t.a2 if a is not None),
         )
 
     def side_information(msg, coin):

@@ -15,10 +15,10 @@ import math
 from fractions import Fraction
 
 from .audit import (
-    _converse, _coupled, _download, _finish_overhead, _finish_rate, _identities, _privacy, _profile,
-    _storage, _tabulate, _thetas, _views, _with_product, check_privacy, measure_rate, real_holds,
+    _converse, _coupled, _download, _finish_overhead, _finish_rate, _identities_at_capacity, _privacy,
+    _profile, _storage, _tabulate, _thetas, _views, _with_product, check_privacy, measure_rate, real_holds,
 )
-from .capacity import PirParameters, mtpir_capacity
+from .capacity import PirParameters, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, side_info_conditional_entropy, sw_bin_bits
 from .dist import ExactDist, marginal
 from .linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
@@ -51,28 +51,30 @@ def exact_passes() -> dict[str, dict]:
     ``overhead`` and ``converse`` as ``measure_overhead`` and
     ``verify_converse_bounds``; multiround's ``privacy`` and ``view`` as
     ``check_privacy`` and ``enumerate_view`` at theta 1, database 2; and
-    linear's ``identities`` as ``verify_entropy_identities``."""
+    ``identities`` as ``verify_entropy_identities`` where an audit report
+    checks them (linear)."""
     thetas = (1, 2)
 
     def measures(scheme, download, storage, coupled) -> dict:
-        return {
+        found = {
             "rate": _finish_rate(scheme, download, "ideal", None, 1, 0)[0],
             "overhead": _finish_overhead(scheme, storage),
             "converse": _converse(scheme, download, coupled),
         }
+        identities = _identities_at_capacity(scheme, download, coupled)
+        if identities is not None:
+            found["identities"] = identities
+        return found
 
     multiround = multiround_descriptor()
-    projections = [_views(multiround, thetas), _download(multiround), _storage(multiround)]
-    views, download, storage = _tabulate(multiround, thetas, projections)
-    passes = {"multiround": measures(multiround, download, storage, [])}
+    projections = [_views(multiround, thetas), _download(multiround), _storage(multiround)] + _coupled(multiround)
+    views, download, storage, *coupled = _tabulate(multiround, thetas, projections)
+    passes = {"multiround": measures(multiround, download, storage, coupled)}
     passes["multiround"].update(privacy=_privacy(multiround, views), view=views[1, 2])
     for scheme in (linear_descriptor(), replicated_descriptor()):
-        projections = [_download(scheme), _storage(scheme), _coupled(scheme)]
-        download, storage, coupled = _tabulate(scheme, thetas, projections)
-        passes[scheme.name] = measures(scheme, download, storage, [coupled])
-        # As in an audit report: the identities are premises of the storage bound at capacity.
-        if download["symbol_rate"] == mtpir_capacity(scheme.params):
-            passes[scheme.name]["identities"] = _identities(scheme, *coupled)
+        projections = [_download(scheme), _storage(scheme)] + _coupled(scheme)
+        download, storage, *coupled = _tabulate(scheme, thetas, projections)
+        passes[scheme.name] = measures(scheme, download, storage, coupled)
     return passes
 
 
@@ -280,8 +282,8 @@ def criterion_symmetrization() -> dict:
     answers_after = [after["answer_entropy"][key] for key in ((1, 1), (1, 2), (2, 2))]
     rate_before = Fraction(toy.block_length) / before["expected_symbol_download"][1]
     rate_after = Fraction(symmetric.block_length) / after["expected_symbol_download"][1]
-    alpha_before = sum(storage_before) / (2 * toy.block_length)
-    alpha_after = sum(storage_after) / (2 * symmetric.block_length)
+    alpha_before = storage_overhead(storage_before, toy.block_length, toy.params.num_messages)
+    alpha_after = storage_overhead(storage_after, symmetric.block_length, symmetric.params.num_messages)
 
     ok = (
         real_holds(storage_after[0], storage_after[1])

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from pirlab import audit, reproduce
+from pirlab import audit, multiround, reproduce
 from pirlab.audit import (
     answer_stream_models,
     build_audit_report,
@@ -28,7 +28,7 @@ from pirlab.audit import (
     verify_entropy_identities,
 )
 from pirlab.coding import CodecConfig
-from pirlab.dist import conditional_entropy, marginal
+from pirlab.dist import ExactDist, conditional_entropy, marginal
 from pirlab.linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
 
@@ -196,6 +196,19 @@ class TestEnumerationCounts:
         scheme, calls = self.counted(multiround_descriptor())
         build_audit_report(scheme, mode="concrete", L=200, trials=2, sw_blocks=10)
         assert calls == {"run": 16, "store": 4}
+
+    def test_multiround_audit_plays_the_session_kernel(self, monkeypatch):
+        # The audited session is run_session's: one call per triple.
+        calls = []
+        kernel = multiround.run_session
+
+        def counted_session(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(multiround, "run_session", counted_session)
+        assert build_audit_report(multiround_descriptor())["pass"]
+        assert len(calls) == 16
 
     def test_reproduce_enumerates_each_scheme_once(self, monkeypatch):
         # reproduce --mode ideal makes six passes: linear runs 256 messages x
@@ -526,8 +539,13 @@ class TestIdentitiesAndConverse:
 
     def test_grouped_entropies_bit_identical_to_the_marginal_route(self):
         # Every identity and converse entropy, grouped straight from the joint,
-        # is the float that conditional_entropy of its marginal gives.
+        # is the float that conditional_entropy of its marginal gives. On
+        # linear's own joint these are small exact floats; reweighting its
+        # counts by 1, 2, 3, 1, ... makes the conditional laws non-dyadic, so
+        # a reordered sum shows in the last bits.
         joint, g = coupled_session_joint(linear_descriptor())
+        counts = {o: c * (1 + i % 3) for i, (o, c) in enumerate(joint.counts.items())}
+        reweighted = ExactDist(counts, total=sum(counts.values()))
         w1f, w2f = g["W1"] + g["F"], g["W2"] + g["F"]
         first = g["Q1^1"] + g["Q2^1"] + g["A1^1"] + g["A2^1"] + g["F"]
         sets = [
@@ -537,10 +555,10 @@ class TestIdentitiesAndConverse:
             (g["W2"], g["F"] + g["Q1^2"] + g["Q2^2"] + g["A1^2"] + g["A2^2"]),
             (g["W2"], g["W1"]), (g["W2"], first + g["W1"]),
         ]
-        for target, given in sets:
-            grouped = audit._cond_entropy_of(joint, target, given)
-            via_marginal = conditional_entropy(marginal(joint, given + target), range(len(given)))
-            assert grouped.hex() == via_marginal.hex(), (target, given)
+        for law, (target, given) in product((joint, reweighted), sets):
+            grouped = audit._cond_entropy_of(law, target, given)
+            via_marginal = conditional_entropy(marginal(law, given + target), range(len(given)))
+            assert grouped.hex() == via_marginal.hex(), (law is reweighted, target, given)
 
     @pytest.mark.parametrize("descriptor", [multiround_descriptor, linear_descriptor])
     def test_download_entropies_bit_identical_to_the_marginal_route(self, descriptor):

@@ -172,6 +172,38 @@ def test_unparsable_bias_exit_2(capsys, scheme, value):
     assert captured.err == f"error: --bias must be a fraction such as 3/4, got {value!r}\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "audit", "reproduce"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--block-length", "100000"], "--block-length must be between 1 and 24, got 100000"),
+        (["--block-length", "25"], "--block-length must be between 1 and 24, got 25"),
+        (["--block-length", "0"], "--block-length must be between 1 and 24, got 0"),
+        (["--delta", "1e9"], "--delta must be at most 1.0 bits per symbol, got 1000000000.0"),
+        (["--delta", "inf"], "--delta must be at most 1.0 bits per symbol, got inf"),
+    ],
+    ids=["block-length-100000", "block-length-25", "block-length-0", "delta-1e9", "delta-inf"],
+)
+def test_codec_flags_bounded_before_any_mask(capsys, monkeypatch, command, flags, message):
+    # The mask table is drawn when CodecConfig is built.
+    def refuse(**kwargs):
+        raise AssertionError("a codec was built")
+
+    monkeypatch.setattr(cli, "CodecConfig", refuse)
+    start = time.perf_counter()
+    assert main([command, "--mode", "ideal", *flags]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_codec_flags_at_their_bounds_accepted(capsys):
+    code, doc = run_cli(capsys, "audit", "--scheme", "linear", "--block-length", "24", "--delta", "1.0")
+    assert code == 0
+    assert doc["pass"] is True
+
+
 @pytest.mark.parametrize("command", ["simulate", "audit"])
 @pytest.mark.parametrize("blocks", ["0", "-3"])
 def test_sw_blocks_below_one_exit_2(capsys, command, blocks):

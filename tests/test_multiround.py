@@ -17,16 +17,14 @@ from pirlab.multiround import (
     CodedLayer,
     MessagePair,
     Transcript,
-    db2_answer,
     decode,
     derive_cells,
     multiround_descriptor,
-    round1,
-    round2_query,
     run_session,
 )
 
 F = Fraction
+SCHEME = multiround_descriptor()
 
 
 class TestCells:
@@ -65,23 +63,25 @@ class TestCells:
             CellTable(x1=(0,), x2=(0,), y1=(1,), y2=(0,), u=(0,))
 
 
+def db1_round(msg, coin):
+    """DB1's query and answer in the audited session record."""
+    record = SCHEME.run(msg, 1, coin)
+    return record.queries[0], record.answers[0]
+
+
 class TestRounds:
     def test_round1_lookup(self):
-        cells = derive_cells(MessagePair((1,), (1,)))
-        assert round1((0,), cells) == ((ASK_X1,), (1,))
+        assert db1_round(((1,), (1,)), (0,)) == ((ASK_X1,), (1,))
 
     def test_round1_other_cell(self):
-        cells = derive_cells(MessagePair((0,), (0,)))
-        assert round1((1,), cells) == ((ASK_X2,), (1,))
+        assert db1_round(((0,), (0,)), (1,)) == ((ASK_X2,), (1,))
 
     def test_round1_from_cells(self):
-        cells = derive_cells(MessagePair((1,), (0,)))
-        assert round1((1,), cells) == ((ASK_X2,), (0,))
+        assert db1_round(((1,), (0,)), (1,)) == ((ASK_X2,), (0,))
 
     def test_round1_length_mismatch(self):
-        cells = derive_cells(MessagePair((1, 0), (0, 0)))
-        with pytest.raises(ValueError):
-            round1((0,), cells)
+        with pytest.raises(ValueError, match="coin length must match message length"):
+            run_session(MessagePair((1, 0), (0, 0)), 1, (0,))
 
     @pytest.mark.parametrize(
         "theta, q1, a1, expected",
@@ -95,11 +95,18 @@ class TestRounds:
         ],
     )
     def test_round2_query_rules(self, theta, q1, a1, expected):
-        assert round2_query(theta, (q1,), (a1,)) == (expected,)
+        # The coin picks q1; the message makes the asked x cell equal a1.
+        coin = (0,) if q1 == ASK_X1 else (1,)
+        msg = ((1,), (0,)) if a1 == 0 else ((1,), (1,)) if q1 == ASK_X1 else ((0,), (0,))
+        record = SCHEME.run(msg, theta, coin)
+        assert record.queries == ((q1,), (expected,))
+        assert record.answers[0] == (a1,)
 
     def test_db2_answers_only_where_queried(self):
-        q2 = (ASK_Y1, NO_QUERY, ASK_Y2)
-        assert db2_answer(q2, (1, 0, 0), (0, 0, 1)) == (1, None, 1)
+        # (y1, y2) per position: (1, 0), (0, 0) and (0, 1).
+        record = SCHEME.run(((1, 1, 0), (0, 1, 1)), 1, (0, 0, 1))
+        assert record.queries[1] == (ASK_Y1, NO_QUERY, ASK_Y2)
+        assert record.answers[1] == (1, None, 1)
 
 
 class TestDecode:
@@ -337,19 +344,20 @@ def transcript_fields(t):
     return (t.theta, t.coin, t.q1, t.a1, t.q2, t.a2, t.decoded)
 
 
+def record_fields(record):
+    """A descriptor's session record in ``ref_session``'s layout."""
+    (q1, q2), (a1, a2) = record.queries, record.answers
+    return (q1, a1, q2, a2, record.decoded)
+
+
 def assert_same_session(w1, w2, theta, coin):
     m = MessagePair(w1, w2)
     assert cell_fields(derive_cells(m)) == ref_derive_cells(w1, w2)
-    cells = derive_cells(m, coin)
-    assert cell_fields(cells) == ref_derive_cells(w1, w2, coin)
-    q1, a1 = round1(coin, cells)
-    assert (q1, a1) == ref_round1(coin, cells.x1, cells.x2)
-    q2 = round2_query(theta, q1, a1)
-    assert q2 == ref_round2_query(theta, q1, a1)
-    a2 = db2_answer(q2, cells.y1, cells.y2)
-    assert a2 == ref_db2_answer(q2, cells.y1, cells.y2)
+    assert cell_fields(derive_cells(m, coin)) == ref_derive_cells(w1, w2, coin)
     t = run_session(m, theta, coin)
-    assert transcript_fields(t) == ref_session(w1, w2, theta, coin)
+    want = ref_session(w1, w2, theta, coin)
+    assert transcript_fields(t) == want
+    assert record_fields(SCHEME.run((w1, w2), theta, coin)) == want[2:]
     assert decode(theta, t) == t.decoded
 
 
@@ -367,6 +375,25 @@ class TestBitsetKernelMatchesReference:
         w1, w2, coin = ([rng.getrandbits(1) for _ in range(length)] for _ in range(3))
         assert_same_session(w1, w2, theta, coin)
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [SCHEME, multiround_descriptor(storage="replicated"), multiround_descriptor(bias=F(3, 4))],
+        ids=lambda scheme: scheme.name,
+    )
+    def test_audited_sessions_are_the_reference_sessions(self, scheme):
+        triples = [
+            (msg, theta, coin)
+            for msg, _ in scheme.message_space()
+            for theta in (1, 2)
+            for coin, _ in scheme.randomness_space()
+        ]
+        assert len(triples) == 16
+        for msg, theta, coin in triples:
+            record = scheme.run(msg, theta, coin)
+            want = ref_session(*msg, theta, coin)
+            assert record_fields(record) == want[2:]
+            assert record.download_bits == len(want[3]) + sum(a is not None for a in want[5])
+
     @pytest.mark.parametrize("entry", [2, -1, None, "1"])
     def test_same_error_for_non_bits(self, entry):
         def error(call, *args):
@@ -381,8 +408,8 @@ class TestBitsetKernelMatchesReference:
         assert error(MessagePair, bad, good) == error(ref_message, bad, good)
         assert error(MessagePair, good, bad) == error(ref_message, good, bad)
         assert error(derive_cells, m, bad) == error(ref_derive_cells, good, good, bad)
-        assert error(round1, bad, cells) == error(ref_round1, bad, cells.x1, cells.x2)
         assert error(run_session, m, 1, bad) == error(ref_session, good, good, 1, bad)
+        assert error(SCHEME.run, (good, good), 1, bad) == error(ref_session, good, good, 1, bad)
         with pytest.raises(ValueError, match="u must contain only bits"):
             CellTable(cells.x1, cells.x2, cells.y1, cells.y2, u=bad)
 
@@ -393,15 +420,11 @@ class TestBitsetKernelMatchesReference:
             with pytest.raises(ValueError, match=str(want.value)):
                 MessagePair(*bad_pair)
         m = MessagePair((0, 1), (1, 1))
-        cells = derive_cells(m)
         t = run_session(m, 1, (0, 1))
         cases = [
             (lambda: derive_cells(m, (0,)), lambda: ref_derive_cells(m.w1, m.w2, (0,))),
-            (lambda: round1((0,), cells), lambda: ref_round1((0,), cells.x1, cells.x2)),
             (lambda: run_session(m, 1, (0, 1, 1)), lambda: ref_session(m.w1, m.w2, 1, (0, 1, 1))),
-            (lambda: round2_query(1, t.q1, t.a1[:1]), lambda: ref_round2_query(1, t.q1, t.a1[:1])),
-            (lambda: round2_query(3, t.q1, t.a1), lambda: ref_round2_query(3, t.q1, t.a1)),
-            (lambda: db2_answer(t.q2, cells.y1[:1], cells.y2), lambda: ref_db2_answer(t.q2, cells.y1[:1], cells.y2)),
+            (lambda: run_session(m, 3, (0, 1)), lambda: ref_session(m.w1, m.w2, 3, (0, 1))),
             (lambda: decode(0, t), lambda: ref_decode(0, t.q1, t.a1, t.q2, t.a2)),
         ]
         short = Transcript(1, t.coin, t.q1, t.a1, t.q2[:1], t.a2)
@@ -428,13 +451,11 @@ class TestBitsetKernelMatchesReference:
         m = MessagePair((0, 1), (1, 1))
         t = run_session(m, 1, (0, 1))
         with pytest.raises(ValueError, match="q1 must contain only 'x1', 'x2'"):
-            round2_query(1, ("x3", ASK_X1), t.a1)
+            decode(1, Transcript(1, t.coin, ("x3", ASK_X1), t.a1, t.q2, t.a2))
         with pytest.raises(ValueError, match="a1 must contain only bits"):
-            round2_query(1, t.q1, (2, 0))
+            decode(1, Transcript(1, t.coin, t.q1, (2, 0), t.q2, t.a2))
         with pytest.raises(ValueError, match="q2 must contain only None, 'y1', 'y2'"):
-            db2_answer(("x1", None), (0, 0), (0, 1))
-        with pytest.raises(ValueError, match="y1 must contain only bits"):
-            db2_answer(t.q2, (None, 0), (0, 1))
+            decode(1, Transcript(1, t.coin, t.q1, t.a1, ("x1", None), t.a2))
         with pytest.raises(ValueError, match="a2 must contain only None, 0, 1"):
             decode(1, Transcript(1, t.coin, t.q1, t.a1, t.q2, (2, None)))
         with pytest.raises(ValueError, match="cells must have equal length"):
