@@ -30,6 +30,12 @@ DEFAULT_SEED_ENV = "PIRLAB_SEED"
 MAX_BLOCK_LENGTH = 24  # one such block took about 1.7 s and 189 MB on a 2-core VM
 MAX_DELTA = 1.0  # bits per symbol; from (1/4) log2 3, about 0.40, a bin has room for every block
 
+# Run sizes are bounded before any message or block is drawn. Each bound admits
+# what reproduce --mode full runs (L = 100,000 and 10,000 bin blocks).
+MAX_MESSAGE_LENGTH = 1_000_000  # one coded audit at the bound took 4.6 s and 131 MB
+MAX_TRIALS = 100
+MAX_SW_BLOCKS = 100_000  # one estimate at the bound took 280 s on a 2-core VM
+
 
 def _default_seed() -> int:
     value = os.environ.get(DEFAULT_SEED_ENV, "0")
@@ -64,6 +70,14 @@ def _codec_from_args(args) -> CodecConfig:
     if args.delta > MAX_DELTA:  # NaN and non-positive margins are CodecConfig's to refuse
         raise ValueError(f"--delta must be at most {MAX_DELTA} bits per symbol, got {args.delta}")
     return CodecConfig(block_length=args.block_length, rate_margin=args.delta, seed=args.seed)
+
+
+def _check_run_sizes(args) -> None:
+    sizes = (("-L", args.message_length, MAX_MESSAGE_LENGTH), ("--trials", args.trials, MAX_TRIALS),
+             ("--sw-blocks", args.sw_blocks, MAX_SW_BLOCKS))
+    for flag, value, bound in sizes:
+        if value > bound:
+            raise ValueError(f"{flag} must be at most {bound}, got {value}")
 
 
 def _emit(document: dict) -> None:
@@ -103,6 +117,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_report(args) -> int:
     """``simulate`` or ``audit``: the subcommand's ``build`` document for one scheme."""
+    _check_run_sizes(args)
     scheme = _scheme_from_args(args)
     document = args.build(
         scheme,

@@ -95,16 +95,16 @@ def _unpack(bitset: int, n: int) -> tuple[int, ...]:
     return tuple(format(bitset | 1 << n, "b").encode()[1:].translate(_BITS))
 
 
-def _spell(words: tuple, n: int, first: int, second: int = 0) -> tuple:
-    """Per position, the value indexed by how many of two bitsets hold it.
+def _spread(bitset: int) -> int:
+    """``bitset``'s binary digits read in base 4: one position per two-bit lane."""
+    return int(bin(bitset)[2:], 4)
 
-    A bitset's binary digits read in base 4 put one position in each
-    two-bit lane, so the sum has one base-4 code per position, four to a
-    byte, and ``words`` maps each byte to its four values.
-    """
+
+def _spell(words: tuple, n: int, codes: int) -> tuple:
+    """Per position, the value indexed by its lane of ``codes``, a sum of spread
+    bitsets; ``words`` maps each byte, four lanes, to their four values."""
     pad = -n % 4
-    codes = int(format(first, "b"), 4) + int(format(second, "b"), 4)
-    if n <= 4:  # one byte skips the chain: criterion 2 spells 3,504 times at n <= 3
+    if n <= 4:  # one byte skips the chain: reproduce --mode ideal spells 3,648 times at n <= 3
         return words[codes][pad:]
     return tuple(chain.from_iterable(map(words.__getitem__, codes.to_bytes((n + pad) // 4, "big"))))[pad:]
 
@@ -220,11 +220,15 @@ def derive_cells(m: MessagePair, coin: Sequence[int] | None = None) -> CellTable
     """
     n = m.length
     x1, x2, y1, y2 = _cell_bits(m)
-    u = None
-    if coin is not None:
-        hits = _hits(_check_coin(coin, n)[1], x1, x2)
-        u = _unpack(((1 << n) - 1) & ~hits, n)
+    u = None if coin is None else _indicator(m, coin)
     return CellTable(_unpack(x1, n), _unpack(x2, n), _unpack(y1, n), _unpack(y2, n), u)
+
+
+def _indicator(m: MessagePair, coin: Sequence[int]) -> tuple[int, ...]:
+    """The indicator u: 0 exactly where the coin-selected x cell is 1."""
+    n = m.length
+    x1, x2, _, _ = _cell_bits(m)
+    return _unpack(((1 << n) - 1) & ~_hits(_check_coin(coin, n)[1], x1, x2), n)
 
 
 def _round2(theta: int, asked_x2: int, hits: int, n: int) -> tuple[int, int]:
@@ -239,39 +243,38 @@ def _round2(theta: int, asked_x2: int, hits: int, n: int) -> tuple[int, int]:
     return misses & ~want_y2, want_y2
 
 
-def _answer(ask_y1: int, ask_y2: int, y1: int, y2: int, n: int) -> tuple[int | None, ...]:
-    """DB2's round-2 answer: the asked y cell, None where nothing is asked."""
-    return _spell(_A2_WORDS, n, ask_y1 | ask_y2, (ask_y1 & y1) | (ask_y2 & y2))
+def _answer(ask_y1: int, ask_y2: int, y1: int, y2: int) -> int:
+    """DB2's round-2 answer: bitset of the asked y cells that are 1."""
+    return (ask_y1 & y1) | (ask_y2 & y2)
 
 
 def decode(theta: int, t: Transcript) -> tuple[int, ...]:
-    """Recover the desired message bits from a complete transcript.
-
-    a1 = 1 pins both bits. Otherwise the fetched y cell either equals the
-    desired bit (asked x1) or its complement (asked x2).
-    """
+    """Recover the desired message bits from a complete transcript: check its
+    queries and answers, then decode their bitsets with ``_decoded``."""
     _check_theta(theta)
-    return _decode(t.q1, t.a1, t.q2, t.a2)
-
-
-def _decode(q1: Sequence, a1: Sequence, q2: Sequence, a2: Sequence) -> tuple[int, ...]:
-    """The user's decoding, from the queries and answers alone."""
-    if not (len(q1) == len(a1) == len(q2) == len(a2)):
+    if not (len(t.q1) == len(t.a1) == len(t.q2) == len(t.a2)):
         raise ValueError("incomplete transcript")
-    asked_x2 = _where(_codes("q1", q1, _Q1_CODES), 1)
-    hits = _pack("a1", tuple(a1))
-    answers = _codes("a2", a2, _A2_CODES)
-    if ~hits & (_where(_codes("q2", q2, _Q2_CODES), 0) | _where(answers, 0)):
+    asked_x2 = _where(_codes("q1", t.q1, _Q1_CODES), 1)
+    hits = _pack("a1", tuple(t.a1))
+    answers = _codes("a2", t.a2, _A2_CODES)
+    if ~hits & (_where(_codes("q2", t.q2, _Q2_CODES), 0) | _where(answers, 0)):
         raise ValueError("incomplete transcript: missing round-2 answer")
-    return _unpack((hits & ~asked_x2) | (~hits & (_where(answers, 2) ^ asked_x2)), len(q1))
+    return _decoded(asked_x2, hits, _where(answers, 2), len(t.q1))
+
+
+def _decoded(asked_x2: int, hits: int, ones: int, n: int) -> tuple[int, ...]:
+    """The user's decoding from bitsets: where x2 was asked, a1 = 1 and a2 = 1.
+    a1 = 1 pins both bits; otherwise the fetched y cell is the desired bit
+    (asked x1) or its complement (asked x2)."""
+    return _unpack((hits & ~asked_x2) | (~hits & (ones ^ asked_x2)), n)
 
 
 def run_session(m: MessagePair, theta: int, coin: Sequence[int]) -> Transcript:
     """Play one full session; the decoded output always equals the desired message.
 
-    Each party's step is one helper: DB1 answers with ``_hits``, the user
-    asks round 2 with ``_round2``, DB2 answers with ``_answer``, and the
-    user decodes with ``_decode`` from the queries and answers alone.
+    Each party's step is one helper on bitsets: DB1 answers with ``_hits``,
+    the user asks round 2 with ``_round2``, DB2 answers with ``_answer`` and
+    the user decodes with ``_decoded``; ``_spell`` writes them out per position.
     """
     n = m.length
     coin, packed = _check_coin(coin, n)
@@ -279,11 +282,12 @@ def run_session(m: MessagePair, theta: int, coin: Sequence[int]) -> Transcript:
     x1, x2, y1, y2 = _cell_bits(m)
     hits = _hits(packed, x1, x2)
     ask_y1, ask_y2 = _round2(theta, packed, hits, n)
-    q1 = _spell(_Q1_WORDS, n, packed)
-    a1 = _unpack(hits, n)
-    q2 = _spell(_Q2_WORDS, n, ask_y1 | ask_y2, ask_y2)
-    a2 = _answer(ask_y1, ask_y2, y1, y2, n)
-    return Transcript(theta, coin, q1, a1, q2, a2, _decode(q1, a1, q2, a2))
+    ones = _answer(ask_y1, ask_y2, y1, y2)
+    asked = _spread(ask_y1 | ask_y2)
+    q1 = _spell(_Q1_WORDS, n, _spread(packed))
+    q2 = _spell(_Q2_WORDS, n, asked + _spread(ask_y2))
+    a2 = _spell(_A2_WORDS, n, asked + _spread(ones))
+    return Transcript(theta, coin, q1, _unpack(hits, n), q2, a2, _decoded(packed, hits, ones, n))
 
 
 def _draw(rng: random.Random, bias: float, n: int) -> tuple[MessagePair, tuple[int, ...]]:
@@ -407,8 +411,7 @@ def multiround_descriptor(
         )
 
     def side_information(msg, coin):
-        cells = derive_cells(MessagePair(*msg), coin)
-        return ((), cells.u)
+        return ((), _indicator(MessagePair(*msg), coin))
 
     name = "multiround"
     if storage == "replicated":

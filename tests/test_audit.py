@@ -210,6 +210,22 @@ class TestEnumerationCounts:
         assert build_audit_report(multiround_descriptor())["pass"]
         assert len(calls) == 16
 
+    def test_criterion_2_plays_every_case_as_its_own_session(self, monkeypatch):
+        # 2 * 8^L cases at each L = 1, 2, 3, one run_session call each.
+        calls = []
+        kernel = multiround.run_session
+        assert reproduce.run_session is kernel
+
+        def counted_session(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(reproduce, "run_session", counted_session)
+        row = reproduce.criterion_multiround_correctness()
+        assert len(calls) == 1168
+        assert row["measured"]["cases"] == 1168
+        assert row["measured"]["errors"] == 0
+
     def test_reproduce_enumerates_each_scheme_once(self, monkeypatch):
         # reproduce --mode ideal makes six passes: linear runs 256 messages x
         # 2 patterns x 2 thetas, replicated 256 x 2, the toy 256 x 2 coins x 2

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pirlab import cli, reproduce
+from pirlab import cli, multiround, reproduce
 from pirlab.cli import main
 
 # SHA-256 of stdout and the exit code of commands whose JSON documents are
@@ -202,6 +202,38 @@ def test_codec_flags_at_their_bounds_accepted(capsys):
     code, doc = run_cli(capsys, "audit", "--scheme", "linear", "--block-length", "24", "--delta", "1.0")
     assert code == 0
     assert doc["pass"] is True
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["-L", "1000001"], "-L must be at most 1000000, got 1000001"),
+        (["--message-length", "10000000000"], "-L must be at most 1000000, got 10000000000"),
+        (["--trials", "101"], "--trials must be at most 100, got 101"),
+        (["--sw-blocks", "100001"], "--sw-blocks must be at most 100000, got 100001"),
+        (["--sw-blocks", "100000000"], "--sw-blocks must be at most 100000, got 100000000"),
+    ],
+    ids=["L-1000001", "message-length-1e10", "trials-101", "sw-blocks-100001", "sw-blocks-1e8"],
+)
+def test_run_sizes_bounded_before_any_draw(capsys, monkeypatch, command, flags, message):
+    # Messages, coins and bin blocks are drawn by _draw, masks when CodecConfig is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("something was drawn")
+
+    monkeypatch.setattr(cli, "CodecConfig", refuse)
+    monkeypatch.setattr(multiround, "_draw", refuse)
+    start = time.perf_counter()
+    assert main([command, "--mode", "concrete", *flags]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_run_sizes_at_their_bounds_accepted():
+    argv = ["audit", "-L", "1000000", "--trials", "100", "--sw-blocks", "100000"]
+    cli._check_run_sizes(cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("command", ["simulate", "audit"])
