@@ -34,6 +34,7 @@ MAX_DELTA = 1.0  # bits per symbol; from (1/4) log2 3, about 0.40, a bin has roo
 # what reproduce --mode full runs (L = 100,000 and 10,000 bin blocks).
 MAX_MESSAGE_LENGTH = 1_000_000  # one coded audit at the bound took 4.6 s and 131 MB
 MAX_TRIALS = 100
+MAX_CODED_POSITIONS = 10_000_000  # -L times --trials; a coded simulate at the bound took 20 s and 93 MB
 MAX_SW_BLOCKS = 100_000  # one estimate at the bound took 280 s on a 2-core VM
 
 
@@ -78,6 +79,10 @@ def _check_run_sizes(args) -> None:
     for flag, value, bound in sizes:
         if value > bound:
             raise ValueError(f"{flag} must be at most {bound}, got {value}")
+    # Two negative sizes are the builders' to refuse, not this product's.
+    if args.trials > 0 and args.message_length * args.trials > MAX_CODED_POSITIONS:
+        raise ValueError(f"-L times --trials must be at most {MAX_CODED_POSITIONS}, "
+                         f"got {args.message_length} * {args.trials}")
 
 
 def _emit(document: dict) -> None:

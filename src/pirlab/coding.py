@@ -25,7 +25,7 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from numbers import Real
 from typing import Hashable, Mapping, Sequence
 
@@ -34,8 +34,9 @@ from .seeds import derive_seed
 
 _STATE_BITS = 32
 _MASK = (1 << _STATE_BITS) - 1
-_TOP = 1 << (_STATE_BITS - 1)
-_SECOND = _TOP >> 1
+_HALF = 1 << (_STATE_BITS - 1)
+_QUARTER = _HALF >> 1
+_THREE_QUARTERS = _HALF | _QUARTER
 _HEADER = struct.Struct(">QQ")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -69,7 +70,7 @@ class SourceModel:
         if sum(probs.values()) != 1:
             raise ValueError("probabilities must sum to exactly 1")
         denominator = math.lcm(*(p.denominator for p in probs.values()))
-        if denominator >= _SECOND:
+        if denominator >= _QUARTER:
             raise ValueError("probability denominators too large for the coder state")
         frequencies = [probs[s].numerator * (denominator // probs[s].denominator)
                        for s in self.alphabet]
@@ -101,44 +102,60 @@ class SourceModel:
         return entropy(ExactDist({(s,): p for s, p in self.probabilities.items()}))
 
 
+def _outside_alphabet(symbols: Sequence[Hashable], table: Mapping) -> ValueError:
+    """The error for the first of ``symbols`` that ``table`` does not hold."""
+    for symbol in symbols:
+        try:
+            table[symbol]
+        except (KeyError, TypeError):
+            return ValueError(f"symbol {symbol!r} outside the model alphabet")
+
+
 def _arithmetic_bits(symbols: Sequence[Hashable], model: SourceModel) -> tuple[bytearray, int, tuple[int, int, int]]:
     """The Witten–Neal–Cleary coding loop from the initial state.
 
     Returns the settled code bits, one per byte, the symbol count and the
     final (low, high, pending) state. The closing bit is the caller's. The
-    first symbol keeps ``low`` and the last keeps ``high``.
+    first symbol keeps ``low`` and the last keeps ``high``. Renormalisation
+    compares the interval with the half and quarter points: below or above
+    the half a bit settles, within the middle half one more is pending, and
+    an interval that straddles the half otherwise needs none.
     """
     cumulative = model._cumulative
-    index = model._index
     total = cumulative[-1]
     last = len(cumulative) - 2
-    shift, top, second, mask, half = _STATE_BITS - 1, _TOP, _SECOND, _MASK, _MASK >> 1
+    half, quarter, three_quarters = _HALF, _QUARTER, _THREE_QUARTERS
     out = bytearray()
     low, high, pending = _INITIAL
-    count = 0
-    for count, symbol in enumerate(symbols, 1):
-        try:
-            i = index[symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} outside the model alphabet") from None
-        span = high - low + 1
-        if i != last:
-            high = low + span * cumulative[i + 1] // total - 1
-        if i:
-            low += span * cumulative[i] // total
-        while ((low ^ high) & top) == 0:
-            bit = low >> shift
-            out.append(bit)
-            if pending:
-                out.extend([bit ^ 1] * pending)
-                pending = 0
-            low = (low << 1) & mask
-            high = ((high << 1) & mask) | 1
-        while (low & ~high & second) != 0:
-            pending += 1
-            low = (low << 1) & half
-            high = ((high << 1) & half) | top | 1
-    return out, count, (low, high, pending)
+    try:
+        for i in map(model._index.__getitem__, symbols):
+            span = high - low + 1
+            if i != last:
+                high = low + span * cumulative[i + 1] // total - 1
+            if i:
+                low += span * cumulative[i] // total
+            while high < half or low >= half or (low >= quarter and high < three_quarters):
+                if high < half:
+                    out.append(0)
+                    if pending:
+                        out += b"\1" * pending
+                        pending = 0
+                elif low >= half:
+                    out.append(1)
+                    if pending:
+                        out += b"\0" * pending
+                        pending = 0
+                    low -= half
+                    high -= half
+                else:
+                    pending += 1
+                    low -= quarter
+                    high -= quarter
+                low += low
+                high += high + 1
+    except (KeyError, TypeError):
+        raise _outside_alphabet(symbols, model._index) from None
+    return out, len(symbols), (low, high, pending)
 
 
 def entropy_encode(symbols: Sequence[Hashable], model: SourceModel) -> bytes:
@@ -151,8 +168,8 @@ def entropy_encode(symbols: Sequence[Hashable], model: SourceModel) -> bytes:
         # str.join: bytes.join would hold a buffer view of every codeword.
         try:
             digits = "".join(map(codewords.__getitem__, symbols))
-        except KeyError as missing:
-            raise ValueError(f"symbol {missing.args[0]!r} outside the model alphabet") from None
+        except (KeyError, TypeError):
+            raise _outside_alphabet(symbols, codewords) from None
         count = len(symbols)
     if count:
         digits += "1"
@@ -200,43 +217,52 @@ def _arithmetic_decode(payload: bytes, model: SourceModel, count: int) -> list:
 
     The symbol is the number of cut points ``low + span * cumulative[s] //
     total`` (s >= 1) at or below the code; the last one passed is the new
-    ``low`` and the first one not reached, less 1, the new ``high``.
+    ``low`` and the first one not reached, less 1, the new ``high``. The
+    first cut is tested inline. Renormalisation is the encoder's, applied to
+    the code too.
     """
     cumulative = model._cumulative
-    cuts = cumulative[1:-1]
+    first, rest = cumulative[1], cumulative[2:-1]
     total = cumulative[-1]
     alphabet = model.alphabet
-    top, second, mask, half = _TOP, _SECOND, _MASK, _MASK >> 1
-    # One code bit per byte. Padding bits are zero, and reads past the
-    # payload see zeros too (the decoder's lookahead).
-    bits = format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b").encode().translate(_BITS)
-    end = len(bits)
+    half, quarter, three_quarters = _HALF, _QUARTER, _THREE_QUARTERS
+    # One code bit per byte after the first _STATE_BITS. Padding bits are
+    # zero, and reads past the payload see zeros too (the decoder's lookahead).
     head = _STATE_BITS // 8
     code = int.from_bytes(payload[:head].ljust(head, b"\0"), "big")
-    pos = _STATE_BITS
+    tail = payload[head:]
+    bits = format(int.from_bytes(tail, "big"), f"0{8 * len(tail)}b").encode().translate(_BITS)
+    read = chain(bits, repeat(0)).__next__
     low, high = 0, _MASK
     out = []
     for _ in range(count):
         span = high - low + 1
-        base, s = low, 0
-        for c in cuts:
-            cut = base + span * c // total
-            if code < cut:
-                high = cut - 1
-                break
-            low = cut
-            s += 1
-        out.append(alphabet[s])
-        while ((low ^ high) & top) == 0:
-            code = ((code << 1) & mask) | (bits[pos] if pos < end else 0)
-            pos += 1
-            low = (low << 1) & mask
-            high = ((high << 1) & mask) | 1
-        while (low & ~high & second) != 0:
-            code = (code & top) | ((code << 1) & half) | (bits[pos] if pos < end else 0)
-            pos += 1
-            low = (low << 1) & half
-            high = ((high << 1) & half) | top | 1
+        cut = low + span * first // total
+        if code < cut:
+            high = cut - 1
+            out.append(alphabet[0])
+        else:
+            base, low, s = low, cut, 1
+            for c in rest:
+                cut = base + span * c // total
+                if code < cut:
+                    high = cut - 1
+                    break
+                low = cut
+                s += 1
+            out.append(alphabet[s])
+        while high < half or low >= half or (low >= quarter and high < three_quarters):
+            if low >= half:
+                low -= half
+                high -= half
+                code -= half
+            elif high >= half:  # low and high within the middle half
+                low -= quarter
+                high -= quarter
+                code -= quarter
+            low += low
+            high += high + 1
+            code += code + read()
     return out
 
 

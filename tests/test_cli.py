@@ -213,8 +213,11 @@ def test_codec_flags_at_their_bounds_accepted(capsys):
         (["--trials", "101"], "--trials must be at most 100, got 101"),
         (["--sw-blocks", "100001"], "--sw-blocks must be at most 100000, got 100001"),
         (["--sw-blocks", "100000000"], "--sw-blocks must be at most 100000, got 100000000"),
+        (["-L", "1000000", "--trials", "11"], "-L times --trials must be at most 10000000, got 1000000 * 11"),
+        (["-L", "100001", "--trials", "100"], "-L times --trials must be at most 10000000, got 100001 * 100"),
     ],
-    ids=["L-1000001", "message-length-1e10", "trials-101", "sw-blocks-100001", "sw-blocks-1e8"],
+    ids=["L-1000001", "message-length-1e10", "trials-101", "sw-blocks-100001", "sw-blocks-1e8",
+         "L-1e6-trials-11", "L-100001-trials-100"],
 )
 def test_run_sizes_bounded_before_any_draw(capsys, monkeypatch, command, flags, message):
     # Messages, coins and bin blocks are drawn by _draw, masks when CodecConfig is built.
@@ -232,8 +235,16 @@ def test_run_sizes_bounded_before_any_draw(capsys, monkeypatch, command, flags, 
 
 
 def test_run_sizes_at_their_bounds_accepted():
-    argv = ["audit", "-L", "1000000", "--trials", "100", "--sw-blocks", "100000"]
-    cli._check_run_sizes(cli.build_parser().parse_args(argv))
+    # -L and --trials each at its bound, the other keeping -L times --trials at its.
+    for sizes in (["-L", "1000000", "--trials", "10"], ["-L", "100000", "--trials", "100"]):
+        argv = ["audit", *sizes, "--sw-blocks", "100000"]
+        cli._check_run_sizes(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_negative_sizes_refused_by_name_not_by_product(capsys, command):
+    assert main([command, "--mode", "concrete", "-L", "-5000000", "--trials", "-3"]) == 2
+    assert capsys.readouterr().err == "error: concrete mode needs a message length L >= 1\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "audit"])

@@ -104,6 +104,8 @@ class TestEntropyCoder:
     def test_symbol_outside_alphabet(self):
         with pytest.raises(ValueError, match="alphabet"):
             entropy_encode([2], BERN_QUARTER)
+        with pytest.raises(ValueError, match=r"symbol \[0\] outside the model alphabet"):
+            entropy_encode([0, 1, [0]], BERN_QUARTER)
 
     def test_all_zero_run_compresses(self):
         stream = entropy_encode([0] * 100, BERN_QUARTER)
@@ -293,6 +295,7 @@ class TestPrefixPath:
             corrupted = stream[:-1] + bytes((stream[-1] | 1,))
             cases = [
                 (entropy_encode, symbols + ["z"], model),
+                (entropy_encode, symbols + [[0]], model),
                 (entropy_decode, stream, model, len(symbols) + 1),
                 (entropy_decode, corrupted, model, len(symbols)),
             ]
@@ -301,6 +304,129 @@ class TestPrefixPath:
                 assert got.startswith("ValueError")
                 args[1] = general_loop(model)
                 assert got == outcome(call, *args)
+
+
+# Witten, Neal and Cleary, "Arithmetic coding for data compression" (CACM
+# 1987), one bit per step, in shift-and-mask form: a bit settles when the top
+# bits of low and high agree, and a bit is deferred when they read 01 and 10.
+# Flipping the second bit and shifting out the top one subtracts the quarter
+# point and doubles. The decoder finds the symbol from the scaled code value,
+# as the paper does, rather than from cut points.
+_TOP, _SECOND, _MASK = 1 << 31, 1 << 30, (1 << 32) - 1
+
+
+def _reference_cumulative(model):
+    total = math.lcm(*(p.denominator for p in model.probabilities.values()))
+    cumulative = [0]
+    for symbol in model.alphabet:
+        cumulative.append(cumulative[-1] + model.probabilities[symbol] * total)
+    return [int(c) for c in cumulative], total
+
+
+def reference_encode(symbols, model):
+    cumulative, total = _reference_cumulative(model)
+    low, high, pending, out = 0, _MASK, 0, []
+    for symbol in symbols:
+        i = model.alphabet.index(symbol)
+        span = high - low + 1
+        low, high = low + span * cumulative[i] // total, low + span * cumulative[i + 1] // total - 1
+        while True:
+            if not (low ^ high) & _TOP:
+                bit = low >> 31
+                out += [bit] + [1 - bit] * pending
+                pending = 0
+            elif low & ~high & _SECOND:
+                pending += 1
+                low, high = low ^ _SECOND, high ^ _SECOND
+            else:
+                break
+            low, high = (low << 1) & _MASK, ((high << 1) & _MASK) | 1
+    if symbols:
+        out.append(1)  # any point of the final interval; pending bits are left out
+    payload = "".join(map(str, out)) + "0" * (-len(out) % 8)
+    return struct.pack(">QQ", len(symbols), len(out)) + bytes(int(payload[k:k + 8], 2) for k in range(0, len(payload), 8))
+
+
+def reference_decode(frame, model):
+    """The symbols of a frame, as many as its header counts."""
+    cumulative, total = _reference_cumulative(model)
+    count, _, payload = coding._parse_frame(frame)
+    bits = [int(b) for b in format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")]
+    # Reads past the payload see zeros. A symbol reads at most 32 bits: each
+    # read doubles the interval, and one wider than the half needs no more.
+    bits += [0] * (32 + 32 * count)
+    code, pos = int("".join(map(str, bits[:32])), 2), 32
+    low, high, out = 0, _MASK, []
+    for _ in range(count):
+        span = high - low + 1
+        value = ((code - low + 1) * total - 1) // span
+        i = max(k for k in range(len(model.alphabet)) if cumulative[k] <= value)
+        out.append(model.alphabet[i])
+        low, high = low + span * cumulative[i] // total, low + span * cumulative[i + 1] // total - 1
+        while True:
+            if (low ^ high) & _TOP:  # no bit settles
+                if not low & ~high & _SECOND:
+                    break
+                low, high, code = low ^ _SECOND, high ^ _SECOND, code ^ _SECOND
+            low, high = (low << 1) & _MASK, ((high << 1) & _MASK) | 1
+            code = ((code << 1) & _MASK) | bits[pos]
+            pos += 1
+    return out
+
+
+@st.composite
+def coder_models(draw):
+    """2-5 symbols with denominators up to 2**20. Half of them are centred:
+    one likely symbol in the middle (the last, for two symbols), whose runs
+    keep the interval straddling the midpoint."""
+    size = draw(st.integers(2, 5))
+    total = draw(st.integers(size, 2**20))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=size - 1, max_size=size - 1)))
+    else:
+        side = max(total // 64, size)
+        total = max(total, 2 * side)
+        cuts = sorted(draw(st.sets(st.integers(1, side - 1), min_size=size // 2, max_size=size // 2)))
+        cuts += sorted(total - c for c in draw(st.sets(
+            st.integers(1, side - 1), min_size=(size - 1) - size // 2, max_size=(size - 1) - size // 2)))
+    bounds = [0, *cuts, total]
+    alphabet = tuple(f"s{k}" for k in range(size))
+    return SourceModel(alphabet, {a: F(bounds[k + 1] - bounds[k], total) for k, a in enumerate(alphabet)})
+
+
+class TestReferenceCoder:
+    @settings(max_examples=200, deadline=None)
+    @given(coder_models(), st.data())
+    def test_same_bytes_as_the_reference(self, model, data):
+        # Runs of one symbol: under a centred model, runs of the middle one
+        # defer many bits.
+        runs = data.draw(st.lists(st.tuples(st.sampled_from(model.alphabet), st.integers(1, 60)), max_size=30))
+        symbols = [symbol for symbol, length in runs for _ in range(length)]
+        general = general_loop(model)
+        stream = entropy_encode(symbols, general)
+        assert stream == reference_encode(symbols, model)
+        assert entropy_decode(stream, general, len(symbols)) == symbols
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coder_models(),
+        st.integers(0, 120),
+        st.integers(0, 96),
+        st.integers(0, 2**96 - 1),
+        st.booleans(),
+    )
+    def test_same_decode_of_any_frame(self, model, count, bit_count, bits, dirty):
+        pad = -bit_count % 8
+        payload = (bits % 2**bit_count) << pad | (dirty and pad > 0)
+        frame = struct.pack(">QQ", count, bit_count) + payload.to_bytes((bit_count + pad) // 8, "big")
+        assert outcome(entropy_decode, frame, general_loop(model), count) == outcome(reference_decode, frame, model)
+
+    def test_pinned_models_match_the_reference(self):
+        for make, model in ((biased_bits, BERN_QUARTER), (third_bits, BERN_THIRD), (pending_runs, CENTERED)):
+            symbols = make()[:20_000]
+            stream = reference_encode(symbols, model)
+            assert entropy_encode(symbols, model) == stream
+            assert entropy_decode(stream, model, len(symbols)) == reference_decode(stream, model) == symbols
 
 
 class TestBinSizing:
