@@ -17,6 +17,12 @@ from .capacity import PirParameters
 Message = tuple  # (w1 bits, w2 bits)
 
 
+def check_theta(theta: int) -> None:
+    """Refuse a desired index other than 1 or 2."""
+    if theta not in (1, 2):
+        raise ValueError("theta must be 1 or 2")
+
+
 class SessionRecord(NamedTuple):
     """One retrieval session at the scheme's native block length.
 

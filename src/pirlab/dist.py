@@ -183,7 +183,10 @@ def _grouped_entropy(d: ExactDist, given: tuple[int, ...], target: tuple[int, ..
     key_of, value_of = _symbols_at(given), _symbols_at(target)
     groups: dict = {}
     for outcome, count in d._counts.items():
-        bucket = groups.setdefault(key_of(outcome), {})
+        key = key_of(outcome)
+        bucket = groups.get(key)
+        if bucket is None:
+            bucket = groups[key] = {}
         value = value_of(outcome)
         bucket[value] = bucket.get(value, 0) + count
     result = 0.0

@@ -12,9 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .capacity import PirParameters
-from .descriptor import Message, Product, SchemeDescriptor, SessionRecord
+from .descriptor import Message, Product, SchemeDescriptor, SessionRecord, check_theta
 
 PATTERNS = (1, 2)
 # DB2's two possible answer selections, named by content, not by pattern:
@@ -90,6 +91,26 @@ def linear_decode(
     return (d2[2] ^ d1[0], d2[1], d1[1], d1[2] ^ d2[0])
 
 
+def _linear_plan(theta: int, pattern: int) -> tuple:
+    """The session's queries and each database's answer selection, read off
+    ``db1_answer`` and ``db2_answer`` at the stored-bit indices."""
+    selector = db2_selector(pattern, theta)
+    d1, d2 = db1_answer(pattern, range(6)), db2_answer(selector, range(6))
+    return ((pattern,), (selector,)), itemgetter(*d1), itemgetter(*d2)
+
+
+_LINEAR_PLANS = {(theta, pattern): _linear_plan(theta, pattern) for theta in (1, 2) for pattern in PATTERNS}
+
+
+def _plan(plans: dict, theta, f, coin_error: str) -> tuple:
+    """The plan for (theta, f); a miss refuses theta first, then the coin."""
+    try:
+        return plans[theta, f]
+    except (KeyError, TypeError):
+        check_theta(theta)
+        raise ValueError(coin_error) from None
+
+
 def gf2_rank(rows: list[int]) -> int:
     """Rank of bitmask rows over GF(2)."""
     rank = 0
@@ -128,19 +149,10 @@ def linear_descriptor() -> SchemeDescriptor:
     store = _stored_memo()
 
     def run(msg, theta, pattern):
-        if theta not in (1, 2):
-            raise ValueError("theta must be 1 or 2")
-        if pattern not in PATTERNS:
-            raise ValueError("pattern must be 1 or 2")
+        queries, answer1, answer2 = _plan(_LINEAR_PLANS, theta, pattern, "pattern must be 1 or 2")
         s1, s2 = store(msg)
-        selector = db2_selector(pattern, theta)
-        d1, d2 = db1_answer(pattern, s1), db2_answer(selector, s2)
-        return SessionRecord(
-            queries=((pattern,), (selector,)),
-            answers=(d1, d2),
-            decoded=linear_decode(theta, pattern, d1, d2),
-            download_bits=6,
-        )
+        d1, d2 = answer1(s1), answer2(s2)
+        return SessionRecord(queries, (d1, d2), linear_decode(theta, pattern, d1, d2), 6)
 
     return SchemeDescriptor(
         name="linear",
@@ -162,13 +174,9 @@ def replicated_descriptor() -> SchemeDescriptor:
     store = _stored_memo(_replicated_store)
 
     def run(msg, theta, _f):
+        check_theta(theta)
         full = store(msg)[0]
-        return SessionRecord(
-            queries=(("all",), ()),
-            answers=(full, ()),
-            decoded=msg[theta - 1],
-            download_bits=len(full),
-        )
+        return SessionRecord((("all",), ()), (full, ()), msg[theta - 1], len(full))
 
     return SchemeDescriptor(
         name="replicated",
@@ -179,6 +187,12 @@ def replicated_descriptor() -> SchemeDescriptor:
         store=store,
         run=run,
     )
+
+
+# The toy's queries and DB2's half of s2, per (theta, coin).
+_TOY_PLANS = {
+    (theta, f): (((f"m{theta}",), (f"half{f}",)), itemgetter(2 * f, 2 * f + 1)) for theta in (1, 2) for f in (0, 1)
+}
 
 
 def asymmetric_toy_descriptor() -> SchemeDescriptor:
@@ -201,15 +215,10 @@ def asymmetric_toy_descriptor() -> SchemeDescriptor:
         return (msg[0] + msg[1], s2)
 
     def run(msg, theta, f):
+        queries, half = _plan(_TOY_PLANS, theta, f, "coin must be 0 or 1")
         s2 = stored(msg)[1]
         a1 = msg[theta - 1]
-        a2 = (s2[0], s2[1]) if f == 0 else (s2[2], s2[3])
-        return SessionRecord(
-            queries=((f"m{theta}",), (f"half{f}",)),
-            answers=(a1, a2),
-            decoded=a1,
-            download_bits=6,
-        )
+        return SessionRecord(queries, (a1, half(s2)), a1, 6)
 
     return SchemeDescriptor(
         name="asymmetric-toy",

@@ -22,11 +22,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .capacity import PirParameters
 from .coding import CodecConfig, SourceModel, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
-from .descriptor import SchemeDescriptor, SessionRecord
+from .descriptor import SchemeDescriptor, SessionRecord, check_theta
 from .seeds import derive_seed
 
 ASK_X1 = "x1"
@@ -44,10 +44,17 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 # Entries equal to 0 or 1, as ``b in (0, 1)`` admits them (True, 1.0, ...).
 _BIT_VALUES = {0: 0, 1: 1}
 _Q1_CODES = {ASK_X1: 0, ASK_X2: 1}
-_Q2_CODES = {NO_QUERY: 0, ASK_Y1: 1, ASK_Y2: 2}
+# decode reads only whether DB2 was contacted, so both y queries share a code.
+_Q2_CODES = {NO_QUERY: 0, ASK_Y1: 1, ASK_Y2: 1}
 _A2_CODES = {None: 0, 0: 1, 1: 2}
 # _WHERE[k] translates a code byte to b"1" where it equals k, else b"0".
 _WHERE = tuple(bytes(48 + (code == k) for code in range(256)) for k in range(3))
+# At most this many positions fit one byte of two-bit lanes. Bitsets that
+# short are unpacked and spread by table lookup instead of a string round
+# trip, and spelled from one byte of ``words`` instead of a chain.
+_BYTE_POSITIONS = 4
+_UNPACKED = tuple(tuple(product((0, 1), repeat=n)) for n in range(_BYTE_POSITIONS + 1))
+_SPREAD = tuple(int(format(b, "b"), 4) for b in range(1 << _BYTE_POSITIONS))
 
 
 def _words(values: tuple) -> tuple:
@@ -92,11 +99,15 @@ def _where(codes: bytes, code: int) -> int:
 
 def _unpack(bitset: int, n: int) -> tuple[int, ...]:
     """The ``n`` bits of ``bitset`` in position order."""
+    if n <= _BYTE_POSITIONS:
+        return _UNPACKED[n][bitset]
     return tuple(format(bitset | 1 << n, "b").encode()[1:].translate(_BITS))
 
 
 def _spread(bitset: int) -> int:
     """``bitset``'s binary digits read in base 4: one position per two-bit lane."""
+    if bitset < len(_SPREAD):
+        return _SPREAD[bitset]
     return int(bin(bitset)[2:], 4)
 
 
@@ -104,7 +115,9 @@ def _spell(words: tuple, n: int, codes: int) -> tuple:
     """Per position, the value indexed by its lane of ``codes``, a sum of spread
     bitsets; ``words`` maps each byte, four lanes, to their four values."""
     pad = -n % 4
-    if n <= 4:  # one byte skips the chain: reproduce --mode ideal spells 3,648 times at n <= 3
+    # One byte skips the chain: reproduce --mode ideal spells 3,648 times at
+    # n <= 3, beside 2,488 table unpacks and 4,864 table spreads.
+    if n <= _BYTE_POSITIONS:
         return words[codes][pad:]
     return tuple(chain.from_iterable(map(words.__getitem__, codes.to_bytes((n + pad) // 4, "big"))))[pad:]
 
@@ -184,11 +197,11 @@ class CellTable:
                 raise ValueError("u = 0 requires (y1, y2) = (0, 0)")
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """One retrieval session: queries, answers and the decoded output.
 
-    ``a2`` carries ``None`` at positions where DB2 was not contacted.
+    ``a2`` carries ``None`` at positions where DB2 was not contacted. As a
+    named tuple it equals the plain tuple of its fields.
     """
 
     theta: int
@@ -205,11 +218,6 @@ def _check_coin(coin: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
     if len(coin) != n:
         raise ValueError("coin length must match message length")
     return coin, packed
-
-
-def _check_theta(theta: int) -> None:
-    if theta not in (1, 2):
-        raise ValueError("theta must be 1 or 2")
 
 
 def derive_cells(m: MessagePair, coin: Sequence[int] | None = None) -> CellTable:
@@ -251,7 +259,7 @@ def _answer(ask_y1: int, ask_y2: int, y1: int, y2: int) -> int:
 def decode(theta: int, t: Transcript) -> tuple[int, ...]:
     """Recover the desired message bits from a complete transcript: check its
     queries and answers, then decode their bitsets with ``_decoded``."""
-    _check_theta(theta)
+    check_theta(theta)
     if not (len(t.q1) == len(t.a1) == len(t.q2) == len(t.a2)):
         raise ValueError("incomplete transcript")
     asked_x2 = _where(_codes("q1", t.q1, _Q1_CODES), 1)
@@ -278,7 +286,7 @@ def run_session(m: MessagePair, theta: int, coin: Sequence[int]) -> Transcript:
     """
     n = m.length
     coin, packed = _check_coin(coin, n)
-    _check_theta(theta)
+    check_theta(theta)
     x1, x2, y1, y2 = _cell_bits(m)
     hits = _hits(packed, x1, x2)
     ask_y1, ask_y2 = _round2(theta, packed, hits, n)
@@ -403,12 +411,7 @@ def multiround_descriptor(
     def run(msg, theta, coin):
         # The audit checks the session the coded layer and criterion 2 run.
         t = run_session(MessagePair(*msg), theta, coin)
-        return SessionRecord(
-            queries=(t.q1, t.q2),
-            answers=(t.a1, t.a2),
-            decoded=t.decoded,
-            download_bits=1 + sum(1 for a in t.a2 if a is not None),
-        )
+        return SessionRecord((t.q1, t.q2), (t.a1, t.a2), t.decoded, 1 + sum(1 for a in t.a2 if a is not None))
 
     def side_information(msg, coin):
         return ((), _indicator(MessagePair(*msg), coin))

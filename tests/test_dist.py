@@ -66,6 +66,11 @@ class TestExactDist:
         d = ExactDist({(0, "x"): F(1, 2), (1, "x"): F(1, 2), (2, "y"): F(0)})
         assert d.alphabets == (frozenset({0, 1}), frozenset({"x"}))
 
+    def test_outcome_outside_the_support_has_probability_zero(self):
+        d = ExactDist({0: F(1, 4), 1: F(3, 4)})
+        assert d.probability((2,)) == 0
+        assert d.probability(2) == 0
+
 
 class TestEntropy:
     def test_uniform_binary_bit(self):
@@ -196,6 +201,12 @@ class TestMarginal:
         joint = ExactDist({(0, 1): F(1)})
         with pytest.raises(ValueError):
             marginal(joint, (0, 0))
+
+    def test_coordinate_equal_to_the_arity_rejected(self):
+        joint = ExactDist({(0, 1): F(1)})
+        for measure in (marginal, conditional_entropy):
+            with pytest.raises(ValueError, match="^coordinate 2 out of range for arity 2$"):
+                measure(joint, (2,))
 
 
 # --- property tests ---------------------------------------------------------

@@ -24,8 +24,13 @@ from pirlab.audit import (
 from pirlab.capacity import PirParameters
 from pirlab.descriptor import SchemeDescriptor, SessionRecord
 from pirlab.linear import (
+    PATTERNS,
     asymmetric_toy_descriptor,
+    db1_answer,
+    db2_answer,
+    db2_selector,
     gf2_rank,
+    linear_decode,
     linear_descriptor,
     linear_storage_entropy_bits,
     linear_store,
@@ -138,6 +143,30 @@ class TestRetrieve:
         with pytest.raises(ValueError, match=f"^{message}$"):
             linear_descriptor().run(((0, 0, 0, 0), (0, 0, 0, 0)), theta, pattern)
 
+    def test_plans_give_the_sessions_of_the_protocol_helpers(self):
+        scheme = linear_descriptor()
+        for bits in product((0, 1), repeat=8):
+            a, b = bits[:4], bits[4:]
+            s1, s2 = linear_store(a, b)
+            for theta, pattern in product((1, 2), PATTERNS):
+                selector = db2_selector(pattern, theta)
+                d1, d2 = db1_answer(pattern, s1), db2_answer(selector, s2)
+                want = SessionRecord(
+                    queries=((pattern,), (selector,)),
+                    answers=(d1, d2),
+                    decoded=linear_decode(theta, pattern, d1, d2),
+                    download_bits=6,
+                )
+                assert scheme.run((a, b), theta, pattern) == want
+
+    @pytest.mark.parametrize(
+        "theta, pattern, message",
+        [([1], 1, "theta must be 1 or 2"), (3, 5, "theta must be 1 or 2"), (2, [1], "pattern must be 1 or 2")],
+    )
+    def test_theta_refused_before_pattern(self, theta, pattern, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            linear_descriptor().run(((0, 0, 0, 0), (0, 0, 0, 0)), theta, pattern)
+
     def test_download_is_six_bits(self):
         scheme = linear_descriptor()
         download = measure_rate(scheme)["expected_symbol_download_per_block"]
@@ -219,6 +248,39 @@ class TestReplicated:
 
     def test_private_by_constant_query(self):
         assert check_privacy(replicated_descriptor())["pass"]
+
+
+class TestThetaAndCoinRefused:
+    """Every single-round scheme refuses a desired index other than 1 or 2,
+    and the toy a coin other than 0 or 1, before it answers."""
+
+    MSG = ((0, 0, 0, 0), (1, 1, 1, 1))
+
+    @pytest.mark.parametrize("factory", [linear_descriptor, replicated_descriptor, asymmetric_toy_descriptor])
+    @pytest.mark.parametrize("theta", [0, -1, 3, [1]], ids=["0", "-1", "3", "list"])
+    def test_theta_outside_one_and_two_refused(self, factory, theta):
+        scheme = factory()
+        coin = next(iter(scheme.randomness_space()))[0]
+        with pytest.raises(ValueError, match="^theta must be 1 or 2$"):
+            scheme.run(self.MSG, theta, coin)
+
+    @pytest.mark.parametrize("f", [2, 5, -1, [0]], ids=["2", "5", "-1", "list"])
+    def test_toy_coin_outside_zero_and_one_refused(self, f):
+        with pytest.raises(ValueError, match="^coin must be 0 or 1$"):
+            asymmetric_toy_descriptor().run(self.MSG, 1, f)
+
+    def test_toy_refuses_theta_before_the_coin(self):
+        with pytest.raises(ValueError, match="^theta must be 1 or 2$"):
+            asymmetric_toy_descriptor().run(self.MSG, 3, 5)
+
+    def test_toy_answers_the_coin_selected_half(self):
+        scheme = asymmetric_toy_descriptor()
+        for msg, _ in scheme.message_space():
+            s2 = linear_store(*msg)[1]
+            for theta, f in product((1, 2), (0, 1)):
+                want = msg[theta - 1]
+                queries = ((f"m{theta}",), (f"half{f}",))
+                assert scheme.run(msg, theta, f) == (queries, (want, s2[2 * f:2 * f + 2]), want, 6)
 
 
 class TestLinearPrivacy:

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pirlab import multiround
 from pirlab.multiround import (
     ASK_X1,
     ASK_X2,
@@ -136,6 +137,22 @@ class TestDecode:
             decode(1, t)
 
 
+class TestTranscript:
+    def test_named_tuple_surface(self):
+        t = Transcript(2, (0,), (ASK_X1,), (1,), (NO_QUERY,), (None,))
+        assert t.decoded is None
+        assert Transcript._fields == ("theta", "coin", "q1", "a1", "q2", "a2", "decoded")
+        assert t == (2, (0,), (ASK_X1,), (1,), (NO_QUERY,), (None,), None)
+        assert t._replace(decoded=(1,)) == (2, (0,), (ASK_X1,), (1,), (NO_QUERY,), (None,), (1,))
+        with pytest.raises(AttributeError):
+            t.decoded = (1,)
+
+    def test_sessions_return_transcripts(self):
+        t = run_session(MessagePair((1, 0), (0, 0)), 1, (0, 1))
+        assert type(t) is Transcript
+        assert t == (1, (0, 1), (ASK_X1, ASK_X2), (0, 1), (ASK_Y1, NO_QUERY), (1, None), (1, 0))
+
+
 class TestSessions:
     def test_traced_example_skips_db2(self):
         t = run_session(MessagePair((1,), (1,)), theta=1, coin=(0,))
@@ -232,6 +249,10 @@ class TestDescriptor:
     def test_invalid_bias_rejected(self):
         with pytest.raises(ValueError):
             multiround_descriptor(bias=F(1))
+
+    def test_zero_bias_rejected(self):
+        with pytest.raises(ValueError, match="^bias must be strictly between 0 and 1$"):
+            multiround_descriptor(bias=0)
 
     def test_download_counts_answer_bits_only(self):
         scheme = multiround_descriptor()
@@ -374,6 +395,24 @@ class TestBitsetKernelMatchesReference:
         rng = random.Random(seed)
         w1, w2, coin = ([rng.getrandbits(1) for _ in range(length)] for _ in range(3))
         assert_same_session(w1, w2, theta, coin)
+
+    @pytest.mark.parametrize("length", [4, 5, 8, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lengths_beside_the_one_byte_tables(self, length, seed):
+        # Bitsets of at most _BYTE_POSITIONS positions are read from tables;
+        # 4 and 8 fill their bytes, 5 and 9 spill into the next.
+        assert multiround._BYTE_POSITIONS == 4
+        rng = random.Random(seed)
+        for theta in (1, 2):
+            w1, w2, coin = ([rng.getrandbits(1) for _ in range(length)] for _ in range(3))
+            assert_same_session(w1, w2, theta, coin)
+
+    def test_tables_match_the_string_round_trip(self):
+        for n in range(multiround._BYTE_POSITIONS + 2):
+            for bitset in range(1 << n):
+                bits = tuple(map(int, format(bitset | 1 << n, "b")[1:]))
+                assert multiround._unpack(bitset, n) == bits
+                assert multiround._spread(bitset) == int(bin(bitset)[2:], 4)
 
     @pytest.mark.parametrize(
         "scheme",
