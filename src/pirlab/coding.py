@@ -29,7 +29,7 @@ from itertools import chain, product, repeat
 from numbers import Real
 from typing import Hashable, Mapping, Sequence
 
-from .dist import ExactDist, conditional_entropy, entropy
+from .dist import ExactDist, entropy
 from .seeds import derive_seed
 
 _STATE_BITS = 32
@@ -272,21 +272,17 @@ Y_PAIRS = ((0, 0), (1, 0), (0, 1))
 _PAIR_TO_TRIT = {pair: i for i, pair in enumerate(Y_PAIRS)}
 
 
-def y_pair_indicator_joint() -> ExactDist:
-    """Exact joint law of (y1, y2, u) for uniform messages and a fair coin."""
-    return ExactDist(
-        {
-            (0, 0, 0): Fraction(1, 4),
-            (0, 0, 1): Fraction(1, 4),
-            (1, 0, 1): Fraction(1, 4),
-            (0, 1, 1): Fraction(1, 4),
-        }
-    )
+# The binning rate target per position: DB2's H(y1, y2 | u) for fair
+# messages and a fair coin. u = 1 with probability 3/4, and then (y1, y2) is
+# uniform over Y_PAIRS. Criterion 6c checks it against the audited storage.
+_SIDE_INFO_BITS = 0.75 * math.log2(3)
 
 
-def side_info_conditional_entropy() -> float:
-    """H(y1, y2 | u) in bits; the binning rate target per position."""
-    return conditional_entropy(y_pair_indicator_joint(), (2,))
+def _check_ints(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -298,20 +294,17 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("block_length", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _check_ints(self, "block_length", "seed")
         if self.block_length < 1:
             raise ValueError("block_length must be at least 1")
         margin = self.rate_margin
-        if not (isinstance(margin, Real) and math.isfinite(margin) and margin > 0):
+        if isinstance(margin, bool) or not (isinstance(margin, Real) and math.isfinite(margin) and margin > 0):
             raise ValueError(f"rate_margin must be finite and positive, got {margin!r}")
         # The bin size and the mask table depend only on these fields, so
         # they are built once here. The mask table is a position-wise
         # tabulation hash: XOR of one uniform mask per position and symbol.
         # Any two distinct blocks collide with probability 2**-bits.
-        bits = math.ceil(self.block_length * (side_info_conditional_entropy() + margin))
+        bits = math.ceil(self.block_length * (_SIDE_INFO_BITS + margin))
         rng = random.Random(derive_seed(self.seed, "sw-mask", self.block_length, bits))
         masks = tuple(tuple(rng.getrandbits(bits) for _ in range(3)) for _ in range(self.block_length))
         object.__setattr__(self, "_bin_bits", bits)
@@ -326,7 +319,9 @@ class SwBin:
     bin_bits: int
 
     def __post_init__(self):
-        if not (0 <= self.bin_index < (1 << self.bin_bits)):
+        _check_ints(self, "bin_index", "bin_bits")
+        # By bit length, so that a huge bin_bits builds no 2**bin_bits.
+        if self.bin_index < 0 or self.bin_index.bit_length() > self.bin_bits:
             raise ValueError("bin_index out of range for bin_bits")
 
 
@@ -340,7 +335,7 @@ def _to_trits(y_block: Sequence[tuple[int, int]], n: int) -> list[int]:
         raise ValueError(f"block must have length {n}, got {len(y_block)}")
     try:
         return [_PAIR_TO_TRIT[tuple(pair)] for pair in y_block]
-    except KeyError:
+    except (KeyError, TypeError):  # a pair outside Y_PAIRS, not iterable or unhashable
         raise ValueError("block contains a pair outside {(0,0), (1,0), (0,1)}") from None
 
 
@@ -352,12 +347,17 @@ def sw_encode(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> SwBin:
     return SwBin(index, cfg._bin_bits)
 
 
-def _check_side_info(u_block: Sequence[int], cfg: CodecConfig) -> list[int]:
-    u_block = list(u_block)
+def _check_decoder_input(sw_bin: SwBin, u_block: Sequence[int], cfg: CodecConfig) -> list[int]:
+    try:
+        u_block = list(u_block)
+    except TypeError:
+        raise ValueError(f"side information must be a sequence, got {u_block!r}") from None
     if len(u_block) != cfg.block_length:
         raise ValueError(f"side information must have length {cfg.block_length}")
     if any(u not in (0, 1) for u in u_block):
         raise ValueError("side information must contain only bits")
+    if sw_bin.bin_bits != cfg._bin_bits:
+        raise ValueError(f"bin carries {sw_bin.bin_bits} bits, config implies {cfg._bin_bits}")
     return u_block
 
 
@@ -373,9 +373,7 @@ def sw_decode(
     (see ``sw_decode_reference``), in O(3**(k/2)) time. A None result is the
     coder's decode failure: two or more candidates landed in the bin.
     """
-    u_block = _check_side_info(u_block, cfg)
-    if sw_bin.bin_bits != cfg._bin_bits:
-        raise ValueError(f"bin carries {sw_bin.bin_bits} bits, config implies {cfg._bin_bits}")
+    u_block = _check_decoder_input(sw_bin, u_block, cfg)
     masks = cfg._masks
     fixed = 0
     free: list[int] = []
@@ -416,9 +414,7 @@ def sw_decode(
         return None
 
     pairs = [(0, 0)] * cfg.block_length
-    for position, trit in zip(left, found[0]):
-        pairs[position] = Y_PAIRS[trit]
-    for position, trit in zip(right, found[1]):
+    for position, trit in zip(free, found[0] + found[1]):
         pairs[position] = Y_PAIRS[trit]
     return tuple(pairs)
 
@@ -426,32 +422,17 @@ def sw_decode(
 def sw_decode_reference(
     sw_bin: SwBin, u_block: Sequence[int], cfg: CodecConfig
 ) -> tuple[tuple[int, int], ...] | None:
-    """Plain scan over every side-information-consistent candidate.
+    """Plain scan over every side-information-consistent candidate, each
+    hashed by ``sw_encode`` itself.
 
     Exponential in the number of u = 1 positions; used as the independent
     oracle against the meet-in-the-middle decoder on small blocks.
     """
-    u_block = _check_side_info(u_block, cfg)
-    if sw_bin.bin_bits != cfg._bin_bits:
-        raise ValueError(f"bin carries {sw_bin.bin_bits} bits, config implies {cfg._bin_bits}")
-    masks = cfg._masks
-    free = [position for position, u in enumerate(u_block) if u == 1]
-    fixed = 0
-    for position, u in enumerate(u_block):
-        if u == 0:
-            fixed ^= masks[position][0]
+    u_block = _check_decoder_input(sw_bin, u_block, cfg)
     found = None
-    for combo in product((0, 1, 2), repeat=len(free)):
-        h = fixed
-        for position, trit in zip(free, combo):
-            h ^= masks[position][trit]
-        if h == sw_bin.bin_index:
+    for candidate in product(*(Y_PAIRS if u else Y_PAIRS[:1] for u in u_block)):
+        if sw_encode(candidate, cfg) == sw_bin:
             if found is not None:
                 return None
-            found = combo
-    if found is None:
-        return None
-    pairs = [(0, 0)] * cfg.block_length
-    for position, trit in zip(free, found):
-        pairs[position] = Y_PAIRS[trit]
-    return tuple(pairs)
+            found = candidate
+    return found

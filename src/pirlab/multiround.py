@@ -161,40 +161,14 @@ def _hits(coin: int, x1: int, x2: int) -> int:
     return (x1 & ~coin) | (x2 & coin)
 
 
-@dataclass(frozen=True)
-class CellTable:
-    """Per-position stored cells; the indicator u is filled once a coin exists.
-
-    Exactly one of (x1, x2, y1, y2) is 1 at every position, and u = 0 forces
-    (y1, y2) = (0, 0).
-    """
+class CellTable(NamedTuple):
+    """Per-position stored cells: exactly one of (x1, x2, y1, y2) is 1 at
+    every position."""
 
     x1: tuple[int, ...]
     x2: tuple[int, ...]
     y1: tuple[int, ...]
     y2: tuple[int, ...]
-    u: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        cells = (self.x1, self.x2, self.y1, self.y2)
-        n = len(self.x1)
-        if len(set(map(len, cells))) > 1:
-            raise ValueError("cells must have equal length")
-        try:
-            x1, x2, y1, y2 = packed = [_pack("cells", tuple(c)) for c in cells]
-        except ValueError:  # an entry is not a bit
-            packed = None
-        # One 1 per position: every position covered, and n ones in all.
-        if packed is None or (x1 | x2 | y1 | y2) != (1 << n) - 1 or sum(map(int.bit_count, packed)) != n:
-            first = next(c for c in zip(*cells) if c.count(1) != 1 or c.count(0) != 3)
-            raise ValueError(f"cells must partition the position, got {first}")
-        if self.u is not None:
-            u, packed_u = _check_bits("u", self.u)
-            object.__setattr__(self, "u", u)
-            if len(u) != n:
-                raise ValueError("u must match the cell length")
-            if ~packed_u & (y1 | y2):
-                raise ValueError("u = 0 requires (y1, y2) = (0, 0)")
 
 
 class Transcript(NamedTuple):
@@ -220,16 +194,11 @@ def _check_coin(coin: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
     return coin, packed
 
 
-def derive_cells(m: MessagePair, coin: Sequence[int] | None = None) -> CellTable:
-    """Evaluate the four cell conjunctions on every position at once.
-
-    With ``coin`` given, also fills the indicator: u = 0 exactly where the
-    coin-selected x cell equals 1 (no round-2 query needed there).
-    """
+def derive_cells(m: MessagePair) -> CellTable:
+    """Evaluate the four cell conjunctions on every position at once."""
     n = m.length
     x1, x2, y1, y2 = _cell_bits(m)
-    u = None if coin is None else _indicator(m, coin)
-    return CellTable(_unpack(x1, n), _unpack(x2, n), _unpack(y1, n), _unpack(y2, n), u)
+    return CellTable(_unpack(x1, n), _unpack(x2, n), _unpack(y1, n), _unpack(y2, n))
 
 
 def _indicator(m: MessagePair, coin: Sequence[int]) -> tuple[int, ...]:
@@ -298,8 +267,16 @@ def run_session(m: MessagePair, theta: int, coin: Sequence[int]) -> Transcript:
     return Transcript(theta, coin, q1, _unpack(hits, n), q2, a2, _decoded(packed, hits, ones, n))
 
 
-def _draw(rng: random.Random, bias: float, n: int) -> tuple[MessagePair, tuple[int, ...]]:
+def _check_bias(bias: Fraction) -> Fraction:
+    bias = Fraction(bias)
+    if not (0 < bias < 1):
+        raise ValueError("bias must be strictly between 0 and 1")
+    return bias
+
+
+def _draw(rng: random.Random, bias: Fraction, n: int) -> tuple[MessagePair, tuple[int, ...]]:
     """n positions: both messages' bits with the given bias, then a fair coin."""
+    bias = float(_check_bias(bias))
     w1 = tuple(1 if rng.random() < bias else 0 for _ in range(n))
     w2 = tuple(1 if rng.random() < bias else 0 for _ in range(n))
     coin = tuple(rng.getrandbits(1) for _ in range(n))
@@ -321,9 +298,10 @@ def sw_failure_rate(
     n = codec.block_length
     failures = 0
     for _ in range(blocks):
-        cells = derive_cells(*_draw(rng, float(bias), n))
+        message, coin = _draw(rng, bias, n)
+        cells = derive_cells(message)
         pairs = tuple(zip(cells.y1, cells.y2))
-        decoded = sw_decode(sw_encode(pairs, codec), cells.u, codec)
+        decoded = sw_decode(sw_encode(pairs, codec), _indicator(message, coin), codec)
         if decoded != pairs:
             failures += 1
     return {
@@ -344,7 +322,7 @@ class CodedLayer:
 
     def session(self, theta: int, L: int, seed: int, models: tuple[SourceModel, SourceModel]) -> dict:
         """One L-position session with its answer streams coded under ``models``."""
-        message, coin = _draw(random.Random(seed), float(self.bias), L)
+        message, coin = _draw(random.Random(seed), self.bias, L)
         transcript = run_session(message, theta, coin)
         stream1 = entropy_encode(transcript.a1, models[0])
         round2 = [a for a in transcript.a2 if a is not None]
@@ -364,7 +342,7 @@ class CodedLayer:
 
     def storage_bits(self, L: int, seed: int, codec: CodecConfig, cell_model: SourceModel) -> tuple[int, int]:
         """DB1's coded cell bits and DB2's bin bits for one drawn L-position pair."""
-        cells = derive_cells(_draw(random.Random(seed), float(self.bias), L)[0])
+        cells = derive_cells(_draw(random.Random(seed), self.bias, L)[0])
         db1_bits = stream_payload_bits(entropy_encode(list(zip(cells.x1, cells.x2)), cell_model))
         return db1_bits, (L + codec.block_length - 1) // codec.block_length * sw_bin_bits(codec)
 
@@ -389,9 +367,7 @@ def multiround_descriptor(
     """
     if storage not in ("split", "replicated"):
         raise ValueError("storage must be 'split' or 'replicated'")
-    bias = Fraction(bias)
-    if not (0 < bias < 1):
-        raise ValueError("bias must be strictly between 0 and 1")
+    bias = _check_bias(bias)
 
     def message_space():
         for b1, b2 in product((0, 1), repeat=2):

@@ -3,7 +3,7 @@
 Each test calls its ``pirlab.reproduce.criterion_*`` function once, prints
 the row as a single PASS/FAIL line (run with ``pytest -s`` to see them on
 success) and asserts the row's verdict, so the suite and the CLI share one
-definition of every criterion. Criteria 3, 5, 7, 8 and 9 read one exhaustive
+definition of every criterion. Criteria 3, 5, 6c, 7, 8 and 9 read one exhaustive
 pass per scheme, made once for the module by the ``passes`` fixture, as
 ``reproduce_all`` makes it once per run. Where a row checks a value only by a
 relation or a tolerance, the test also pins the exact value.
@@ -38,7 +38,7 @@ def check(row: dict):
 
 @pytest.fixture(scope="module")
 def passes():
-    """The per-scheme exact passes that criteria 3, 5, 7, 8 and 9 read."""
+    """The per-scheme exact passes that criteria 3, 5, 6c, 7, 8 and 9 read."""
     return reproduce.exact_passes()
 
 
@@ -70,8 +70,8 @@ def test_criterion_6b_sw_failure_rate():
     check(reproduce.criterion_sw_failure(SEED, CODEC))
 
 
-def test_criterion_6c_sw_storage_per_symbol():
-    assert check(reproduce.criterion_sw_storage(CODEC))["bin_bits"] == 22
+def test_criterion_6c_sw_storage_per_symbol(passes):
+    assert check(reproduce.criterion_sw_storage(passes, CODEC))["bin_bits"] == 22
 
 
 def test_criterion_7_constrained_length_download(passes):

@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -378,6 +380,19 @@ def test_benchmark_pins_the_same_digests():
     benchmark = ast.literal_eval(table)
     assert len(benchmark) == 6
     assert {argv: GOLDEN.get(argv) for argv in benchmark} == benchmark
+
+
+def test_benchmark_self_check_passes():
+    # The benchmark reads derive_cells' four cells, SwBin.bin_bits and a
+    # positional Transcript; its self-check runs each workload's checks once.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--self-check"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    lines = done.stdout.splitlines()
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert lines and all(line.endswith(": ok") for line in lines), done.stdout
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirlab import coding
+from pirlab import coding, reproduce
 from pirlab.coding import (
     CodecConfig,
     SourceModel,
@@ -18,14 +18,14 @@ from pirlab.coding import (
     Y_PAIRS,
     entropy_decode,
     entropy_encode,
-    side_info_conditional_entropy,
     stream_payload_bits,
     sw_bin_bits,
     sw_decode,
     sw_decode_reference,
     sw_encode,
 )
-from pirlab.multiround import sw_failure_rate
+from pirlab.audit import measure_overhead
+from pirlab.multiround import multiround_descriptor, sw_failure_rate
 
 F = Fraction
 
@@ -38,6 +38,8 @@ TERNARY = SourceModel(("a", "b", "c"), {"a": F(1, 2), "b": F(1, 3), "c": F(1, 6)
 CENTERED = SourceModel(("a", "b", "c"), {"a": F(1, 4), "b": F(1, 2), "c": F(1, 4)})
 # The multiround scheme's DB1 cell pair (x1, x2) under fair messages.
 CELLS = SourceModel(((0, 0), (0, 1), (1, 0)), {(0, 0): F(1, 2), (0, 1): F(1, 4), (1, 0): F(1, 4)})
+# DB2's audited ideal storage per position, H(y1, y2 | u): the bin target.
+AUDITED_DB2_BITS = measure_overhead(multiround_descriptor())["ideal_bits_per_block"][1]
 
 
 def biased_bits():
@@ -437,14 +439,22 @@ class TestBinSizing:
     def test_bin_bits_formula(self, margin, expected_bits):
         cfg = CodecConfig(block_length=16, rate_margin=margin)
         assert sw_bin_bits(cfg) == expected_bits
-        assert sw_bin_bits(cfg) == math.ceil(
-            16 * (side_info_conditional_entropy() + margin)
-        )
+        assert sw_bin_bits(cfg) == math.ceil(16 * (AUDITED_DB2_BITS + margin))
 
     def test_conditional_entropy_target(self):
-        assert side_info_conditional_entropy() == pytest.approx(
-            0.75 * math.log2(3), abs=1e-9
-        )
+        # The codec's constant is the audited value bit for bit.
+        assert coding._SIDE_INFO_BITS.hex() == AUDITED_DB2_BITS.hex()
+        assert AUDITED_DB2_BITS == pytest.approx(0.75 * math.log2(3), abs=1e-12)
+
+    def test_criterion_6c_fails_for_a_target_off_the_audit(self, monkeypatch):
+        # 6c compares the codec's bins with DB2's audited storage, so a codec
+        # built on any other target (here 1.0 bit, 19-bit bins) fails it.
+        passes = reproduce.exact_passes()
+        assert reproduce.criterion_sw_storage(passes, CodecConfig())["pass"]
+        monkeypatch.setattr(coding, "_SIDE_INFO_BITS", 1.0)
+        row = reproduce.criterion_sw_storage(passes, CodecConfig())
+        assert (row["measured"]["bin_bits"], row["expected"]["bin_bits"]) == (19, 22)
+        assert not row["pass"]
 
     def test_storage_saving_below_replication(self):
         cfg = CodecConfig(block_length=16, rate_margin=0.15)
@@ -462,12 +472,13 @@ class TestBinSizing:
             ("rate_margin", math.nan),
             ("rate_margin", math.inf),
             ("rate_margin", "0.15"),
+            ("rate_margin", True),
         ]:
             with pytest.raises(ValueError, match=field):
                 CodecConfig(**{field: value})
 
     def test_tables_built_once_per_config(self, monkeypatch):
-        calls = {"derive_seed": 0, "conditional_entropy": 0}
+        calls = {"derive_seed": 0}
 
         def counted(name):
             original = getattr(coding, name)
@@ -486,7 +497,6 @@ class TestBinSizing:
             pairs, u = random_block(rng, cfg.block_length)
             sw_decode(sw_encode(pairs, cfg), u, cfg)
         assert calls["derive_seed"] <= 1
-        assert calls["conditional_entropy"] <= 1
 
 
 def random_block(rng, n):
@@ -550,6 +560,46 @@ class TestBinning:
                 assert decoded == pairs
                 successes += 1
         assert successes > 150  # wide margin makes failures rare
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ([5, (0, 0)], "pair outside"),
+            ([([1], [0]), (0, 0)], "pair outside"),
+            ([(0, 0, 0), (0, 0)], "pair outside"),
+        ],
+        ids=["int-entry", "unhashable-pair", "triple"],
+    )
+    def test_malformed_block_rejected(self, block, message):
+        with pytest.raises(ValueError, match=message):
+            sw_encode(block, CodecConfig(block_length=2))
+
+    @pytest.mark.parametrize("decoder", [sw_decode, sw_decode_reference])
+    @pytest.mark.parametrize(
+        "u_block, message",
+        [(5, "side information must be a sequence"), ([0, 2], "only bits"), ([0], "length 2")],
+        ids=["int", "non-bit", "short"],
+    )
+    def test_malformed_side_information_rejected(self, decoder, u_block, message):
+        cfg = CodecConfig(block_length=2)
+        with pytest.raises(ValueError, match=message):
+            decoder(sw_encode([(0, 0), (0, 0)], cfg), u_block, cfg)
+
+    @pytest.mark.parametrize(
+        "index, bits, message",
+        [
+            (0.5, 3, "bin_index must be an int"),
+            ("a", 3, "bin_index must be an int"),
+            (True, 3, "bin_index must be an int"),
+            (0, 3.0, "bin_bits must be an int"),
+            (0, -1, "out of range"),
+            (8, 3, "out of range"),
+            (-1, 3, "out of range"),
+        ],
+    )
+    def test_malformed_bin_rejected(self, index, bits, message):
+        with pytest.raises(ValueError, match=message):
+            SwBin(index, bits)
 
     def test_bin_bits_consistency_checked(self):
         cfg = CodecConfig()

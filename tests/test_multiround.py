@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pirlab import multiround
+from pirlab.coding import CodecConfig
 from pirlab.multiround import (
     ASK_X1,
     ASK_X2,
     ASK_Y1,
     ASK_Y2,
     NO_QUERY,
-    CellTable,
     CodedLayer,
     MessagePair,
     Transcript,
@@ -22,6 +22,7 @@ from pirlab.multiround import (
     derive_cells,
     multiround_descriptor,
     run_session,
+    sw_failure_rate,
 )
 
 F = Fraction
@@ -42,6 +43,11 @@ class TestCells:
         table = derive_cells(MessagePair((pair[0],), (pair[1],)))
         assert (table.x1[0], table.x2[0], table.y1[0], table.y2[0]) == cells
 
+    def test_cells_are_a_named_tuple_of_the_four_cells(self):
+        table = derive_cells(MessagePair((1, 0, 0, 1), (1, 0, 1, 0)))
+        assert table == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+        assert table._fields == ("x1", "x2", "y1", "y2")
+
     def test_partition_invariant_everywhere(self):
         for w1 in product((0, 1), repeat=3):
             for w2 in product((0, 1), repeat=3):
@@ -51,17 +57,10 @@ class TestCells:
 
     def test_indicator_forces_empty_y(self):
         for w1, w2, coin in product((0, 1), repeat=3):
-            table = derive_cells(MessagePair((w1,), (w2,)), coin=(coin,))
-            if table.u[0] == 0:
+            m = MessagePair((w1,), (w2,))
+            table = derive_cells(m)
+            if multiround._indicator(m, (coin,))[0] == 0:
                 assert (table.y1[0], table.y2[0]) == (0, 0)
-
-    def test_invalid_cell_table_rejected(self):
-        with pytest.raises(ValueError, match="partition"):
-            CellTable(x1=(1,), x2=(1,), y1=(0,), y2=(0,))
-
-    def test_u_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            CellTable(x1=(0,), x2=(0,), y1=(1,), y2=(0,), u=(0,))
 
 
 def db1_round(msg, coin):
@@ -174,8 +173,8 @@ class TestSessions:
     def test_indicator_matches_round1_answer(self):
         for w1, w2, coin in product((0, 1), repeat=3):
             t = run_session(MessagePair((w1,), (w2,)), 1, (coin,))
-            cells = derive_cells(MessagePair((w1,), (w2,)), (coin,))
-            assert cells.u[0] == (0 if t.a1[0] == 1 else 1)
+            u = multiround._indicator(MessagePair((w1,), (w2,)), (coin,))
+            assert u[0] == (0 if t.a1[0] == 1 else 1)
 
 
 @given(
@@ -209,8 +208,9 @@ class TestExactLaws:
         counts = {}
         u_zero = F(0)
         for w1, w2, coin in product((0, 1), repeat=3):
-            cells = derive_cells(MessagePair((w1,), (w2,)), (coin,))
-            if cells.u[0] == 0:
+            m = MessagePair((w1,), (w2,))
+            cells = derive_cells(m)
+            if multiround._indicator(m, (coin,))[0] == 0:
                 u_zero += F(1, 8)
             else:
                 key = (cells.y1[0], cells.y2[0])
@@ -238,6 +238,20 @@ class TestDescriptor:
     def test_only_split_storage_declares_a_coded_layer(self):
         assert multiround_descriptor(bias=F(3, 4)).coded == CodedLayer(F(3, 4))
         assert multiround_descriptor(storage="replicated").coded is None
+
+    @pytest.mark.parametrize("bias", [F(0), F(1), F(2), F(-1, 2)])
+    def test_coded_layer_refuses_bias_outside_the_unit_interval(self, bias):
+        # The descriptor's check, shared: at bias 0 or 1 every position would
+        # have u = 0, so every bin would "decode".
+        calls = [
+            lambda: sw_failure_rate(CodecConfig(), 2, 0, bias),
+            lambda: CodedLayer(bias).bin_failures(CodecConfig(), 2, 0),
+            lambda: CodedLayer(bias).session(1, 16, 0, None),
+            lambda: CodedLayer(bias).storage_bits(16, 0, CodecConfig(), None),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^bias must be strictly between 0 and 1$"):
+                call()
 
     def test_bias_weights(self):
         scheme = multiround_descriptor(bias=F(3, 4))
@@ -357,8 +371,8 @@ def ref_session(w1, w2, theta, coin):
     return (theta, tuple(coin), q1, a1, q2, a2, ref_decode(theta, q1, a1, q2, a2))
 
 
-def cell_fields(table):
-    return (table.x1, table.x2, table.y1, table.y2, table.u)
+def cell_fields(table, u=None):
+    return (table.x1, table.x2, table.y1, table.y2, u)
 
 
 def transcript_fields(t):
@@ -374,7 +388,8 @@ def record_fields(record):
 def assert_same_session(w1, w2, theta, coin):
     m = MessagePair(w1, w2)
     assert cell_fields(derive_cells(m)) == ref_derive_cells(w1, w2)
-    assert cell_fields(derive_cells(m, coin)) == ref_derive_cells(w1, w2, coin)
+    _, u = SCHEME.side_information((w1, w2), coin)
+    assert cell_fields(derive_cells(m), u) == ref_derive_cells(w1, w2, coin)
     t = run_session(m, theta, coin)
     want = ref_session(w1, w2, theta, coin)
     assert transcript_fields(t) == want
@@ -443,14 +458,11 @@ class TestBitsetKernelMatchesReference:
         good = (0, 1, 1)
         bad = (0, entry, 1)
         m = MessagePair(good, good)
-        cells = derive_cells(m)
         assert error(MessagePair, bad, good) == error(ref_message, bad, good)
         assert error(MessagePair, good, bad) == error(ref_message, good, bad)
-        assert error(derive_cells, m, bad) == error(ref_derive_cells, good, good, bad)
+        assert error(multiround._indicator, m, bad) == error(ref_derive_cells, good, good, bad)
         assert error(run_session, m, 1, bad) == error(ref_session, good, good, 1, bad)
         assert error(SCHEME.run, (good, good), 1, bad) == error(ref_session, good, good, 1, bad)
-        with pytest.raises(ValueError, match="u must contain only bits"):
-            CellTable(cells.x1, cells.x2, cells.y1, cells.y2, u=bad)
 
     def test_same_error_for_lengths_and_empty_messages(self):
         for bad_pair in (((0, 1), (0,)), ((), ())):
@@ -461,7 +473,7 @@ class TestBitsetKernelMatchesReference:
         m = MessagePair((0, 1), (1, 1))
         t = run_session(m, 1, (0, 1))
         cases = [
-            (lambda: derive_cells(m, (0,)), lambda: ref_derive_cells(m.w1, m.w2, (0,))),
+            (lambda: multiround._indicator(m, (0,)), lambda: ref_derive_cells(m.w1, m.w2, (0,))),
             (lambda: run_session(m, 1, (0, 1, 1)), lambda: ref_session(m.w1, m.w2, 1, (0, 1, 1))),
             (lambda: run_session(m, 3, (0, 1)), lambda: ref_session(m.w1, m.w2, 3, (0, 1))),
             (lambda: decode(0, t), lambda: ref_decode(0, t.q1, t.a1, t.q2, t.a2)),
@@ -497,5 +509,3 @@ class TestBitsetKernelMatchesReference:
             decode(1, Transcript(1, t.coin, t.q1, t.a1, ("x1", None), t.a2))
         with pytest.raises(ValueError, match="a2 must contain only None, 0, 1"):
             decode(1, Transcript(1, t.coin, t.q1, t.a1, t.q2, (2, None)))
-        with pytest.raises(ValueError, match="cells must have equal length"):
-            CellTable((1, 0), (0,), (0,), (0,))
