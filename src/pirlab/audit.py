@@ -371,45 +371,38 @@ def upload_bits(scheme: SchemeDescriptor) -> dict:
 
 
 def _answer_streams(scheme: SchemeDescriptor) -> _Projection:
-    """Exact per-symbol models of the two answer streams of the pass's first
-    session (theta = 1).
-
-    DB1's stream is its per-position answer bit; DB2's stream is the answer
-    bit conditioned on a round-2 query having been sent.
+    """The coded layer's exact laws: the two answer streams' models at the
+    pass's first theta, DB1's cell model, and the total variation between the
+    (A1, A2) laws at its first and last theta. DB1's stream is its answer bit;
+    DB2's is its answer bit given a round-2 query. Positions are i.i.d., so a
+    total variation of 0 means the coded stream lengths have one law at both.
     """
 
     def session(msg, stored, f, records):
-        return (records[0].answers[0] + records[0].answers[1],)
+        return [r.answers[0] + r.answers[1] for r in records] + [stored[0]]
 
     def finish(tables):
-        law = tables[0]
+        *answers, cells = tables
+        law = answers[0]
         if law.arity != 2 or not all(symbols <= {0, 1, None} for symbols in law.alphabets):
             raise ValueError(f"scheme {scheme.name!r}: its coded layer needs one answer symbol "
                              "per database per session, a bit or None")
-        counts = law.counts.items()
-        p1 = Fraction(sum(c for (a1, _), c in counts if a1 == 1), law.total)
-        p2 = Fraction(sum(c for (_, a2), c in counts if a2 == 1), sum(c for (_, a2), c in counts if a2 is not None))
-        return SourceModel.bernoulli(p1), SourceModel.bernoulli(p2)
-
-    return _Projection(finish, session)
-
-
-def _db1_cells(scheme: SchemeDescriptor) -> _Projection:
-    """Exact law of DB1's stored cell, the model of its coded storage."""
-
-    def finish(tables):
-        cells = tables[0]
         if cells.arity != 2 or not all(symbols <= {0, 1} for symbols in cells.alphabets):
             raise ValueError(f"scheme {scheme.name!r}: its coded layer needs DB1 to store "
                              "one (x1, x2) cell pair per position")
-        return SourceModel(tuple(sorted(cells.support())), dict(cells.items()))
+        counts = law.counts.items()
+        p1 = Fraction(sum(c for (a1, _), c in counts if a1 == 1), law.total)
+        p2 = Fraction(sum(c for (_, a2), c in counts if a2 == 1), sum(c for (_, a2), c in counts if a2 is not None))
+        models = SourceModel.bernoulli(p1), SourceModel.bernoulli(p2)
+        cell_model = SourceModel(tuple(sorted(cells.support())), dict(cells.items()))
+        return models, cell_model, total_variation(law, answers[-1])
 
-    return _Projection(finish, lambda msg, stored, f, records: (stored[0],), stores=True)
+    return _Projection(finish, session, stores=True)
 
 
 def answer_stream_models(scheme: SchemeDescriptor) -> tuple[SourceModel, SourceModel]:
     """Exact per-symbol models of the two answer streams, from enumeration."""
-    return _tabulate(scheme, (1,), [_answer_streams(scheme)])[0]
+    return _tabulate(scheme, (1,), [_answer_streams(scheme)])[0][0]
 
 
 def measure_rate(
@@ -424,8 +417,8 @@ def measure_rate(
     projections = [_download(scheme)]
     if mode == "concrete" and scheme.coded is not None:
         projections.append(_answer_streams(scheme))
-    download, *models = _tabulate(scheme, (1,), projections)
-    return _finish_rate(scheme, download, mode, L, trials, seed, *models)[0]
+    download, *laws = _tabulate(scheme, (1,), projections)
+    return _finish_rate(scheme, download, mode, L, trials, seed, laws[0][0] if laws else None)[0]
 
 
 def _check_flags(scheme: SchemeDescriptor, mode: str, L: int | None, trials: int, sw_blocks: int = 1) -> None:
@@ -490,15 +483,13 @@ def _finish_overhead(scheme: SchemeDescriptor, ideal: list[float]) -> dict:
 
 
 def _concrete_overhead(
-    scheme: SchemeDescriptor, L: int, seed: int, codec: CodecConfig | None, cell_model: SourceModel | None,
+    scheme: SchemeDescriptor, L: int, seed: int, codec: CodecConfig, cell_model: SourceModel | None,
 ) -> dict:
     """Concrete overhead at message length L. A scheme with a coded layer is
-    charged the layer's coded storage bits, with ``_db1_cells``' model; a
-    scheme without one stores incompressible bits, charged at face value."""
+    charged its coded storage bits, under ``_answer_streams``' cell model; one
+    without stores incompressible bits, charged at face value."""
     if scheme.coded is not None:
-        bits = scheme.coded.storage_bits(
-            L, derive_seed(seed, "storage"), codec or CodecConfig(), cell_model
-        )
+        bits = scheme.coded.storage_bits(L, derive_seed(seed, "storage"), codec, cell_model)
     else:
         # L native blocks' raw storage; L is a multiple of the block.
         blocks = L // scheme.block_length
@@ -510,31 +501,6 @@ def _concrete_overhead(
         "L": L,
         "bits_per_database": bits,
         "alpha_concrete": storage_overhead(bits, L, scheme.params.num_messages),
-    }
-
-
-def _leakage(coded, models: tuple[SourceModel, SourceModel], L: int, trials: int, seed: int) -> dict:
-    """Distribution of compressed stream lengths per desired index.
-
-    Informational: the symbol-level audit is the privacy verdict; this
-    measures whether variable-length coding correlates with theta at all.
-    """
-    lengths = {
-        theta: [
-            coded.session(theta, L, derive_seed(seed, "leakage", theta, trial), models)["download_bits"]
-            for trial in range(trials)
-        ]
-        for theta in (1, 2)
-    }
-    mean1 = sum(lengths[1]) / trials
-    mean2 = sum(lengths[2]) / trials
-    return {
-        "L": L,
-        "trials": trials,
-        "stream_bits": lengths,
-        "mean_bits": {1: mean1, 2: mean2},
-        "mean_abs_difference": abs(mean1 - mean2),
-        "note": "informational; asserted privacy is at symbol level",
     }
 
 
@@ -760,18 +726,18 @@ def build_audit_report(
     in concrete mode that pass also gives a coded layer its exact models.
     """
     _check_flags(scheme, mode, L, trials, sw_blocks)
+    codec = codec or CodecConfig()
     params = scheme.params
     thetas = _thetas(scheme)
     coded = scheme.coded if mode == "concrete" else None
     coupled = _coupled(scheme)
-    models = [_answer_streams(scheme), _db1_cells(scheme)] if coded is not None else []
+    streams = [_answer_streams(scheme)] if coded is not None else []
     projections = [
         _views(scheme, thetas), _correctness(scheme, thetas), _download(scheme),
         _storage(scheme), _upload(scheme, thetas),
-    ] + coupled + models
-    views, correctness, download, storage, upload, *rest = _tabulate(scheme, thetas, projections)
-    coupled, models = rest[:len(coupled)], rest[len(coupled):]
-    stream_models, cell_model = models or (None, None)
+    ] + coupled + streams
+    views, correctness, download, storage, upload, *coupled = _tabulate(scheme, thetas, projections)
+    stream_models, cell_model, stream_tv = coupled.pop() if streams else (None, None, None)
     privacy = _privacy(scheme, views)
     rate, _ = _finish_rate(scheme, download, mode, L, trials, seed, stream_models)
     overhead = _finish_overhead(scheme, storage)
@@ -788,8 +754,12 @@ def build_audit_report(
     identities = _identities_at_capacity(scheme, download, coupled)
     leakage = None
     if coded is not None:
-        leakage = _leakage(coded, stream_models, min(L, 2000), min(trials, 20), seed)
-        overhead["sw"] = coded.bin_failures(codec or CodecConfig(), sw_blocks, seed)
+        leakage = {
+            "total_variation": stream_tv,
+            "note": "exact, between the (A1, A2) symbol laws at the first and last theta; positions are "
+                    "i.i.d. and coded under public models, so at 0/1 the coded lengths have one law",
+        }
+        overhead["sw"] = coded.bin_failures(codec, sw_blocks, seed)
     verdicts = [privacy["pass"], correctness["pass"]]
     verdicts += [c["pass"] for c in (identities or []) + converse]
     return _jsonify({
@@ -835,7 +805,7 @@ def build_simulation_report(
     document = {"scheme": scheme.name, "mode": mode, "L": L, "trials": trials, "seed": seed}
     coded = scheme.coded if mode == "concrete" else None
     if coded is not None:
-        download, models = _tabulate(scheme, (1,), [_download(scheme), _answer_streams(scheme)])
+        download, (models, _, _) = _tabulate(scheme, (1,), [_download(scheme), _answer_streams(scheme)])
         rate, sessions = _finish_rate(scheme, download, mode, L, trials, seed, models)
         errors = sum(run["decode_errors"] for run in sessions)
         document["sessions"] = sessions

@@ -23,11 +23,11 @@ import math
 import random
 import re
 import struct
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat
 from numbers import Real
-from typing import Hashable, Mapping, Sequence
 
 from .dist import ExactDist, entropy
 from .seeds import derive_seed
@@ -330,9 +330,13 @@ def sw_bin_bits(cfg: CodecConfig) -> int:
     return cfg._bin_bits
 
 
-def _to_trits(y_block: Sequence[tuple[int, int]], n: int) -> list[int]:
-    if len(y_block) != n:
-        raise ValueError(f"block must have length {n}, got {len(y_block)}")
+def _to_trits(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> list[int]:
+    if not isinstance(cfg, CodecConfig):
+        raise ValueError(f"cfg must be a CodecConfig, got {cfg!r}")
+    if not isinstance(y_block, Sequence):
+        raise ValueError(f"block must be a sequence, got {y_block!r}")
+    if len(y_block) != cfg.block_length:
+        raise ValueError(f"block must have length {cfg.block_length}, got {len(y_block)}")
     try:
         return [_PAIR_TO_TRIT[tuple(pair)] for pair in y_block]
     except (KeyError, TypeError):  # a pair outside Y_PAIRS, not iterable or unhashable
@@ -342,12 +346,16 @@ def _to_trits(y_block: Sequence[tuple[int, int]], n: int) -> list[int]:
 def sw_encode(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> SwBin:
     """Hash a block of cell pairs into its bin. The encoder never sees u."""
     index = 0
-    for masks, trit in zip(cfg._masks, _to_trits(y_block, cfg.block_length)):
+    for trit, masks in zip(_to_trits(y_block, cfg), cfg._masks):
         index ^= masks[trit]
     return SwBin(index, cfg._bin_bits)
 
 
 def _check_decoder_input(sw_bin: SwBin, u_block: Sequence[int], cfg: CodecConfig) -> list[int]:
+    if not isinstance(sw_bin, SwBin):
+        raise ValueError(f"bin must be a SwBin, got {sw_bin!r}")
+    if not isinstance(cfg, CodecConfig):
+        raise ValueError(f"cfg must be a CodecConfig, got {cfg!r}")
     try:
         u_block = list(u_block)
     except TypeError:

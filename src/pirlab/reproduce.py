@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .audit import (
-    _converse, _coupled, _download, _finish_overhead, _finish_rate, _identities_at_capacity, _privacy,
+    _converse, _coupled, _download, _finish_overhead, _identities_at_capacity, _privacy,
     _profile, _storage, _tabulate, _thetas, _views, _with_product, check_privacy, measure_rate, real_holds,
 )
 from .capacity import PirParameters, mtpir_capacity, storage_overhead
@@ -57,7 +57,7 @@ def exact_passes() -> dict[str, dict]:
 
     def measures(scheme, download, storage, coupled) -> dict:
         found = {
-            "rate": _finish_rate(scheme, download, "ideal", None, 1, 0)[0],
+            "rate": download,
             "overhead": _finish_overhead(scheme, storage),
             "converse": _converse(scheme, download, coupled),
         }

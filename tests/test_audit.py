@@ -27,7 +27,7 @@ from pirlab.audit import (
     verify_converse_bounds,
     verify_entropy_identities,
 )
-from pirlab.coding import CodecConfig
+from pirlab.coding import CodecConfig, SourceModel
 from pirlab.dist import ExactDist, conditional_entropy, marginal
 from pirlab.linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
@@ -511,11 +511,48 @@ class TestConcreteAccounting:
         assert 0 <= first["failure_rate"] <= 1
 
     def test_length_leakage_report(self):
-        report = build_audit_report(multiround_descriptor(), mode="concrete", L=500, trials=6, seed=2, sw_blocks=10)
-        leak = report["length_leakage"]
-        assert set(leak["mean_bits"]) == {"1", "2"}
-        assert float(leak["mean_abs_difference"]) >= 0
-        assert len(leak["stream_bits"]["1"]) == len(leak["stream_bits"]["2"]) == 6
+        # The (A1, A2) law is the same at both thetas, at either bias, so the
+        # verdict is the rational 0; reports without a coded layer print null.
+        for bias in (F(1, 2), F(3, 4)):
+            report = build_audit_report(multiround_descriptor(bias), mode="concrete", L=500, trials=2, sw_blocks=10)
+            assert set(report["length_leakage"]) == {"total_variation", "note"}
+            assert report["length_leakage"]["total_variation"] == "0/1"
+        assert build_audit_report(multiround_descriptor())["length_leakage"] is None
+        assert build_audit_report(linear_descriptor(), mode="concrete", L=40, trials=1)["length_leakage"] is None
+
+    def test_length_leakage_sees_theta_dependent_answers(self):
+        # DB2 answering flipped bits at theta 2 moves mass between (0, 0)
+        # and (0, 1): 1/4 each way, a total variation of 1/4.
+        original = multiround_descriptor()
+
+        def run(msg, theta, coin):
+            record = original.run(msg, theta, coin)
+            if theta == 2:
+                a2 = tuple(None if a is None else 1 - a for a in record.answers[1])
+                record = record._replace(answers=(record.answers[0], a2))
+            return record
+
+        scheme = dataclasses.replace(original, run=run)
+        report = build_audit_report(scheme, mode="concrete", L=200, trials=1, sw_blocks=10)
+        assert report["length_leakage"]["total_variation"] == "1/4"
+
+    def test_concrete_audit_codes_only_the_rate_sessions(self, monkeypatch):
+        calls = []
+        session = multiround.CodedLayer.session
+
+        def counted(self, *args):
+            calls.append(args)
+            return session(self, *args)
+
+        monkeypatch.setattr(multiround.CodedLayer, "session", counted)
+        build_audit_report(multiround_descriptor(), mode="concrete", L=200, trials=5, sw_blocks=10)
+        assert len(calls) == 5
+
+    def test_answer_stream_models_are_the_exact_marginals(self):
+        # a1 = 1 with probability 1/4; a2 = 1 with probability 1/3 given a
+        # round-2 query.
+        models = answer_stream_models(multiround_descriptor())
+        assert models == (SourceModel.bernoulli(F(1, 4)), SourceModel.bernoulli(F(1, 3)))
 
 
 class TestIdentitiesAndConverse:

@@ -33,7 +33,7 @@ GOLDEN = {
     ("reproduce", "--mode", "ideal"):
         (0, "5b95c9ddf08f2913c9a63ea7a2d7c93cc05206e0842708fa0d9e5193b3a6c1ad"),
     ("audit", "--scheme", "multiround", "--mode", "concrete"):
-        (0, "56547206945dff666d24d2d1abf4b17d1629c92d7be1b5b73be336f5cbf9f6f8"),
+        (0, "7b9ad64327873d971e1398778d7804162aec89b2d9f3433882a672a28b7dff4f"),
     ("simulate", "--scheme", "multiround", "--mode", "concrete"):
         (0, "dced4528db632374813f17f1c4c0932fa7d6e7f4a0dea4395b5a393bfc93fb2c"),
     ("audit", "--scheme", "linear", "--mode", "concrete"):

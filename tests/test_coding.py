@@ -601,6 +601,19 @@ class TestBinning:
         with pytest.raises(ValueError, match=message):
             SwBin(index, bits)
 
+    def test_wrong_type_arguments_rejected(self):
+        cfg = CodecConfig(block_length=2)
+        block, u_block = [(0, 0), (0, 0)], [0, 0]
+        with pytest.raises(ValueError, match="block must be a sequence, got 5"):
+            sw_encode(5, cfg)
+        with pytest.raises(ValueError, match="cfg must be a CodecConfig, got 5"):
+            sw_encode(block, 5)
+        for decoder in (sw_decode, sw_decode_reference):
+            with pytest.raises(ValueError, match="bin must be a SwBin, got 5"):
+                decoder(5, u_block, cfg)
+            with pytest.raises(ValueError, match="cfg must be a CodecConfig, got 5"):
+                decoder(sw_encode(block, cfg), u_block, 5)
+
     def test_bin_bits_consistency_checked(self):
         cfg = CodecConfig()
         with pytest.raises(ValueError, match="bits"):
