@@ -12,7 +12,7 @@ tables; an audit report runs that pass once, with every section's projection.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import islice, product
 from operator import itemgetter
@@ -25,6 +25,7 @@ from .dist import ExactDist, _check_coords, _grouped_entropy, conditional_entrop
 from .seeds import derive_seed
 
 EXHAUSTION_LIMIT = 1 << 20
+_COUNT_EVERY = 1024  # sessions between a pass's counts: its memory does not grow with its length
 
 REAL_TOLERANCE = 1e-9
 
@@ -87,7 +88,8 @@ def _tabulate(
     each (message, theta, randomness) triple is run once. Every projection
     reads each (message, randomness) pair, and weights accumulate as
     integers over the product of the two spaces' common denominators.
-    Each table is handed on as an ``ExactDist`` of those integer counts.
+    Keys are counted every ``_COUNT_EVERY`` sessions, in C by ``Counter`` if each
+    weighs 1, else by weight, keeping first-occurrence order, into ``ExactDist``s.
     A product whose projections all compose is tabulated over its component,
     unless nested or with a replaced run, store or space: those are enumerated.
     """
@@ -101,22 +103,38 @@ def _tabulate(
     randomness, f_den = _integer_weights(randomness)
     run = scheme.run
     stores = any(p.stores for p in projections)
-    slots = [(p, defaultdict(lambda: defaultdict(int))) for p in projections]
-    by_session = [(p.session, tables) for p, tables in slots]
+    slots, weights = [(p.session, [], defaultdict(Counter)) for p in projections], []
+
+    def count():
+        unit = weights.count(1) == len(weights)
+        for _, keys, tables in slots:
+            k = len(keys) // len(weights)
+            for i in range(k):
+                if unit:
+                    tables[i].update(keys[i::k])
+                else:
+                    for key, weight in zip(keys[i::k], weights):
+                        tables[i][key] += weight
+            keys.clear()
+        weights.clear()
+
     for msg, w_msg in messages:
         stored = scheme.store(msg) if stores else None
         for f, w_f in randomness:
             records = [run(msg, theta, f) for theta in thetas]
-            weight = w_msg * w_f
-            for session, tables in by_session:
-                for i, key in enumerate(session(msg, stored, f, records)):
-                    tables[i][key] += weight
+            for session, keys, _ in slots:
+                keys.extend(session(msg, stored, f, records))
+            weights.append(w_msg * w_f)
+            if len(weights) == _COUNT_EVERY:
+                count()
+    if weights:
+        count()
     total = msg_den * f_den
     # The listed spaces can outweigh the tables: free them before finishing.
     del messages, randomness
     return [
         (p.compose if compose else p.finish)([ExactDist(table, total=total) for table in tables.values()])
-        for p, tables in slots
+        for p, (_, _, tables) in zip(projections, slots)
     ]
 
 

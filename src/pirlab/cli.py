@@ -86,8 +86,7 @@ def _check_run_sizes(args) -> None:
 
 
 def _emit(document: dict) -> None:
-    json.dump(document, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_capacity(args) -> int:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import random
-import re
 import struct
 from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product, repeat
 from numbers import Real
 
@@ -87,11 +87,25 @@ class SourceModel:
                 break
             codewords[symbol] = bits.translate(_DIGITS).decode()
         object.__setattr__(self, "_codewords", codewords)
-        if codewords is not None:
-            # The code is prefix-free, so at every position at most one
-            # alternative matches.
-            object.__setattr__(self, "_parse", re.compile("|".join(codewords.values())).findall)
-            object.__setattr__(self, "_symbol_of", {word: s for s, word in codewords.items()})
+
+    @cached_property
+    def _byte_table(self) -> list:
+        """The prefix code's decoder, built on the first decode: ``table[state][byte]`` is the
+        symbols the byte completes and the next state, an unfinished codeword (the empty one first)."""
+        symbol_of = {word: s for s, word in self._codewords.items()}
+        if "" in symbol_of:  # one symbol, of probability 1, coded in no bits
+            return [[((), 0)] * 256]
+        index = {state: i for i, state in enumerate(sorted({w[:n] for w in symbol_of for n in range(len(w))}))}
+
+        def step(word, byte):
+            symbols = []
+            for bit in format(byte, "08b"):
+                word += bit
+                if word in symbol_of:
+                    symbols, word = symbols + [symbol_of[word]], ""
+            return tuple(symbols), index[word]
+
+        return [[step(state, byte) for byte in range(256)] for state in index]
 
     @classmethod
     def bernoulli(cls, p_one: Fraction) -> "SourceModel":
@@ -204,12 +218,14 @@ def entropy_decode(data: bytes, model: SourceModel, count: int) -> list:
         raise ValueError(f"count mismatch: stream holds {frame_count} symbols, asked for {count}")
     if model._codewords is None:
         return _arithmetic_decode(payload, model, count)
-    # Past the payload the zeros parse as the first symbol's codeword, the
-    # only all-zero one; _STATE_BITS zeros finish a codeword cut by the end.
-    digits = format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")
-    words = model._parse(digits + "0" * _STATE_BITS)
-    del words[count:]
-    return [*map(model._symbol_of.__getitem__, words), *[model.alphabet[0]] * (count - len(words))]
+    table, state, out = model._byte_table, 0, []
+    # Zeros past the payload finish a cut codeword, then parse as the first symbol's.
+    for byte in payload + bytes(_STATE_BITS // 8):
+        symbols, state = table[state][byte]
+        out += symbols
+    del out[count:]
+    out += [model.alphabet[0]] * (count - len(out))
+    return out
 
 
 def _arithmetic_decode(payload: bytes, model: SourceModel, count: int) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .capacity import PirParameters
@@ -36,6 +37,9 @@ class SessionRecord(NamedTuple):
     answers: tuple[tuple, ...]
     decoded: tuple[int, ...]
     download_bits: int
+
+
+session_record = partial(tuple.__new__, SessionRecord)  # from one 4-tuple, in C: no generated __new__
 
 
 class Product(NamedTuple):

@@ -34,10 +34,10 @@ class ExactDist:
 
     ``weights`` maps outcomes to probabilities; given ``total``, it maps
     them to integer counts out of ``total`` instead. Invariants enforced at
-    construction: all weights are non-negative, they sum to exactly 1 (the
+    construction, by bulk C-level calls when every key is a tuple and every
+    count positive: all weights are non-negative, they sum to exactly 1 (the
     counts to ``total``), zero-weight entries are dropped, and every outcome
-    has the same arity. ``alphabets`` is read per coordinate from the
-    support.
+    has the same arity. ``alphabets`` is read per coordinate from the support.
     """
 
     __slots__ = ("_counts", "_total", "_alphabets")
@@ -52,8 +52,9 @@ class ExactDist:
             weights = {key: Fraction(value) for key, value in dict(weights).items()}
             total = math.lcm(*(w.denominator for w in weights.values()))
             weights = {key: w.numerator * (total // w.denominator) for key, w in weights.items()}
-        counts: dict[tuple, int] = {}
-        for key, count in weights.items():
+        walk = set(map(type, weights)) != {tuple} or min(weights.values()) <= 0
+        counts: dict[tuple, int] = {} if walk else dict(weights)
+        for key, count in weights.items() if walk else ():
             if count < 0:
                 raise ValueError(f"negative weight {Fraction(count, total)} for outcome {_as_outcome(key)!r}")
             if count:

@@ -15,7 +15,7 @@ from itertools import product
 from operator import itemgetter
 
 from .capacity import PirParameters
-from .descriptor import Message, Product, SchemeDescriptor, SessionRecord, check_theta
+from .descriptor import Message, Product, SchemeDescriptor, check_theta, session_record
 
 PATTERNS = (1, 2)
 # DB2's two possible answer selections, named by content, not by pattern:
@@ -152,7 +152,7 @@ def linear_descriptor() -> SchemeDescriptor:
         queries, answer1, answer2 = _plan(_LINEAR_PLANS, theta, pattern, "pattern must be 1 or 2")
         s1, s2 = store(msg)
         d1, d2 = answer1(s1), answer2(s2)
-        return SessionRecord(queries, (d1, d2), linear_decode(theta, pattern, d1, d2), 6)
+        return session_record((queries, (d1, d2), linear_decode(theta, pattern, d1, d2), 6))
 
     return SchemeDescriptor(
         name="linear",
@@ -176,7 +176,7 @@ def replicated_descriptor() -> SchemeDescriptor:
     def run(msg, theta, _f):
         check_theta(theta)
         full = store(msg)[0]
-        return SessionRecord((("all",), ()), (full, ()), msg[theta - 1], len(full))
+        return session_record(((("all",), ()), (full, ()), msg[theta - 1], len(full)))
 
     return SchemeDescriptor(
         name="replicated",
@@ -218,7 +218,7 @@ def asymmetric_toy_descriptor() -> SchemeDescriptor:
         queries, half = _plan(_TOY_PLANS, theta, f, "coin must be 0 or 1")
         s2 = stored(msg)[1]
         a1 = msg[theta - 1]
-        return SessionRecord(queries, (a1, half(s2)), a1, 6)
+        return session_record((queries, (a1, half(s2)), a1, 6))
 
     return SchemeDescriptor(
         name="asymmetric-toy",
@@ -279,20 +279,12 @@ def symmetrize(scheme: SchemeDescriptor) -> SchemeDescriptor:
 
     def run(msg, theta, f):
         first, second = split(msg)
-        rec_first = component_run(first, theta, f[0])
-        rec_second = component_run(second, theta, f[1])
-        return SessionRecord(
-            queries=(
-                rec_first.queries[0] + rec_second.queries[1],
-                rec_first.queries[1] + rec_second.queries[0],
-            ),
-            answers=(
-                rec_first.answers[0] + rec_second.answers[1],
-                rec_first.answers[1] + rec_second.answers[0],
-            ),
-            decoded=rec_first.decoded + rec_second.decoded,
-            download_bits=rec_first.download_bits + rec_second.download_bits,
-        )
+        a, b = component_run(first, theta, f[0]), component_run(second, theta, f[1])
+        return session_record((
+            (a.queries[0] + b.queries[1], a.queries[1] + b.queries[0]),
+            (a.answers[0] + b.answers[1], a.answers[1] + b.answers[0]),
+            a.decoded + b.decoded, a.download_bits + b.download_bits,
+        ))
 
     return SchemeDescriptor(
         name=f"symmetric({scheme.name})",

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from .capacity import PirParameters
 from .coding import CodecConfig, SourceModel, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
-from .descriptor import SchemeDescriptor, SessionRecord, check_theta
+from .descriptor import SchemeDescriptor, check_theta, session_record
 from .seeds import derive_seed
 
 ASK_X1 = "x1"
@@ -387,7 +387,7 @@ def multiround_descriptor(
     def run(msg, theta, coin):
         # The audit checks the session the coded layer and criterion 2 run.
         t = run_session(MessagePair(*msg), theta, coin)
-        return SessionRecord((t.q1, t.q2), (t.a1, t.a2), t.decoded, 1 + sum(1 for a in t.a2 if a is not None))
+        return session_record(((t.q1, t.q2), (t.a1, t.a2), t.decoded, 1 + sum(1 for a in t.a2 if a is not None)))
 
     def side_information(msg, coin):
         return ((), _indicator(MessagePair(*msg), coin))

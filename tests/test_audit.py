@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -28,6 +28,7 @@ from pirlab.audit import (
     verify_entropy_identities,
 )
 from pirlab.coding import CodecConfig, SourceModel
+from pirlab.descriptor import SessionRecord, session_record
 from pirlab.dist import ExactDist, conditional_entropy, marginal
 from pirlab.linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
@@ -656,3 +657,106 @@ class TestReports:
         assert fraction_str(F(0)) == "0/1"
         assert real_str(1.5) == "1.5"
         assert real_str(0.75 + 0.375 * math.log2(3)) == "1.34436093777"
+
+
+def reference_tables(scheme, thetas, projection):
+    """A projection's tables by a naive pass: the spaces as listed, each key's
+    ``Fraction`` weights summed in a plain dict, in session order."""
+    tables = {}
+    for msg, p_msg in scheme.message_space():
+        stored = scheme.store(msg) if projection.stores else None
+        for f, p_f in scheme.randomness_space():
+            records = [scheme.run(msg, theta, f) for theta in thetas]
+            for i, key in enumerate(projection.session(msg, stored, f, records)):
+                key = key if isinstance(key, tuple) else (key,)
+                table = tables.setdefault(i, {})
+                table[key] = table.get(key, F(0)) + p_msg * p_f
+    return list(tables.values())
+
+
+def first_chunk_of_symmetrised_toy():
+    """symmetrize(toy) over its first 1,100 messages, reweighted uniform: an
+    enumerated product pass of 4,400 sessions, longer than one counting chunk."""
+    symmetric = symmetrize(asymmetric_toy_descriptor())
+    messages = [msg for msg, _ in islice(symmetric.message_space(), 1100)]
+    return dataclasses.replace(symmetric, message_space=lambda: ((msg, F(1, 1100)) for msg in messages))
+
+
+class TestCounting:
+    """``_tabulate``'s tables, counted by ``Counter`` (unit weights) or summed
+    per key (weighted), equal a naive ``Fraction`` reference: the same
+    counts, totals and key order."""
+
+    @pytest.mark.parametrize("every", [3, audit._COUNT_EVERY])
+    @pytest.mark.parametrize(
+        "make, unit",
+        [(linear_descriptor, True), (lambda: multiround_descriptor(bias=F(3, 4)), False),
+         (first_chunk_of_symmetrised_toy, True)],
+        ids=["linear", "multiround-bias-3-4", "symmetrised-toy-enumerated"],
+    )
+    def test_tables_equal_a_naive_reference(self, make, unit, every, monkeypatch):
+        monkeypatch.setattr(audit, "_COUNT_EVERY", every)
+        scheme = make()
+        thetas = (1, 2)
+        projections = [audit._views(scheme, thetas), audit._download(scheme), audit._storage(scheme)]
+        if scheme.coded is not None:
+            projections.append(audit._answer_streams(scheme))
+        spaces = [list(scheme.message_space()), list(scheme.randomness_space())]
+        # Every session weighs 1 over the common denominator exactly when both spaces are uniform.
+        assert all(len({p for _, p in space}) == 1 for space in spaces) == unit
+        total = math.prod(math.lcm(*(p.denominator for _, p in space)) for space in spaces)
+        counted = audit._tabulate(scheme, thetas, [p._replace(finish=lambda tables: tables) for p in projections])
+        for tables, projection in zip(counted, projections):
+            reference = reference_tables(scheme, thetas, projection)
+            assert len(tables) == len(reference)
+            for table, ref in zip(tables, reference):
+                assert table.total == total
+                assert list(table.counts) == list(ref)
+                assert all(F(c, total) == ref[key] for key, c in table.counts.items())
+
+
+def test_session_record_builds_the_named_tuple():
+    fields = ((("x1",), ("y1",)), ((0,), (1,)), (0, 1), 2)
+    record = session_record(fields)
+    assert type(record) is SessionRecord and record == SessionRecord(*fields)
+    assert (record.queries, record.answers, record.decoded, record.download_bits) == fields
+    assert record._replace(download_bits=1) == SessionRecord(*fields[:3], 1)
+
+
+class TestBitIdentity:
+    """The exact passes' floats, bit for bit: ``real_str`` prints 12 digits,
+    which would hide a last-bit change, such as one from counting a table's
+    keys in another order."""
+
+    def test_exact_passes(self):
+        passes = reproduce.exact_passes()
+        linear, mr = passes["linear"], passes["multiround"]
+        two, six, zero = "0x1.0000000000000p+1", "0x1.8000000000000p+2", "0x0.0p+0"
+        assert [c["value"].hex() for c in linear["identities"]] == [two] * 4 + [six] + [zero] * 3
+        assert linear["converse"][0]["value"] == F(2, 3)
+        assert [float(c["value"]).hex() for c in linear["converse"][1:]] == ["0x1.5555555555555p-1", two, two]
+        assert [v.hex() for v in mr["overhead"]["ideal_bits_per_block"]] == [
+            "0x1.8000000000000p+0", "0x1.305013ab7ce0ep+0",
+        ]
+        assert [v.hex() for v in mr["rate"]["ideal_download_per_db_per_block"]] == [
+            "0x1.9f5fd8a9063e3p-1", "0x1.60a02756f9c1dp-1",
+        ]
+        assert mr["rate"]["ideal_download_per_message_bit"].hex() == "0x1.8000000000000p+0"
+
+    def test_weighted_pass(self):
+        biased = multiround_descriptor(bias=F(3, 4))
+        assert [v.hex() for v in measure_overhead(biased)["ideal_bits_per_block"]] == [
+            "0x1.3f5fd8a9063e4p+0", "0x1.0ef306740d30cp+0",
+        ]
+        rate = measure_rate(biased)
+        assert [v.hex() for v in rate["ideal_download_per_db_per_block"]] == [
+            "0x1.53740bd58f33cp-1", "0x1.1b9bb927fa298p-1",
+        ]
+        assert rate["rate_ideal"].hex() == "0x1.a4bc3bac0cec1p-1"
+
+    def test_toy_answer_entropies_before_and_after_symmetrising(self):
+        four, two, six = "0x1.0000000000000p+2", "0x1.0000000000000p+1", "0x1.8000000000000p+2"
+        before = scheme_profile(asymmetric_toy_descriptor())["answer_entropy"]
+        assert {key: h.hex() for key, h in before.items()} == {(1, 1): four, (1, 2): two, (2, 1): four, (2, 2): two}
+        after = reproduce.criterion_symmetrization()["measured"]["answer_entropies_after"]
+        assert [h.hex() for h in after] == [six] * 3

@@ -417,3 +417,12 @@ class TestCountedConstructor:
         with pytest.raises(ValueError, match="arity"):
             ExactDist({(0,): 1, (0, 1): 1}, total=2)
 
+
+    def test_bulk_checked_table_equals_the_walked_one(self):
+        # Tuple keys with positive counts are checked in bulk; a scalar key,
+        # a zero count or a negative one sends the table entry by entry.
+        bulk = ExactDist({(1,): 1, (0,): 3}, total=4)
+        walked = ExactDist({1: 1, (2,): 0, (0,): 3}, total=4)
+        assert bulk == walked and list(bulk.counts) == list(walked.counts) == [(1,), (0,)]
+        with pytest.raises(ValueError, match=r"^negative weight -1/2 for outcome \(1,\)$"):
+            ExactDist({(0,): 3, (1,): -1}, total=2)
