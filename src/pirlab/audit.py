@@ -193,6 +193,12 @@ def _product_tv(p: tuple[ExactDist, ExactDist], q: tuple[ExactDist, ExactDist]) 
     return Fraction(acc, 2 * s0 * r0 * s1 * r1)
 
 
+def _check_collusion(scheme: SchemeDescriptor) -> None:
+    """Refuse a privacy verdict at T > 1: views are audited one database at a time."""
+    if scheme.params.collusion > 1:
+        raise ValueError(f"privacy is audited per database; T = {scheme.params.collusion} > 1 is refused")
+
+
 def check_privacy(scheme: SchemeDescriptor) -> dict:
     """Exact per-database privacy verdicts.
 
@@ -200,6 +206,7 @@ def check_privacy(scheme: SchemeDescriptor) -> dict:
     variation between the two views over a shared declared alphabet. Pass
     means every distance is exactly the rational 0.
     """
+    _check_collusion(scheme)
     thetas = _thetas(scheme)
     views = _views(scheme, thetas)
     privacy = views._replace(
@@ -744,6 +751,7 @@ def build_audit_report(
     in concrete mode that pass also gives a coded layer its exact models.
     """
     _check_flags(scheme, mode, L, trials, sw_blocks)
+    _check_collusion(scheme)
     codec = codec or CodecConfig()
     params = scheme.params
     thetas = _thetas(scheme)

@@ -10,7 +10,7 @@ All sums are XOR.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import itemgetter
 
@@ -47,19 +47,10 @@ def _replicated_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return a + b, a + b
 
 
-def _stored_memo(store=linear_store):
-    """``store`` of a message (a, b), checked once per message for the life
-    of one descriptor; a fresh descriptor starts with an empty memo."""
-    memo = lru_cache(maxsize=None)(store)
-
-    def stored(msg):
-        try:
-            return memo(*msg)
-        except TypeError:
-            # An unhashable block, such as a list: store refuses it by name.
-            return store(*msg)
-
-    return stored
+def _toy_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both 4-bit messages, whole, at DB1; the linear scheme's six bits at DB2."""
+    s2 = linear_store(a, b)[1]  # checks both blocks before they are joined
+    return a + b, s2
 
 
 def db2_selector(pattern: int, theta: int) -> str:
@@ -92,23 +83,26 @@ def linear_decode(
 
 
 def _linear_plan(theta: int, pattern: int) -> tuple:
-    """The session's queries and each database's answer selection, read off
-    ``db1_answer`` and ``db2_answer`` at the stored-bit indices."""
+    """The session's queries, each database's answer selection, read off
+    ``db1_answer`` and ``db2_answer`` at the stored-bit indices, and the decoder."""
     selector = db2_selector(pattern, theta)
     d1, d2 = db1_answer(pattern, range(6)), db2_answer(selector, range(6))
-    return ((pattern,), (selector,)), itemgetter(*d1), itemgetter(*d2)
+    return ((pattern,), (selector,)), itemgetter(*d1), itemgetter(*d2), partial(linear_decode, theta, pattern)
 
 
+# Each scheme's plans[theta, f] = (queries, DB1 selection, DB2 selection, decoder).
 _LINEAR_PLANS = {(theta, pattern): _linear_plan(theta, pattern) for theta in (1, 2) for pattern in PATTERNS}
-
-
-def _plan(plans: dict, theta, f, coin_error: str) -> tuple:
-    """The plan for (theta, f); a miss refuses theta first, then the coin."""
-    try:
-        return plans[theta, f]
-    except (KeyError, TypeError):
-        check_theta(theta)
-        raise ValueError(coin_error) from None
+_HALVES = {1: slice(0, BLOCK), 2: slice(BLOCK, 2 * BLOCK)}  # message theta, where DB1 holds both whole
+# DB1 returns all 8 of its bits under a constant query; DB2 returns nothing.
+_REPLICATED_PLANS = {
+    (theta, 0): ((("all",), ()), tuple, itemgetter(slice(0)), lambda d1, _d2, part=half: d1[part])
+    for theta, half in _HALVES.items()
+}
+# DB1 returns the desired message, DB2 the coin's pair of its six bits.
+_TOY_PLANS = {
+    (theta, f): (((f"m{theta}",), (f"half{f}",)), itemgetter(half), itemgetter(2 * f, 2 * f + 1), lambda d1, _d2: d1)
+    for theta, half in _HALVES.items() for f in (0, 1)
+}
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -141,58 +135,50 @@ def _uniform_message_space():
         yield (bits[:4], bits[4:]), weight
 
 
-def linear_descriptor() -> SchemeDescriptor:
-    def randomness_space():
-        yield 1, Fraction(1, 2)
-        yield 2, Fraction(1, 2)
+def _planned_scheme(name: str, store, plans: dict, coin_error: str) -> SchemeDescriptor:
+    """A single-round scheme on 4-bit blocks from its storage map ``store(a, b)``
+    and ``plans[theta, f] = (queries, DB1 selection, DB2 selection, decoder)``,
+    with equally likely coins. Storage, checked and memoized, is read first;
+    a (theta, f) without a plan refuses theta, then the coin."""
+    memo = lru_cache(maxsize=None)(store)
+    coins = dict.fromkeys(f for _, f in plans)
+    randomness_space = partial(iter, [(f, Fraction(1, len(coins))) for f in coins])
 
-    store = _stored_memo()
+    def stored(msg):
+        try:
+            return memo(*msg)
+        except TypeError:
+            # An unhashable block, such as a list: store refuses it by name.
+            return store(*msg)
 
-    def run(msg, theta, pattern):
-        queries, answer1, answer2 = _plan(_LINEAR_PLANS, theta, pattern, "pattern must be 1 or 2")
-        s1, s2 = store(msg)
-        d1, d2 = answer1(s1), answer2(s2)
-        return session_record((queries, (d1, d2), linear_decode(theta, pattern, d1, d2), 6))
+    def run(msg, theta, f):
+        s1, s2 = stored(msg)
+        try:
+            queries, select1, select2, decode = plans[theta, f]
+        except (KeyError, TypeError):
+            check_theta(theta)
+            raise ValueError(coin_error) from None
+        d1, d2 = select1(s1), select2(s2)
+        return session_record((queries, (d1, d2), decode(d1, d2), len(d1) + len(d2)))
 
     return SchemeDescriptor(
-        name="linear",
+        name=name,
         params=PirParameters(num_messages=2, num_databases=2, collusion=1, rounds=1),
         block_length=BLOCK,
         message_space=_uniform_message_space,
         randomness_space=randomness_space,
-        store=store,
+        store=stored,
         run=run,
     )
+
+
+def linear_descriptor() -> SchemeDescriptor:
+    return _planned_scheme("linear", linear_store, _LINEAR_PLANS, "pattern must be 1 or 2")
 
 
 def replicated_descriptor() -> SchemeDescriptor:
     """Trivial baseline: download both messages from DB1 under a constant query."""
-
-    def randomness_space():
-        yield 0, Fraction(1)
-
-    store = _stored_memo(_replicated_store)
-
-    def run(msg, theta, _f):
-        check_theta(theta)
-        full = store(msg)[0]
-        return session_record(((("all",), ()), (full, ()), msg[theta - 1], len(full)))
-
-    return SchemeDescriptor(
-        name="replicated",
-        params=PirParameters(num_messages=2, num_databases=2, collusion=1, rounds=1),
-        block_length=BLOCK,
-        message_space=_uniform_message_space,
-        randomness_space=randomness_space,
-        store=store,
-        run=run,
-    )
-
-
-# The toy's queries and DB2's half of s2, per (theta, coin).
-_TOY_PLANS = {
-    (theta, f): (((f"m{theta}",), (f"half{f}",)), itemgetter(2 * f, 2 * f + 1)) for theta in (1, 2) for f in (0, 1)
-}
+    return _planned_scheme("replicated", _replicated_store, _REPLICATED_PLANS, "coin must be 0")
 
 
 def asymmetric_toy_descriptor() -> SchemeDescriptor:
@@ -203,32 +189,7 @@ def asymmetric_toy_descriptor() -> SchemeDescriptor:
     user coin. Makes no privacy claim; rate 2/3, overhead 7/4, and the two
     databases' storage and answer entropies are intentionally unequal.
     """
-
-    def randomness_space():
-        yield 0, Fraction(1, 2)
-        yield 1, Fraction(1, 2)
-
-    stored = _stored_memo()
-
-    def store(msg):
-        s2 = stored(msg)[1]  # checks both blocks before they are joined
-        return (msg[0] + msg[1], s2)
-
-    def run(msg, theta, f):
-        queries, half = _plan(_TOY_PLANS, theta, f, "coin must be 0 or 1")
-        s2 = stored(msg)[1]
-        a1 = msg[theta - 1]
-        return session_record((queries, (a1, half(s2)), a1, 6))
-
-    return SchemeDescriptor(
-        name="asymmetric-toy",
-        params=PirParameters(num_messages=2, num_databases=2, collusion=1, rounds=1),
-        block_length=BLOCK,
-        message_space=_uniform_message_space,
-        randomness_space=randomness_space,
-        store=store,
-        run=run,
-    )
+    return _planned_scheme("asymmetric-toy", _toy_store, _TOY_PLANS, "coin must be 0 or 1")
 
 
 def symmetrize(scheme: SchemeDescriptor) -> SchemeDescriptor:
@@ -249,9 +210,9 @@ def symmetrize(scheme: SchemeDescriptor) -> SchemeDescriptor:
     half = scheme.block_length
     # Audits that enumerate the combined space (reports, views, replaced
     # fields) revisit each component (message, theta, randomness) triple many
-    # times; memoizing the component keeps them linear in its state space.
+    # times; memoizing the component's run keeps them linear in its state
+    # space. Each shipped component memoizes its own store.
     component_run = lru_cache(maxsize=None)(scheme.run)
-    component_store = lru_cache(maxsize=None)(scheme.store)
 
     def split(msg: Message):
         w1, w2 = msg
@@ -273,8 +234,8 @@ def symmetrize(scheme: SchemeDescriptor) -> SchemeDescriptor:
 
     def store(msg):
         first, second = split(msg)
-        s_first = component_store(first)
-        s_second = component_store(second)
+        s_first = scheme.store(first)
+        s_second = scheme.store(second)
         return (s_first[0] + s_second[1], s_first[1] + s_second[0])
 
     def run(msg, theta, f):

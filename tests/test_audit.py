@@ -27,6 +27,7 @@ from pirlab.audit import (
     verify_converse_bounds,
     verify_entropy_identities,
 )
+from pirlab.capacity import PirParameters
 from pirlab.coding import CodecConfig, SourceModel
 from pirlab.descriptor import SessionRecord, session_record
 from pirlab.dist import ExactDist, conditional_entropy, marginal
@@ -149,6 +150,22 @@ class TestPrivacy:
         )
         assert tv == oracle == F(1, 4)
         assert result["databases"][0]["pass"]
+
+    @pytest.mark.parametrize("measure", [check_privacy, build_audit_report])
+    def test_collusion_above_one_refused_before_any_session(self, measure):
+        # Views are audited one database at a time, so a per-database pass
+        # would say nothing of linear's two-database joint view (TV 1).
+        runs = []
+        scheme = dataclasses.replace(
+            linear_descriptor(), params=PirParameters(2, 2, 2), run=lambda *session: runs.append(session)
+        )
+        with pytest.raises(ValueError, match=r"^privacy is audited per database; T = 2 > 1 is refused$"):
+            measure(scheme)
+        assert runs == []
+
+    def test_collusion_above_one_still_enumerated(self):
+        scheme = dataclasses.replace(linear_descriptor(), params=PirParameters(2, 2, 2))
+        assert enumerate_view(scheme, 1, 1) == enumerate_view(linear_descriptor(), 1, 1)
 
 
 class TestEnumerationCounts:
@@ -585,6 +602,16 @@ class TestIdentitiesAndConverse:
         assert all(c["pass"] for c in checks)
         rate_check = next(c for c in checks if c["name"] == "symbol rate <= capacity")
         assert rate_check["value"] == F(1, 2) < F(2, 3)
+
+    def test_converse_lower_bound_reads_the_collusion(self):
+        # At T = 2 the replicated scheme retrieves 4 bits of W2, which meets
+        # both L(1/R - 1) = 4 and L*T/N = 4 exactly.
+        scheme = dataclasses.replace(replicated_descriptor(), params=PirParameters(2, 2, 2))
+        checks = verify_converse_bounds(scheme)
+        upper, lower = (next(c for c in checks if bound in c["name"]) for bound in ("L(1/R - 1)", "L*T/N"))
+        assert upper["value"] == lower["value"] == pytest.approx(4.0, abs=TOL)
+        assert lower["target"] == upper["target"] == 4.0
+        assert upper["pass"] and lower["pass"]
 
     def test_multiround_converse_capacity_rows_only(self):
         checks = verify_converse_bounds(multiround_descriptor())

@@ -252,7 +252,7 @@ class TestReplicated:
 
 class TestThetaAndCoinRefused:
     """Every single-round scheme refuses a desired index other than 1 or 2,
-    and the toy a coin other than 0 or 1, before it answers."""
+    and a coin it does not declare, before it answers."""
 
     MSG = ((0, 0, 0, 0), (1, 1, 1, 1))
 
@@ -281,6 +281,24 @@ class TestThetaAndCoinRefused:
                 want = msg[theta - 1]
                 queries = ((f"m{theta}",), (f"half{f}",))
                 assert scheme.run(msg, theta, f) == (queries, (want, s2[2 * f:2 * f + 2]), want, 6)
+
+    def test_replicated_answers_everything_from_db1(self):
+        scheme = replicated_descriptor()
+        for msg, _ in scheme.message_space():
+            a, b = msg
+            for theta in (1, 2):
+                assert scheme.run(msg, theta, 0) == ((("all",), ()), (a + b, ()), msg[theta - 1], 8)
+
+    @pytest.mark.parametrize("f", [1, -1, [0]], ids=["1", "-1", "list"])
+    def test_replicated_coin_other_than_zero_refused(self, f):
+        with pytest.raises(ValueError, match="^coin must be 0$"):
+            replicated_descriptor().run(self.MSG, 1, f)
+
+    @pytest.mark.parametrize("factory", [linear_descriptor, replicated_descriptor, asymmetric_toy_descriptor])
+    def test_malformed_message_refused_before_theta(self, factory):
+        # Each session reads its checked storage before its plan.
+        with pytest.raises(ValueError, match="^b must be a 4-bit tuple$"):
+            factory().run(((0, 0, 0, 0), (0, 1)), 3, 7)
 
 
 class TestLinearPrivacy:
