@@ -25,9 +25,10 @@ import struct
 from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, product, repeat
 from numbers import Real
+from operator import getitem, xor
 
 from .dist import ExactDist, entropy
 from .seeds import derive_seed
@@ -41,6 +42,7 @@ _HEADER = struct.Struct(">QQ")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _BITS = bytes.maketrans(b"01", b"\0\1")
 _INITIAL = (0, _MASK, 0)
+_FLOAT_TOTAL = 1 << 21  # models below this total code on binary64 state (see _state_type)
 
 
 @dataclass(frozen=True)
@@ -125,51 +127,72 @@ def _outside_alphabet(symbols: Sequence[Hashable], table: Mapping) -> ValueError
             return ValueError(f"symbol {symbol!r} outside the model alphabet")
 
 
+def _state_type(total: int) -> type:
+    """The number type of the coding loops' state: float below a model total
+    of ``2**21``, else int. Every value the loops form is an integer: a span
+    times a cumulative count is at most ``2**32 * (total - 1)``, and the rest
+    are below ``2**34``. Below that total all are below ``2**53``, where
+    binary64 ``+``, ``-``, ``*``, ``//`` and comparisons are exact, and no int
+    of ``2**30`` or more is made.
+    """
+    return float if total < _FLOAT_TOTAL else int
+
+
 def _arithmetic_bits(symbols: Sequence[Hashable], model: SourceModel) -> tuple[bytearray, int, tuple[int, int, int]]:
     """The Witten–Neal–Cleary coding loop from the initial state.
 
     Returns the settled code bits, one per byte, the symbol count and the
     final (low, high, pending) state. The closing bit is the caller's. The
     first symbol keeps ``low`` and the last keeps ``high``. Renormalisation
-    compares the interval with the half and quarter points: below or above
-    the half a bit settles, within the middle half one more is pending, and
-    an interval that straddles the half otherwise needs none.
+    compares the interval with the half and quarter points, each once: below
+    or above the half a bit settles, within the middle half one more is
+    pending, and an interval that straddles the half otherwise needs none.
+    The state and the cumulative counts are floats when the model's total
+    is below ``2**21`` (the a1 and a2 answer models), and ints above (the a1
+    model at bias 1/1500): every product formed is an integer of at most
+    ``2**32 * (total - 1)``, so every value is below ``2**53``, where binary64
+    arithmetic is exact. The bits, and so the stream bytes and framing, are
+    the int loop's.
     """
-    cumulative = model._cumulative
+    number = _state_type(model._cumulative[-1])
+    cumulative = tuple(map(number, model._cumulative))
     total = cumulative[-1]
     last = len(cumulative) - 2
-    half, quarter, three_quarters = _HALF, _QUARTER, _THREE_QUARTERS
+    half, quarter, three_quarters, one = map(number, (_HALF, _QUARTER, _THREE_QUARTERS, 1))
     out = bytearray()
-    low, high, pending = _INITIAL
+    append = out.append
+    low, high, pending = number(0), number(_MASK), 0
     try:
         for i in map(model._index.__getitem__, symbols):
-            span = high - low + 1
+            span = high - low + one
             if i != last:
-                high = low + span * cumulative[i + 1] // total - 1
+                high = low + span * cumulative[i + 1] // total - one
             if i:
                 low += span * cumulative[i] // total
-            while high < half or low >= half or (low >= quarter and high < three_quarters):
+            while True:
                 if high < half:
-                    out.append(0)
+                    append(0)
                     if pending:
                         out += b"\1" * pending
                         pending = 0
                 elif low >= half:
-                    out.append(1)
+                    append(1)
                     if pending:
                         out += b"\0" * pending
                         pending = 0
                     low -= half
                     high -= half
-                else:
+                elif low >= quarter and high < three_quarters:
                     pending += 1
                     low -= quarter
                     high -= quarter
+                else:
+                    break
                 low += low
-                high += high + 1
+                high += high + one
     except (KeyError, TypeError):
         raise _outside_alphabet(symbols, model._index) from None
-    return out, len(symbols), (low, high, pending)
+    return out, len(symbols), (int(low), int(high), pending)
 
 
 def entropy_encode(symbols: Sequence[Hashable], model: SourceModel) -> bytes:
@@ -234,50 +257,62 @@ def _arithmetic_decode(payload: bytes, model: SourceModel, count: int) -> list:
     The symbol is the number of cut points ``low + span * cumulative[s] //
     total`` (s >= 1) at or below the code; the last one passed is the new
     ``low`` and the first one not reached, less 1, the new ``high``. The
-    first cut is tested inline. Renormalisation is the encoder's, applied to
-    the code too.
+    first cut is tested inline, and a two-symbol model has no other.
+    Renormalisation is the encoder's, applied to the code too. The numbers
+    are the encoder's: floats below a model total of ``2**21``, where every
+    value formed is an integer below ``2**53`` and so exact, ints above; the
+    symbols decoded from any frame are the int loop's.
     """
-    cumulative = model._cumulative
+    number = _state_type(model._cumulative[-1])
+    cumulative = tuple(map(number, model._cumulative))
     first, rest = cumulative[1], cumulative[2:-1]
     total = cumulative[-1]
     alphabet = model.alphabet
-    half, quarter, three_quarters = _HALF, _QUARTER, _THREE_QUARTERS
+    half, quarter, three_quarters, one = map(number, (_HALF, _QUARTER, _THREE_QUARTERS, 1))
     # One code bit per byte after the first _STATE_BITS. Padding bits are
     # zero, and reads past the payload see zeros too (the decoder's lookahead).
     head = _STATE_BITS // 8
-    code = int.from_bytes(payload[:head].ljust(head, b"\0"), "big")
+    code = number(int.from_bytes(payload[:head].ljust(head, b"\0"), "big"))
     tail = payload[head:]
     bits = format(int.from_bytes(tail, "big"), f"0{8 * len(tail)}b").encode().translate(_BITS)
-    read = chain(bits, repeat(0)).__next__
-    low, high = 0, _MASK
+    read = chain(map(number, bits), repeat(number(0))).__next__
+    low, high = number(0), number(_MASK)
     out = []
+    append = out.append
     for _ in range(count):
-        span = high - low + 1
+        span = high - low + one
         cut = low + span * first // total
         if code < cut:
-            high = cut - 1
-            out.append(alphabet[0])
+            high = cut - one
+            append(alphabet[0])
+        elif not rest:
+            low = cut
+            append(alphabet[1])
         else:
             base, low, s = low, cut, 1
             for c in rest:
                 cut = base + span * c // total
                 if code < cut:
-                    high = cut - 1
+                    high = cut - one
                     break
                 low = cut
                 s += 1
-            out.append(alphabet[s])
-        while high < half or low >= half or (low >= quarter and high < three_quarters):
-            if low >= half:
+            append(alphabet[s])
+        while True:
+            if high < half:
+                pass  # a 0 settles: nothing to subtract
+            elif low >= half:
                 low -= half
                 high -= half
                 code -= half
-            elif high >= half:  # low and high within the middle half
+            elif low >= quarter and high < three_quarters:
                 low -= quarter
                 high -= quarter
                 code -= quarter
+            else:
+                break
             low += low
-            high += high + 1
+            high += high + one
             code += code + read()
     return out
 
@@ -322,9 +357,11 @@ class CodecConfig:
         # Any two distinct blocks collide with probability 2**-bits.
         bits = math.ceil(self.block_length * (_SIDE_INFO_BITS + margin))
         rng = random.Random(derive_seed(self.seed, "sw-mask", self.block_length, bits))
+        # The encoder reads the same masks by pair, one {pair: mask} table per position.
         masks = tuple(tuple(rng.getrandbits(bits) for _ in range(3)) for _ in range(self.block_length))
         object.__setattr__(self, "_bin_bits", bits)
         object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_pair_masks", tuple(dict(zip(Y_PAIRS, row)) for row in masks))
 
 
 @dataclass(frozen=True)
@@ -361,10 +398,14 @@ def _to_trits(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> list[int]
 
 def sw_encode(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> SwBin:
     """Hash a block of cell pairs into its bin. The encoder never sees u."""
-    index = 0
-    for trit, masks in zip(_to_trits(y_block, cfg), cfg._masks):
-        index ^= masks[trit]
-    return SwBin(index, cfg._bin_bits)
+    if isinstance(cfg, CodecConfig) and isinstance(y_block, Sequence) and len(y_block) == cfg.block_length:
+        try:
+            return SwBin(reduce(xor, map(getitem, cfg._pair_masks, y_block)), cfg._bin_bits)
+        except (KeyError, TypeError):
+            pass
+    # A pair that no table holds as a key (a list, say), or a block that _to_trits refuses.
+    pairs = map(Y_PAIRS.__getitem__, _to_trits(y_block, cfg))
+    return SwBin(reduce(xor, map(getitem, cfg._pair_masks, pairs)), cfg._bin_bits)
 
 
 def _check_decoder_input(sw_bin: SwBin, u_block: Sequence[int], cfg: CodecConfig) -> list[int]:

@@ -148,8 +148,13 @@ def _planned_scheme(name: str, store, plans: dict, coin_error: str) -> SchemeDes
         try:
             return memo(*msg)
         except TypeError:
-            # An unhashable block, such as a list: store refuses it by name.
-            return store(*msg)
+            # An unhashable block, such as a list, which store refuses by name,
+            # or a message that is not a pair of blocks.
+            try:
+                a, b = msg
+            except (TypeError, ValueError):
+                raise ValueError(f"message must be a pair of blocks, got {msg!r}") from None
+            return store(a, b)
 
     def run(msg, theta, f):
         s1, s2 = stored(msg)

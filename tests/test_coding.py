@@ -24,7 +24,7 @@ from pirlab.coding import (
     sw_decode_reference,
     sw_encode,
 )
-from pirlab.audit import measure_overhead
+from pirlab.audit import answer_stream_models, measure_overhead
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
 
 F = Fraction
@@ -378,11 +378,13 @@ def reference_decode(frame, model):
 
 @st.composite
 def coder_models(draw):
-    """2-5 symbols with denominators up to 2**20. Half of them are centred:
-    one likely symbol in the middle (the last, for two symbols), whose runs
-    keep the interval straddling the midpoint."""
+    """2-5 symbols with totals up to SourceModel's bound, below 2**30, drawn
+    as often below 2**21 (the coder's float state) as at or above it (int
+    state). Half of them are centred: one likely symbol in the middle (the
+    last, for two symbols), whose runs keep the interval straddling the
+    midpoint."""
     size = draw(st.integers(2, 5))
-    total = draw(st.integers(size, 2**20))
+    total = draw(st.integers(size, 2**21 - 1) | st.integers(2**21, 2**30 - 1))
     if draw(st.booleans()):
         cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=size - 1, max_size=size - 1)))
     else:
@@ -429,6 +431,58 @@ class TestReferenceCoder:
             stream = reference_encode(symbols, model)
             assert entropy_encode(symbols, model) == stream
             assert entropy_decode(stream, model, len(symbols)) == reference_decode(stream, model) == symbols
+
+    @pytest.mark.parametrize("model", [
+        *(SourceModel(("a", "b", "c"), {"a": F(1, total), "b": F(total // 2, total), "c": F(total - 1 - total // 2, total)})
+          for total in (2**21 - 1, 2**21)),
+        *(SourceModel.bernoulli(F(3, total)) for total in (2**21 - 1, 2**21)),
+        *answer_stream_models(multiround_descriptor(bias=F(1, 1500))),
+    ], ids=["ternary-2^21-1", "ternary-2^21", "bernoulli-2^21-1", "bernoulli-2^21", "a1-bias-1/1500", "a2-bias-1/1500"])
+    def test_models_either_side_of_the_float_threshold(self, model):
+        # The last float total, the first int total, and the a1 (int) and a2
+        # (float) models of a heavily biased multiround scheme.
+        rng = random.Random(model._cumulative[-1])
+        weights = [float(model.probabilities[s]) for s in model.alphabet]
+        # Rare symbols are forced in, so that every cut is crossed.
+        symbols = rng.choices(model.alphabet, weights, k=6_000) + list(model.alphabet) * 20
+        rng.shuffle(symbols)
+        general = general_loop(model)
+        stream = reference_encode(symbols, model)
+        assert entropy_encode(symbols, general) == stream
+        assert entropy_decode(stream, general, len(symbols)) == reference_decode(stream, model) == symbols
+
+
+class TestStateType:
+    @staticmethod
+    def exact_through(n):
+        """Every integer from 0 to n is a binary64 value: n <= 2**53."""
+        return all(int(float(k)) == k for k in (n - 1, n))
+
+    def test_floats_only_where_every_product_is_exact(self):
+        # The largest value the coding loops form is a span of at most 2**32
+        # times a cumulative count of at most total - 1.
+        totals = [1, 2, 3, 4, 16, 2**20, 2**21 - 1, 2**21, 2**21 + 1, 2**21 + 2, 2**21 + 3, 2**22, 2**29, 2**30 - 1]
+        for total in totals:
+            if coding._state_type(total) is float:
+                assert self.exact_through(2**32 * (total - 1)), total
+        assert self.exact_through(2**53) and not self.exact_through(2**53 + 1)
+        assert coding._state_type(2**21 - 1) is float and coding._state_type(2**21) is int
+
+    def test_which_models_take_floats(self):
+        a1, a2 = answer_stream_models(multiround_descriptor())
+        assert (a1._cumulative[-1], a2._cumulative[-1]) == (4, 3)
+        scheme = multiround_descriptor(bias=F(3, 4))
+        weights = {}
+        for msg, p in scheme.message_space():
+            cell = scheme.store(msg)[0]
+            weights[cell] = weights.get(cell, 0) + p
+        cells = SourceModel(tuple(sorted(weights)), weights)
+        assert cells._cumulative[-1] == 16
+        for model in (a1, a2, cells):
+            assert coding._state_type(model._cumulative[-1]) is float
+        biased_a1 = answer_stream_models(multiround_descriptor(bias=F(1, 1500)))[0]
+        assert biased_a1._cumulative[-1] == 2_250_000
+        assert coding._state_type(biased_a1._cumulative[-1]) is int
 
 
 class TestBinSizing:
@@ -528,6 +582,16 @@ class TestBinning:
         cfg = CodecConfig()
         with pytest.raises(ValueError, match="length"):
             sw_encode([(0, 0)] * 3, cfg)
+
+    def test_list_and_bool_pairs_bin_as_tuples(self):
+        cfg = CodecConfig(seed=7)
+        rng = random.Random(8)
+        for _ in range(50):
+            pairs, _ = random_block(rng, cfg.block_length)
+            want = sw_encode(pairs, cfg)
+            assert sw_encode([list(pair) for pair in pairs], cfg) == want
+            assert sw_encode([(bool(y1), bool(y2)) for y1, y2 in pairs], cfg) == want
+            assert sw_encode(pairs[:-1] + ([*pairs[-1]],), cfg) == want  # one list pair, last
 
     def test_single_position_changes_bin(self):
         # Expected collisions over 500 sampled single-position edits:

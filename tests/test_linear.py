@@ -1,6 +1,7 @@
 """Linear scheme storage/retrieval, replication baseline, symmetrization."""
 
 import dataclasses
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -194,6 +195,14 @@ class TestChecking:
         scheme = factory()
         scheme.store(((0, 0, 0, 0), (0, 0, 0, 0)))  # a warm memo refuses it too
         with pytest.raises(ValueError, match=f"^{name} must be a 4-bit tuple$"):
+            scheme.store(msg) if call == "store" else scheme.run(msg, 1, 1)
+
+    @pytest.mark.parametrize("factory", [linear_descriptor, asymmetric_toy_descriptor, replicated_descriptor])
+    @pytest.mark.parametrize("call", ["store", "run"])
+    @pytest.mark.parametrize("msg", [((0, 0, 0, 0),), 5, ((0, 0, 0, 0),) * 3], ids=["one-block", "int", "three-blocks"])
+    def test_message_that_is_not_a_pair_refused(self, factory, call, msg):
+        scheme = factory()
+        with pytest.raises(ValueError, match=f"^message must be a pair of blocks, got {re.escape(repr(msg))}$"):
             scheme.store(msg) if call == "store" else scheme.run(msg, 1, 1)
 
     def test_list_block_refused_by_linear_store(self):
