@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .capacity import check_rate_admissible, mtpir_capacity, storage_overhead
-from .coding import CodecConfig, SourceModel
+from .coding import CodecConfig, SourceModel, _check_ints
 from .descriptor import SchemeDescriptor
 from .dist import ExactDist, _check_coords, _grouped_entropy, conditional_entropy, entropy, total_variation
 from .seeds import derive_seed
@@ -247,35 +247,36 @@ def exhaustive_correctness(scheme: SchemeDescriptor) -> dict:
     return _tabulate(scheme, thetas, [_correctness(scheme, thetas)])[0]
 
 
-def _expectation(d: ExactDist) -> Fraction:
-    """E[value] under a law of one-coordinate outcomes ``(value,)``."""
-    return Fraction(sum(value * count for (value,), count in d.counts.items()), d.total)
+def _expected_download(d: ExactDist) -> Fraction:
+    """E[answer symbols other than None] under a law of ``(F, A, ...)`` outcomes."""
+    sent = sum(count * sum(s is not None for answer in key[1:] for s in answer) for key, count in d.counts.items())
+    return Fraction(sent, d.total)
 
 
 def _download(scheme: SchemeDescriptor) -> _Projection:
-    """Ideal and symbol-level download of the pass's first session (theta = 1).
+    """Ideal and symbol-level download of the pass's first session (theta = 1),
+    from the law of (F, A_1, ..., A_N).
 
-    The ideal download is the sum over n of H(A_n | F, A_<n), from the law
-    of (F, A_1, ..., A_N).
+    The ideal download is the sum over n of H(A_n | F, A_<n); the symbol
+    download is the expected count of answer symbols other than None.
     """
-    block = scheme.block_length
 
     def session(msg, stored, f, records):
-        record = records[0]
-        return ((_f_symbols(f),) + record.answers, record.download_bits)
+        return ((_f_symbols(f),) + records[0].answers,)
 
     def finish(tables):
-        joint, downloads = tables
+        (joint,) = tables
         per_db = [_cond_entropy_of(joint, (n,), tuple(range(n))) for n in range(1, joint.arity)]
-        return result(per_db, _expectation(downloads))
+        return result(per_db, _expected_download(joint))
 
     def compose(tables):
         # A product's A_1 is (A_1, A_2) and its A_2 is (A_2, A_1), from independent copies.
         joint, h = tables[0], _cond_entropy_of
         per_db = [h(joint, (1,), (0,)) + h(joint, (2,), (0,)), h(joint, (2,), (0, 1)) + h(joint, (1,), (0, 2))]
-        return result(per_db, 2 * _expectation(tables[1]))
+        return result(per_db, 2 * _expected_download(joint))
 
     def result(per_db, symbol_download):
+        block = scheme.block_length
         total = sum(per_db)
         return {
             "block_length": block,
@@ -329,23 +330,19 @@ def scheme_profile(scheme: SchemeDescriptor) -> dict:
 
 def _profile(scheme: SchemeDescriptor) -> list[_Projection]:
     """``scheme_profile``'s projections over every theta: answer entropies
-    and downloads, then storage bits."""
+    and downloads, both from the (F, A_n) laws, then storage bits."""
     thetas = _thetas(scheme)
-    keys = list(product(thetas, range(1, scheme.params.num_databases + 1)))
+    databases = range(1, scheme.params.num_databases + 1)
 
     def session(msg, stored, f, records):
         f_sym = _f_symbols(f)
-        answers = [(f_sym, answer) for r in records for answer in r.answers]
-        return answers + [r.download_bits for r in records]
+        return [(f_sym, answer) for r in records for answer in r.answers]
 
     def finish(tables):
+        laws = dict(zip(product(thetas, databases), tables))
         return {
-            "answer_entropy": {
-                key: conditional_entropy(table, (0,)) for key, table in zip(keys, tables)
-            },
-            "expected_symbol_download": {
-                t: _expectation(d) for t, d in zip(thetas, tables[len(keys):])
-            },
+            "answer_entropy": {key: conditional_entropy(law, (0,)) for key, law in laws.items()},
+            "expected_symbol_download": {t: sum(_expected_download(laws[t, n]) for n in databases) for t in thetas},
         }
 
     def compose(tables):
@@ -451,6 +448,7 @@ def _check_flags(scheme: SchemeDescriptor, mode: str, L: int | None, trials: int
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
     if mode == "concrete":
+        _check_ints(L=1 if L is None else L, trials=trials, sw_blocks=sw_blocks)
         if L is None or L < 1:
             raise ValueError("concrete mode needs a message length L >= 1")
         if trials < 1:

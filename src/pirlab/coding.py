@@ -128,12 +128,14 @@ def _outside_alphabet(symbols: Sequence[Hashable], table: Mapping) -> ValueError
 
 
 def _state_type(total: int) -> type:
-    """The number type of the coding loops' state: float below a model total
-    of ``2**21``, else int. Every value the loops form is an integer: a span
-    times a cumulative count is at most ``2**32 * (total - 1)``, and the rest
-    are below ``2**34``. Below that total all are below ``2**53``, where
-    binary64 ``+``, ``-``, ``*``, ``//`` and comparisons are exact, and no int
-    of ``2**30`` or more is made.
+    """The number type of the coding loops' state and cumulative counts:
+    float below a model total of ``2**21`` (the a1 and a2 answer models),
+    else int (the a1 model at bias 1/1500). Every value the loops form is an
+    integer: a span times a cumulative count is at most
+    ``2**32 * (total - 1)``, and the rest are below ``2**34``. Below that
+    total all are below ``2**53``, where binary64 ``+``, ``-``, ``*``, ``//``
+    and comparisons are exact, and no int of ``2**30`` or more is made. So
+    both types code the same bits and decode the same symbols.
     """
     return float if total < _FLOAT_TOTAL else int
 
@@ -147,12 +149,8 @@ def _arithmetic_bits(symbols: Sequence[Hashable], model: SourceModel) -> tuple[b
     compares the interval with the half and quarter points, each once: below
     or above the half a bit settles, within the middle half one more is
     pending, and an interval that straddles the half otherwise needs none.
-    The state and the cumulative counts are floats when the model's total
-    is below ``2**21`` (the a1 and a2 answer models), and ints above (the a1
-    model at bias 1/1500): every product formed is an integer of at most
-    ``2**32 * (total - 1)``, so every value is below ``2**53``, where binary64
-    arithmetic is exact. The bits, and so the stream bytes and framing, are
-    the int loop's.
+    The state and the cumulative counts are ``_state_type``'s numbers, so
+    the bits, and so the stream bytes and framing, are the int loop's.
     """
     number = _state_type(model._cumulative[-1])
     cumulative = tuple(map(number, model._cumulative))
@@ -259,9 +257,8 @@ def _arithmetic_decode(payload: bytes, model: SourceModel, count: int) -> list:
     ``low`` and the first one not reached, less 1, the new ``high``. The
     first cut is tested inline, and a two-symbol model has no other.
     Renormalisation is the encoder's, applied to the code too. The numbers
-    are the encoder's: floats below a model total of ``2**21``, where every
-    value formed is an integer below ``2**53`` and so exact, ints above; the
-    symbols decoded from any frame are the int loop's.
+    are ``_state_type``'s, so the symbols decoded from any frame are the int
+    loop's.
     """
     number = _state_type(model._cumulative[-1])
     cumulative = tuple(map(number, model._cumulative))
@@ -329,9 +326,8 @@ _PAIR_TO_TRIT = {pair: i for i, pair in enumerate(Y_PAIRS)}
 _SIDE_INFO_BITS = 0.75 * math.log2(3)
 
 
-def _check_ints(obj, *names: str) -> None:
-    for name in names:
-        value = getattr(obj, name)
+def _check_ints(**values) -> None:
+    for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
 
@@ -345,7 +341,7 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_ints(self, "block_length", "seed")
+        _check_ints(block_length=self.block_length, seed=self.seed)
         if self.block_length < 1:
             raise ValueError("block_length must be at least 1")
         margin = self.rate_margin
@@ -372,7 +368,7 @@ class SwBin:
     bin_bits: int
 
     def __post_init__(self):
-        _check_ints(self, "bin_index", "bin_bits")
+        _check_ints(bin_index=self.bin_index, bin_bits=self.bin_bits)
         # By bit length, so that a huge bin_bits builds no 2**bin_bits.
         if self.bin_index < 0 or self.bin_index.bit_length() > self.bin_bits:
             raise ValueError("bin_index out of range for bin_bits")

@@ -29,17 +29,16 @@ class SessionRecord(NamedTuple):
 
     ``queries[n]`` and ``answers[n]`` are flat tuples of hashable symbols for
     database ``n`` (all rounds concatenated, fixed arity; ``None`` marks a
-    position where nothing was sent). ``download_bits`` counts answer bits
-    actually shipped, at symbol level, never query bits.
+    position where nothing was sent). The session's download is its answer
+    symbols other than ``None``, counted by the audit, never query symbols.
     """
 
     queries: tuple[tuple, ...]
     answers: tuple[tuple, ...]
     decoded: tuple[int, ...]
-    download_bits: int
 
 
-session_record = partial(tuple.__new__, SessionRecord)  # from one 4-tuple, in C: no generated __new__
+session_record = partial(tuple.__new__, SessionRecord)  # from one 3-tuple, in C: no generated __new__
 
 
 class Product(NamedTuple):
@@ -68,12 +67,11 @@ class SchemeDescriptor:
     codec, cell_model)`` and ``bin_failures(codec, blocks, seed)``. A scheme
     without one (None) is charged at face value.
     ``product`` declares a ``Product``; the audit then composes one pass
-    over its component.
+    over its component. ``block_length`` is read from the messages.
     """
 
     name: str
     params: PirParameters
-    block_length: int
     message_space: Callable[[], Iterable[tuple[Message, Fraction]]]
     randomness_space: Callable[[], Iterable[tuple[Any, Fraction]]]
     store: Callable[[Message], tuple[tuple, ...]]
@@ -81,6 +79,13 @@ class SchemeDescriptor:
     side_information: Callable[[Message, Any], tuple[tuple, ...]] | None = None
     coded: Any = None
     product: Product | None = None
+
+    @property
+    def block_length(self) -> int:
+        """Bits per message: the length of the first message's ``w1``."""
+        for (w1, _), _ in self.message_space():
+            return len(w1)
+        raise ValueError(f"scheme {self.name!r} has an empty message or randomness space")
 
     def desired(self, msg: Message, theta: int) -> tuple[int, ...]:
         if not (1 <= theta <= self.params.num_messages):

@@ -164,12 +164,11 @@ def _planned_scheme(name: str, store, plans: dict, coin_error: str) -> SchemeDes
             check_theta(theta)
             raise ValueError(coin_error) from None
         d1, d2 = select1(s1), select2(s2)
-        return session_record((queries, (d1, d2), decode(d1, d2), len(d1) + len(d2)))
+        return session_record((queries, (d1, d2), decode(d1, d2)))
 
     return SchemeDescriptor(
         name=name,
         params=PirParameters(num_messages=2, num_databases=2, collusion=1, rounds=1),
-        block_length=BLOCK,
         message_space=_uniform_message_space,
         randomness_space=randomness_space,
         store=stored,
@@ -249,13 +248,12 @@ def symmetrize(scheme: SchemeDescriptor) -> SchemeDescriptor:
         return session_record((
             (a.queries[0] + b.queries[1], a.queries[1] + b.queries[0]),
             (a.answers[0] + b.answers[1], a.answers[1] + b.answers[0]),
-            a.decoded + b.decoded, a.download_bits + b.download_bits,
+            a.decoded + b.decoded,
         ))
 
     return SchemeDescriptor(
         name=f"symmetric({scheme.name})",
         params=p,
-        block_length=2 * half,
         message_space=message_space,
         randomness_space=randomness_space,
         store=store,

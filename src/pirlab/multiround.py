@@ -387,7 +387,7 @@ def multiround_descriptor(
     def run(msg, theta, coin):
         # The audit checks the session the coded layer and criterion 2 run.
         t = run_session(MessagePair(*msg), theta, coin)
-        return session_record(((t.q1, t.q2), (t.a1, t.a2), t.decoded, 1 + sum(1 for a in t.a2 if a is not None)))
+        return session_record(((t.q1, t.q2), (t.a1, t.a2), t.decoded))
 
     def side_information(msg, coin):
         return ((), _indicator(MessagePair(*msg), coin))
@@ -400,7 +400,6 @@ def multiround_descriptor(
     return SchemeDescriptor(
         name=name,
         params=PirParameters(num_messages=2, num_databases=2, collusion=1, rounds=2),
-        block_length=1,
         message_space=message_space,
         randomness_space=randomness_space,
         store=store,

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 
 import pytest
@@ -29,7 +31,7 @@ from pirlab.audit import (
 )
 from pirlab.capacity import PirParameters
 from pirlab.coding import CodecConfig, SourceModel
-from pirlab.descriptor import SessionRecord, session_record
+from pirlab.descriptor import SchemeDescriptor, SessionRecord, session_record
 from pirlab.dist import ExactDist, conditional_entropy, marginal
 from pirlab.linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
@@ -113,9 +115,11 @@ class TestEnumerateView:
 
     @pytest.mark.parametrize("space", ["message_space", "randomness_space"])
     def test_empty_space_refused(self, space):
-        # Every table would be empty: no overhead of 0, no missing view.
+        # Every table would be empty: no overhead of 0, no missing view. The
+        # block length, read from the first message, is refused alike.
         scheme = dataclasses.replace(linear_descriptor(), **{space: lambda: iter(())})
-        for measure in (measure_overhead, check_privacy):
+        concrete = partial(build_audit_report, mode="concrete", L=8, trials=1)
+        for measure in (measure_overhead, check_privacy, measure_rate, scheme_profile, concrete):
             with pytest.raises(ValueError, match="'linear' has an empty message or randomness space"):
                 measure(scheme)
 
@@ -321,6 +325,26 @@ class TestEnumerationCounts:
             build(scheme, mode="concrete", **{"L": 200, "trials": 2, "sw_blocks": 10, **flag})
         assert calls == {"run": 0, "store": 0}
 
+    @pytest.mark.parametrize("build", [build_audit_report, build_simulation_report])
+    @pytest.mark.parametrize(
+        "descriptor, flag",
+        [
+            (multiround_descriptor, {"sw_blocks": 1.5}),
+            (multiround_descriptor, {"trials": 2.5}),
+            (multiround_descriptor, {"L": 100.5}),
+            (multiround_descriptor, {"trials": True}),
+            (linear_descriptor, {"L": 8.0}),
+            (linear_descriptor, {"sw_blocks": F(10)}),
+        ],
+        ids=["sw_blocks-1.5", "trials-2.5", "L-100.5", "trials-True", "linear-L-8.0", "linear-sw_blocks-10/1"],
+    )
+    def test_non_int_run_sizes_refused_before_any_session(self, build, descriptor, flag):
+        scheme, calls = self.counted(descriptor())
+        ((name, value),) = flag.items()
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+            build(scheme, mode="concrete", **{"L": 200, "trials": 2, "sw_blocks": 10, **flag})
+        assert calls == {"run": 0, "store": 0}
+
     @pytest.mark.parametrize(
         "descriptor, flags, message",
         [
@@ -386,6 +410,39 @@ class TestIdealAccounting:
         # 1 + Pr(round 2 is sent) = 1 + 1 - (Pr(x1 = 1) + Pr(x2 = 1)) / 2.
         rate = measure_rate(multiround_descriptor(bias=bias))
         assert rate["expected_symbol_download_per_block"] == expected
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (multiround_descriptor, F(7, 4)),
+            (linear_descriptor, F(6)),
+            (replicated_descriptor, F(8)),
+            (asymmetric_toy_descriptor, F(6)),
+            (lambda: symmetrize(asymmetric_toy_descriptor()), F(12)),
+        ],
+        ids=["multiround", "linear", "replicated", "toy", "symmetric-toy"],
+    )
+    def test_download_is_counted_from_the_answers(self, make, expected):
+        # The audit counts each session's answer symbols other than None.
+        scheme = make()
+        assert measure_rate(scheme)["expected_symbol_download_per_block"] == expected
+        assert scheme_profile(scheme)["expected_symbol_download"] == {1: expected, 2: expected}
+
+    @pytest.mark.parametrize(
+        "make", [multiround_descriptor, linear_descriptor, replicated_descriptor, asymmetric_toy_descriptor]
+    )
+    def test_one_more_answer_symbol_is_one_more_download(self, make):
+        scheme = make()
+
+        def run(msg, theta, f):
+            record = scheme.run(msg, theta, f)
+            return record._replace(answers=(record.answers[0], record.answers[1] + (0,)))
+
+        padded = dataclasses.replace(scheme, run=run)
+        before, after = measure_rate(scheme), measure_rate(padded)
+        assert after["expected_symbol_download_per_block"] == before["expected_symbol_download_per_block"] + 1
+        profile = scheme_profile(padded)["expected_symbol_download"]
+        assert profile == {t: d + 1 for t, d in scheme_profile(scheme)["expected_symbol_download"].items()}
 
     def test_linear_ideal(self):
         rate = measure_rate(linear_descriptor())
@@ -743,11 +800,21 @@ class TestCounting:
 
 
 def test_session_record_builds_the_named_tuple():
-    fields = ((("x1",), ("y1",)), ((0,), (1,)), (0, 1), 2)
+    fields = ((("x1",), ("y1",)), ((0,), (1,)), (0, 1))
     record = session_record(fields)
     assert type(record) is SessionRecord and record == SessionRecord(*fields)
-    assert (record.queries, record.answers, record.decoded, record.download_bits) == fields
-    assert record._replace(download_bits=1) == SessionRecord(*fields[:3], 1)
+    assert SessionRecord._fields == ("queries", "answers", "decoded")
+    assert (record.queries, record.answers, record.decoded) == fields
+    assert record._replace(decoded=(1, 0)) == SessionRecord(*fields[:2], (1, 0))
+
+
+def test_block_length_is_read_from_the_messages():
+    # Not a constructor argument: each scheme's block is its first message's w1.
+    assert "block_length" not in {field.name for field in dataclasses.fields(SchemeDescriptor)}
+    schemes = [multiround_descriptor(), linear_descriptor(), symmetrize(asymmetric_toy_descriptor())]
+    assert [scheme.block_length for scheme in schemes] == [1, 4, 8]
+    longer = dataclasses.replace(linear_descriptor(), message_space=lambda: iter([(((0,) * 6, (0,) * 6), F(1))]))
+    assert longer.block_length == 6
 
 
 class TestBitIdentity:

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -417,3 +418,15 @@ def test_golden_stdout_digest(capsys, monkeypatch, argv):
     code = main(list(argv))
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (code, digest) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_reproduce_stdout_does_not_depend_on_the_hash_seed(hash_seed):
+    # The digests above see one hash seed per test run; set and dict order
+    # under another seed must print the same bytes.
+    argv = ("reproduce", "--mode", "ideal")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {name: value for name, value in os.environ.items() if name != "PIRLAB_SEED"}
+    env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "pirlab", *argv], env=env, capture_output=True, timeout=120)
+    assert (done.returncode, hashlib.sha256(done.stdout).hexdigest()) == GOLDEN[argv], done.stderr

@@ -451,6 +451,18 @@ class TestReferenceCoder:
         assert entropy_encode(symbols, general) == stream
         assert entropy_decode(stream, general, len(symbols)) == reference_decode(stream, model) == symbols
 
+    def test_a_float_state_would_round_this_floor(self):
+        # Pinned where a float state goes wrong: with this model coded on
+        # floats, a span times a cumulative count passes 2**53, rounds, and
+        # moves a floor, which changes both the bytes and the decode. The
+        # random models above almost never come that close to an integer.
+        model = SourceModel((0, 1), {0: F(536889882, 2**30 - 1), 1: 1 - F(536889882, 2**30 - 1)})
+        symbols = [int(bit) for bit in "0101011100010001011011001010011000001110"]
+        general = general_loop(model)
+        stream = reference_encode(symbols, model)
+        assert entropy_encode(symbols, general) == stream
+        assert entropy_decode(stream, general, len(symbols)) == reference_decode(stream, model) == symbols
+
 
 class TestStateType:
     @staticmethod

@@ -72,12 +72,9 @@ def faulty_component() -> SchemeDescriptor:
             queries=(("w",), (f,)),
             answers=(want, (w1 ^ w2,) if f else (None,)),
             decoded=(1 - want[0],) if (theta, f) == (2, 1) else want,
-            download_bits=1 + f,
         )
 
-    return SchemeDescriptor(
-        "faulty", PirParameters(2, 2, 1), 1, message_space, randomness_space, store, run
-    )
+    return SchemeDescriptor("faulty", PirParameters(2, 2, 1), message_space, randomness_space, store, run)
 
 
 class TestStore:
@@ -156,7 +153,6 @@ class TestRetrieve:
                     queries=((pattern,), (selector,)),
                     answers=(d1, d2),
                     decoded=linear_decode(theta, pattern, d1, d2),
-                    download_bits=6,
                 )
                 assert scheme.run((a, b), theta, pattern) == want
 
@@ -289,14 +285,14 @@ class TestThetaAndCoinRefused:
             for theta, f in product((1, 2), (0, 1)):
                 want = msg[theta - 1]
                 queries = ((f"m{theta}",), (f"half{f}",))
-                assert scheme.run(msg, theta, f) == (queries, (want, s2[2 * f:2 * f + 2]), want, 6)
+                assert scheme.run(msg, theta, f) == (queries, (want, s2[2 * f:2 * f + 2]), want)
 
     def test_replicated_answers_everything_from_db1(self):
         scheme = replicated_descriptor()
         for msg, _ in scheme.message_space():
             a, b = msg
             for theta in (1, 2):
-                assert scheme.run(msg, theta, 0) == ((("all",), ()), (a + b, ()), msg[theta - 1], 8)
+                assert scheme.run(msg, theta, 0) == ((("all",), ()), (a + b, ()), msg[theta - 1])
 
     @pytest.mark.parametrize("f", [1, -1, [0]], ids=["1", "-1", "list"])
     def test_replicated_coin_other_than_zero_refused(self, f):
@@ -356,7 +352,7 @@ class TestSymmetrize:
         assert len(stored[0]) == len(stored[1]) == 24
         for theta in (1, 2):
             record = twice.run(msg, theta, f)
-            assert record.download_bits == 24
+            assert sum(map(len, record.answers)) == 24
             assert record.decoded == msg[theta - 1]
 
 

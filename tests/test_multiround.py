@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pirlab import multiround
+from pirlab.audit import measure_rate
 from pirlab.coding import CodecConfig
 from pirlab.multiround import (
     ASK_X1,
@@ -269,11 +270,14 @@ class TestDescriptor:
             multiround_descriptor(bias=0)
 
     def test_download_counts_answer_bits_only(self):
+        # A skipped round 2 sends None, which the audit does not count: 1 bit
+        # with probability 1/4, else 2, so 7/4 per position.
         scheme = multiround_descriptor()
         skip = scheme.run(((1,), (1,)), 1, (0,))
         fetch = scheme.run(((1,), (0,)), 1, (0,))
-        assert skip.download_bits == 1
-        assert fetch.download_bits == 2
+        assert skip.answers == ((1,), (None,))
+        assert fetch.answers == ((0,), (1,))
+        assert measure_rate(scheme)["expected_symbol_download_per_block"] == F(7, 4)
 
 
 # --- Reference: the per-position kernel the bitset kernel replaced ---------
@@ -436,17 +440,21 @@ class TestBitsetKernelMatchesReference:
     )
     def test_audited_sessions_are_the_reference_sessions(self, scheme):
         triples = [
-            (msg, theta, coin)
-            for msg, _ in scheme.message_space()
+            (msg, theta, coin, p_msg * p_coin)
+            for msg, p_msg in scheme.message_space()
             for theta in (1, 2)
-            for coin, _ in scheme.randomness_space()
+            for coin, p_coin in scheme.randomness_space()
         ]
         assert len(triples) == 16
-        for msg, theta, coin in triples:
+        download = 0
+        for msg, theta, coin, p in triples:
             record = scheme.run(msg, theta, coin)
             want = ref_session(*msg, theta, coin)
             assert record_fields(record) == want[2:]
-            assert record.download_bits == len(want[3]) + sum(a is not None for a in want[5])
+            if theta == 1:
+                download += p * (len(want[3]) + sum(a is not None for a in want[5]))
+        # The audit's download is the reference sessions' sent answer bits.
+        assert measure_rate(scheme)["expected_symbol_download_per_block"] == download
 
     @pytest.mark.parametrize("entry", [2, -1, None, "1"])
     def test_same_error_for_non_bits(self, entry):
