@@ -435,7 +435,7 @@ def measure_rate(
     seed: int = 0,
 ) -> dict:
     """Rate statistics in ideal (exact entropy) or concrete (coded) accounting."""
-    _check_flags(scheme, mode, L, trials)
+    _check_flags(scheme, mode, L, trials, seed)
     projections = [_download(scheme)]
     if mode == "concrete" and scheme.coded is not None:
         projections.append(_answer_streams(scheme))
@@ -443,10 +443,13 @@ def measure_rate(
     return _finish_rate(scheme, download, mode, L, trials, seed, laws[0][0] if laws else None)[0]
 
 
-def _check_flags(scheme: SchemeDescriptor, mode: str, L: int | None, trials: int, sw_blocks: int = 1) -> None:
+def _check_flags(
+    scheme: SchemeDescriptor, mode: str, L: int | None, trials: int, seed: int, sw_blocks: int = 1
+) -> None:
     """Reject bad accounting flags before any session runs."""
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
+    _check_ints(seed=seed)
     if mode == "concrete":
         _check_ints(L=1 if L is None else L, trials=trials, sw_blocks=sw_blocks)
         if L is None or L < 1:
@@ -748,7 +751,7 @@ def build_audit_report(
     Every exact section is a projection of one pass over all desired indices;
     in concrete mode that pass also gives a coded layer its exact models.
     """
-    _check_flags(scheme, mode, L, trials, sw_blocks)
+    _check_flags(scheme, mode, L, trials, seed, sw_blocks)
     _check_collusion(scheme)
     codec = codec or CodecConfig()
     params = scheme.params
@@ -825,7 +828,7 @@ def build_simulation_report(
 ) -> dict:
     """The rate and either the coded sessions behind it or exhaustive
     correctness, from one pass, as a JSON document."""
-    _check_flags(scheme, mode, L, trials, sw_blocks)
+    _check_flags(scheme, mode, L, trials, seed, sw_blocks)
     document = {"scheme": scheme.name, "mode": mode, "L": L, "trials": trials, "seed": seed}
     coded = scheme.coded if mode == "concrete" else None
     if coded is not None:

@@ -34,14 +34,14 @@ from .dist import ExactDist, entropy
 from .seeds import derive_seed
 
 _STATE_BITS = 32
-_MASK = (1 << _STATE_BITS) - 1
-_HALF = 1 << (_STATE_BITS - 1)
+_RANGE = 1 << _STATE_BITS
+_HALF = _RANGE >> 1
 _QUARTER = _HALF >> 1
 _THREE_QUARTERS = _HALF | _QUARTER
 _HEADER = struct.Struct(">QQ")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _BITS = bytes.maketrans(b"01", b"\0\1")
-_INITIAL = (0, _MASK, 0)
+_INITIAL = (0, _RANGE, 0)
 _FLOAT_TOTAL = 1 << 21  # models below this total code on binary64 state (see _state_type)
 
 
@@ -131,44 +131,53 @@ def _state_type(total: int) -> type:
     """The number type of the coding loops' state and cumulative counts:
     float below a model total of ``2**21`` (the a1 and a2 answer models),
     else int (the a1 model at bias 1/1500). Every value the loops form is an
-    integer: a span times a cumulative count is at most
-    ``2**32 * (total - 1)``, and the rest are below ``2**34``. Below that
-    total all are below ``2**53``, where binary64 ``+``, ``-``, ``*``, ``//``
-    and comparisons are exact, and no int of ``2**30`` or more is made. So
-    both types code the same bits and decode the same symbols.
+    integer. The largest is a span of at most ``2**32`` times a cumulative
+    count other than the total, at most ``2**32 * (total - 1)``. The rest
+    are below ``2**33``: a cut is at most the span, ``low + span`` at most
+    ``2**32``, the decoder's ``v = code - low`` below the span, and so
+    ``low + low``, ``span + span`` and ``v + v`` plus a code bit below
+    ``2**33``. Below that total all are below ``2**53``, where binary64
+    ``+``, ``-``, ``*``, ``//`` and comparisons are exact, and the only ints
+    that enter the float arithmetic are code bits, 0 or 1. So both types
+    code the same bits and decode the same symbols.
     """
     return float if total < _FLOAT_TOTAL else int
 
 
 def _arithmetic_bits(symbols: Sequence[Hashable], model: SourceModel) -> tuple[bytearray, int, tuple[int, int, int]]:
-    """The Witten–Neal–Cleary coding loop from the initial state.
+    """The Witten–Neal–Cleary coding loop from the initial state, on
+    ``(low, span)``: the interval is ``[low, low + span)``.
 
     Returns the settled code bits, one per byte, the symbol count and the
-    final (low, high, pending) state. The closing bit is the caller's. The
-    first symbol keeps ``low`` and the last keeps ``high``. Renormalisation
-    compares the interval with the half and quarter points, each once: below
-    or above the half a bit settles, within the middle half one more is
-    pending, and an interval that straddles the half otherwise needs none.
-    The state and the cumulative counts are ``_state_type``'s numbers, so
-    the bits, and so the stream bytes and framing, are the int loop's.
+    final (low, span, pending) state. The closing bit is the caller's. The
+    first symbol keeps ``low`` and the last keeps ``low + span``. An
+    interval wider than the half fits in no half and no middle half, so a
+    symbol that leaves ``span > half`` costs one comparison. Otherwise
+    renormalisation compares the interval with the half and quarter points,
+    each once: below or above the half a bit settles, within the middle half
+    one more is pending, and an interval that straddles the half otherwise
+    needs none. At ``span == half`` it still runs: ``[0, half)`` settles a
+    0. The numbers are ``_state_type``'s, so the bits, and so the stream
+    bytes and framing, are the int loop's.
     """
     number = _state_type(model._cumulative[-1])
     cumulative = tuple(map(number, model._cumulative))
-    total = cumulative[-1]
+    first, total = cumulative[1], cumulative[-1]
     last = len(cumulative) - 2
-    half, quarter, three_quarters, one = map(number, (_HALF, _QUARTER, _THREE_QUARTERS, 1))
+    half, quarter, three_quarters = map(number, (_HALF, _QUARTER, _THREE_QUARTERS))
     out = bytearray()
     append = out.append
-    low, high, pending = number(0), number(_MASK), 0
+    low, span, pending = number(0), number(_RANGE), 0
     try:
         for i in map(model._index.__getitem__, symbols):
-            span = high - low + one
-            if i != last:
-                high = low + span * cumulative[i + 1] // total - one
             if i:
-                low += span * cumulative[i] // total
-            while True:
-                if high < half:
+                cut = span * cumulative[i] // total
+                low += cut
+                span = (span * cumulative[i + 1] // total if i != last else span) - cut
+            else:
+                span = span * first // total
+            while span <= half:
+                if low + span <= half:
                     append(0)
                     if pending:
                         out += b"\1" * pending
@@ -179,18 +188,16 @@ def _arithmetic_bits(symbols: Sequence[Hashable], model: SourceModel) -> tuple[b
                         out += b"\0" * pending
                         pending = 0
                     low -= half
-                    high -= half
-                elif low >= quarter and high < three_quarters:
+                elif low >= quarter and low + span <= three_quarters:
                     pending += 1
                     low -= quarter
-                    high -= quarter
                 else:
                     break
                 low += low
-                high += high + one
+                span += span
     except (KeyError, TypeError):
         raise _outside_alphabet(symbols, model._index) from None
-    return out, len(symbols), (int(low), int(high), pending)
+    return out, len(symbols), (int(low), int(span), pending)
 
 
 def entropy_encode(symbols: Sequence[Hashable], model: SourceModel) -> bytes:
@@ -250,67 +257,69 @@ def entropy_decode(data: bytes, model: SourceModel, count: int) -> list:
 
 
 def _arithmetic_decode(payload: bytes, model: SourceModel, count: int) -> list:
-    """The Witten–Neal–Cleary decoding loop over a frame's payload.
+    """The Witten–Neal–Cleary decoding loop over a frame's payload, on the
+    encoder's ``(low, span)`` state and ``v = code - low``.
 
-    The symbol is the number of cut points ``low + span * cumulative[s] //
-    total`` (s >= 1) at or below the code; the last one passed is the new
-    ``low`` and the first one not reached, less 1, the new ``high``. The
-    first cut is tested inline, and a two-symbol model has no other.
-    Renormalisation is the encoder's, applied to the code too. The numbers
-    are ``_state_type``'s, so the symbols decoded from any frame are the int
-    loop's.
+    The symbol is the number of cuts ``span * cumulative[s] // total``
+    (s >= 1) at or below ``v``; the last one passed is added to ``low`` and
+    taken from ``v``, and the span runs from it to the first cut not reached
+    (or to the span, past the last cut). The loop writes symbol indices,
+    mapped to the alphabet once at the end. Renormalisation is the
+    encoder's, with its one-comparison skip, and doubles ``v`` and reads one
+    code bit into it. The numbers are ``_state_type``'s, so the symbols
+    decoded from any frame are the int loop's.
     """
     number = _state_type(model._cumulative[-1])
     cumulative = tuple(map(number, model._cumulative))
-    first, rest = cumulative[1], cumulative[2:-1]
-    total = cumulative[-1]
-    alphabet = model.alphabet
-    half, quarter, three_quarters, one = map(number, (_HALF, _QUARTER, _THREE_QUARTERS, 1))
+    first, rest, total = cumulative[1], cumulative[2:-1], cumulative[-1]
+    half, quarter, three_quarters = map(number, (_HALF, _QUARTER, _THREE_QUARTERS))
     # One code bit per byte after the first _STATE_BITS. Padding bits are
     # zero, and reads past the payload see zeros too (the decoder's lookahead).
     head = _STATE_BITS // 8
-    code = number(int.from_bytes(payload[:head].ljust(head, b"\0"), "big"))
+    v = number(int.from_bytes(payload[:head].ljust(head, b"\0"), "big"))
     tail = payload[head:]
     bits = format(int.from_bytes(tail, "big"), f"0{8 * len(tail)}b").encode().translate(_BITS)
-    read = chain(map(number, bits), repeat(number(0))).__next__
-    low, high = number(0), number(_MASK)
+    read = chain(bits, repeat(0)).__next__
+    low, span = number(0), number(_RANGE)
     out = []
     append = out.append
     for _ in range(count):
-        span = high - low + one
-        cut = low + span * first // total
-        if code < cut:
-            high = cut - one
-            append(alphabet[0])
-        elif not rest:
-            low = cut
-            append(alphabet[1])
+        cut = span * first // total
+        if v < cut:
+            span = cut
+            append(0)
         else:
-            base, low, s = low, cut, 1
-            for c in rest:
-                cut = base + span * c // total
-                if code < cut:
-                    high = cut - one
+            s = 1
+            for top in rest:
+                top = span * top // total
+                if v < top:
                     break
-                low = cut
+                cut = top
                 s += 1
-            append(alphabet[s])
-        while True:
-            if high < half:
+            else:
+                top = span
+            low += cut
+            v -= cut
+            span = top - cut
+            append(s)
+        while span <= half:
+            if low + span <= half:
                 pass  # a 0 settles: nothing to subtract
             elif low >= half:
                 low -= half
-                high -= half
-                code -= half
-            elif low >= quarter and high < three_quarters:
+            elif low >= quarter and low + span <= three_quarters:
                 low -= quarter
-                high -= quarter
-                code -= quarter
             else:
                 break
             low += low
-            high += high + one
-            code += code + read()
+            span += span
+            v += v + read()
+    alphabet = model.alphabet
+    # In place, so that no second list of count items is built; indices
+    # already are the symbols of an alphabet 0, 1, ... of ints.
+    if alphabet != tuple(range(len(alphabet))) or any(type(symbol) is not int for symbol in alphabet):
+        for k, i in enumerate(out):
+            out[k] = alphabet[i]
     return out
 
 
@@ -392,16 +401,27 @@ def _to_trits(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> list[int]
         raise ValueError("block contains a pair outside {(0,0), (1,0), (0,1)}") from None
 
 
+def _masked_bin(index: int, cfg: CodecConfig) -> SwBin:
+    """``SwBin(index, bits)`` built without re-running its check: an XOR of
+    masks below ``2**bits`` is in range by construction. The fields are set
+    as ``__init__`` sets them; writing through ``__dict__`` would give every
+    bin a dict of its own, 64 bytes more."""
+    sw_bin = object.__new__(SwBin)
+    object.__setattr__(sw_bin, "bin_index", index)
+    object.__setattr__(sw_bin, "bin_bits", cfg._bin_bits)
+    return sw_bin
+
+
 def sw_encode(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> SwBin:
     """Hash a block of cell pairs into its bin. The encoder never sees u."""
     if isinstance(cfg, CodecConfig) and isinstance(y_block, Sequence) and len(y_block) == cfg.block_length:
         try:
-            return SwBin(reduce(xor, map(getitem, cfg._pair_masks, y_block)), cfg._bin_bits)
+            return _masked_bin(reduce(xor, map(getitem, cfg._pair_masks, y_block)), cfg)
         except (KeyError, TypeError):
             pass
     # A pair that no table holds as a key (a list, say), or a block that _to_trits refuses.
     pairs = map(Y_PAIRS.__getitem__, _to_trits(y_block, cfg))
-    return SwBin(reduce(xor, map(getitem, cfg._pair_masks, pairs)), cfg._bin_bits)
+    return _masked_bin(reduce(xor, map(getitem, cfg._pair_masks, pairs)), cfg)
 
 
 def _check_decoder_input(sw_bin: SwBin, u_block: Sequence[int], cfg: CodecConfig) -> list[int]:

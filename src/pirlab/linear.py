@@ -87,7 +87,7 @@ def _linear_plan(theta: int, pattern: int) -> tuple:
     ``db1_answer`` and ``db2_answer`` at the stored-bit indices, and the decoder."""
     selector = db2_selector(pattern, theta)
     d1, d2 = db1_answer(pattern, range(6)), db2_answer(selector, range(6))
-    return ((pattern,), (selector,)), itemgetter(*d1), itemgetter(*d2), partial(linear_decode, theta, pattern)
+    return ((pattern,), (selector,)), itemgetter(*d1), itemgetter(*d2), linear_decode
 
 
 # Each scheme's plans[theta, f] = (queries, DB1 selection, DB2 selection, decoder).
@@ -95,12 +95,12 @@ _LINEAR_PLANS = {(theta, pattern): _linear_plan(theta, pattern) for theta in (1,
 _HALVES = {1: slice(0, BLOCK), 2: slice(BLOCK, 2 * BLOCK)}  # message theta, where DB1 holds both whole
 # DB1 returns all 8 of its bits under a constant query; DB2 returns nothing.
 _REPLICATED_PLANS = {
-    (theta, 0): ((("all",), ()), tuple, itemgetter(slice(0)), lambda d1, _d2, part=half: d1[part])
+    (theta, 0): ((("all",), ()), tuple, itemgetter(slice(0)), lambda _theta, _f, d1, _d2, part=half: d1[part])
     for theta, half in _HALVES.items()
 }
 # DB1 returns the desired message, DB2 the coin's pair of its six bits.
 _TOY_PLANS = {
-    (theta, f): (((f"m{theta}",), (f"half{f}",)), itemgetter(half), itemgetter(2 * f, 2 * f + 1), lambda d1, _d2: d1)
+    (theta, f): (((f"m{theta}",), (f"half{f}",)), itemgetter(half), itemgetter(2 * f, 2 * f + 1), lambda _theta, _f, d1, _d2: d1)
     for theta, half in _HALVES.items() for f in (0, 1)
 }
 
@@ -138,7 +138,8 @@ def _uniform_message_space():
 def _planned_scheme(name: str, store, plans: dict, coin_error: str) -> SchemeDescriptor:
     """A single-round scheme on 4-bit blocks from its storage map ``store(a, b)``
     and ``plans[theta, f] = (queries, DB1 selection, DB2 selection, decoder)``,
-    with equally likely coins. Storage, checked and memoized, is read first;
+    with equally likely coins. A decoder takes ``(theta, f, d1, d2)``, so one
+    function serves every plan. Storage, checked and memoized, is read first;
     a (theta, f) without a plan refuses theta, then the coin."""
     memo = lru_cache(maxsize=None)(store)
     coins = dict.fromkeys(f for _, f in plans)
@@ -164,7 +165,7 @@ def _planned_scheme(name: str, store, plans: dict, coin_error: str) -> SchemeDes
             check_theta(theta)
             raise ValueError(coin_error) from None
         d1, d2 = select1(s1), select2(s2)
-        return session_record((queries, (d1, d2), decode(d1, d2)))
+        return session_record((queries, (d1, d2), decode(theta, f, d1, d2)))
 
     return SchemeDescriptor(
         name=name,

@@ -345,6 +345,16 @@ class TestEnumerationCounts:
             build(scheme, mode="concrete", **{"L": 200, "trials": 2, "sw_blocks": 10, **flag})
         assert calls == {"run": 0, "store": 0}
 
+    @pytest.mark.parametrize("build", [build_audit_report, build_simulation_report])
+    @pytest.mark.parametrize("mode", ["ideal", "concrete"])
+    @pytest.mark.parametrize("seed", [1.5, True, "x"], ids=["1.5", "True", "x"])
+    def test_non_int_seed_refused_before_any_session(self, build, mode, seed):
+        # A seed names the coded streams, so 1.5, True and "x" must not stand in for one.
+        scheme, calls = self.counted(multiround_descriptor())
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            build(scheme, mode=mode, **{"L": 200, "trials": 2, "sw_blocks": 10, "seed": seed})
+        assert calls == {"run": 0, "store": 0}
+
     @pytest.mark.parametrize(
         "descriptor, flags, message",
         [

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import math
 import random
 import struct
@@ -464,6 +465,48 @@ class TestReferenceCoder:
         assert entropy_decode(stream, general, len(symbols)) == reference_decode(stream, model) == symbols
 
 
+def bias_cells():
+    """DB1's cell model at message bias 3/4, (0, 6, 7, 16) sixteenths: not a
+    prefix code, so concrete audits at that bias code cells on the loop."""
+    scheme = multiround_descriptor(bias=F(3, 4))
+    weights = {}
+    for msg, p in scheme.message_space():
+        cell = scheme.store(msg)[0]
+        weights[cell] = weights.get(cell, 0) + p
+    return SourceModel(tuple(sorted(weights)), weights)
+
+
+class TestSkipBoundary:
+    # The loops skip renormalisation only while span > half. The fair
+    # model's symbol 0 from the initial state leaves the span at exactly
+    # 2**31 = half, [0, half), where a 0 must still settle; its symbol 1
+    # leaves [half, 2**32). So skipping at span == half changes the bytes.
+    @pytest.mark.parametrize(
+        "model, longest", [(general_loop(FAIR), 10), (bias_cells(), 8)], ids=["fair", "cells-3/4"]
+    )
+    def test_every_short_sequence_matches_the_reference(self, model, longest):
+        # Every sequence of 0 to ``longest`` symbols (the cells stop at 8:
+        # 3**10 sequences would take seconds of reference coding).
+        assert model._codewords is None
+        for length in range(longest + 1):
+            for symbols in itertools.product(model.alphabet, repeat=length):
+                symbols = list(symbols)
+                stream = reference_encode(symbols, model)
+                assert entropy_encode(symbols, model) == stream
+                assert entropy_decode(stream, model, length) == reference_decode(stream, model) == symbols
+
+    def test_decoder_renormalises_at_span_half(self):
+        # Both models above have power-of-2 totals, where a decoder that
+        # put off one doubling would still cut in the same places. TERNARY's
+        # total is 6: symbol a from the initial state leaves span = half,
+        # and the next cut at 5/6 is floor(2**32 * 5 / 6) = 2 * 1789569706 + 1.
+        # So the code 1789569706 followed by a 0 decodes a then b, where a
+        # decoder still at span = half would cut at 1789569706 and read c.
+        frame = struct.pack(">QQ", 2, 33) + (1789569706 << 8).to_bytes(5, "big")
+        assert reference_decode(frame, TERNARY) == ["a", "b"]
+        assert entropy_decode(frame, TERNARY, 2) == ["a", "b"]
+
+
 class TestStateType:
     @staticmethod
     def exact_through(n):
@@ -694,6 +737,26 @@ class TestBinning:
         cfg = CodecConfig()
         with pytest.raises(ValueError, match="bits"):
             sw_decode(SwBin(0, 5), [0] * cfg.block_length, cfg)
+
+    @pytest.mark.parametrize(
+        "cfg", [CodecConfig(), CodecConfig(block_length=8, rate_margin=0.5)], ids=["default", "n8-margin0.5"]
+    )
+    def test_encoder_bin_is_the_validated_bin(self, cfg):
+        # sw_encode builds its bin without SwBin's range check; the result
+        # must be the bin the checked constructor builds, equal and hashing alike.
+        rng = random.Random(cfg.block_length)
+        for _ in range(300):
+            block = [rng.choice(Y_PAIRS) for _ in range(cfg.block_length)]
+            got = sw_encode(block, cfg)
+            checked = SwBin(got.bin_index, got.bin_bits)
+            assert type(got) is SwBin and got == checked and hash(got) == hash(checked)
+            assert vars(got) == vars(checked) == {"bin_index": got.bin_index, "bin_bits": sw_bin_bits(cfg)}
+            assert 0 <= got.bin_index < 2**got.bin_bits
+            # The same bin as the XOR of the mask table, read through trits.
+            index = 0
+            for position, pair in enumerate(block):
+                index ^= cfg._masks[position][Y_PAIRS.index(pair)]
+            assert got.bin_index == index
 
     def test_meet_in_middle_matches_reference(self):
         cfg = CodecConfig(block_length=9, rate_margin=0.3, seed=17)
