@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .capacity import check_rate_admissible, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, SourceModel, _check_ints
-from .descriptor import SchemeDescriptor
-from .dist import ExactDist, _check_coords, _grouped_entropy, conditional_entropy, entropy, total_variation
+from .descriptor import EmptySpaceError, SchemeDescriptor
+from .dist import ExactDist, conditional_entropy, conditional_mutual_information, entropy, total_variation
 from .seeds import derive_seed
 
 EXHAUSTION_LIMIT = 1 << 20
@@ -45,7 +45,7 @@ def _spaces(scheme: SchemeDescriptor):
     randomness = list(scheme.randomness_space())
     messages = list(islice(scheme.message_space(), EXHAUSTION_LIMIT // max(len(randomness), 1) + 1))
     if not (messages and randomness):
-        raise ValueError(f"scheme {scheme.name!r} has an empty message or randomness space")
+        raise EmptySpaceError(scheme)
     size = len(messages) * len(randomness)
     if size > EXHAUSTION_LIMIT:
         raise ValueError(
@@ -266,13 +266,13 @@ def _download(scheme: SchemeDescriptor) -> _Projection:
 
     def finish(tables):
         (joint,) = tables
-        per_db = [_cond_entropy_of(joint, (n,), tuple(range(n))) for n in range(1, joint.arity)]
+        per_db = [conditional_entropy(joint, range(n), (n,)) for n in range(1, joint.arity)]
         return result(per_db, _expected_download(joint))
 
     def compose(tables):
         # A product's A_1 is (A_1, A_2) and its A_2 is (A_2, A_1), from independent copies.
-        joint, h = tables[0], _cond_entropy_of
-        per_db = [h(joint, (1,), (0,)) + h(joint, (2,), (0,)), h(joint, (2,), (0, 1)) + h(joint, (1,), (0, 2))]
+        joint, h = tables[0], conditional_entropy
+        per_db = [h(joint, (0,), (1,)) + h(joint, (0,), (2,)), h(joint, (0, 1), (2,)) + h(joint, (0, 2), (1,))]
         return result(per_db, 2 * _expected_download(joint))
 
     def result(per_db, symbol_download):
@@ -444,12 +444,15 @@ def measure_rate(
 
 
 def _check_flags(
-    scheme: SchemeDescriptor, mode: str, L: int | None, trials: int, seed: int, sw_blocks: int = 1
+    scheme: SchemeDescriptor, mode: str, L: int | None, trials: int, seed: int, sw_blocks: int = 1,
+    codec: CodecConfig | None = None,
 ) -> None:
     """Reject bad accounting flags before any session runs."""
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
     _check_ints(seed=seed)
+    if codec is not None and not isinstance(codec, CodecConfig):
+        raise ValueError(f"codec must be a CodecConfig, got {codec!r}")
     if mode == "concrete":
         _check_ints(L=1 if L is None else L, trials=trials, sw_blocks=sw_blocks)
         if L is None or L < 1:
@@ -567,20 +570,6 @@ def _coupled(scheme: SchemeDescriptor) -> list[_Projection]:
     return [_Projection(lambda tables: (tables[0], groups), session)]
 
 
-def _cond_entropy_of(joint: ExactDist, target: tuple[int, ...], given: tuple[int, ...]) -> float:
-    """H(target | given), grouped straight from the joint's counts: the same
-    sums, in the same order, as ``conditional_entropy`` of their marginal."""
-    _check_coords(given + target, joint.arity)
-    return _grouped_entropy(joint, given, target)
-
-
-def conditional_mutual_information(
-    joint: ExactDist, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]
-) -> float:
-    """I(A; B | C) = H(A|C) - H(A|B,C), all coordinates of one joint."""
-    return _cond_entropy_of(joint, a, c) - _cond_entropy_of(joint, a, b + c)
-
-
 def verify_entropy_identities(scheme: SchemeDescriptor) -> list[dict]:
     """Exact-enumeration checks of the answer-entropy identities that pin the
     storage lower bound for single-round rate-2/3 zero-error schemes."""
@@ -606,21 +595,13 @@ def _check(name: str, value: float, target: float, relation: str = "==") -> dict
 def _identities(scheme: SchemeDescriptor, joint: ExactDist, g: dict) -> list[dict]:
     L = scheme.block_length
     half = L / 2
+    h = conditional_entropy
     return [
-        _check("H(A1[1] | W1, F, G)", _cond_entropy_of(joint, g["A1^1"], g["W1"] + g["F"]), half),
-        _check("H(A2[2] | W1, F, G)", _cond_entropy_of(joint, g["A2^2"], g["W1"] + g["F"]), half),
-        _check("H(A2[2] | W2, F, G)", _cond_entropy_of(joint, g["A2^2"], g["W2"] + g["F"]), half),
-        _check(
-            "H(A2[2] | W1, A2[1], F, G)",
-            _cond_entropy_of(joint, g["A2^2"], g["W1"] + g["A2^1"] + g["F"]),
-            half,
-        ),
-        _check(
-            "H(A2[1], A2[2] | F, G)",
-            _cond_entropy_of(joint, g["A2^1"] + g["A2^2"], g["F"]),
-            3 * L / 2,
-            ">=",
-        ),
+        _check("H(A1[1] | W1, F, G)", h(joint, g["W1"] + g["F"], g["A1^1"]), half),
+        _check("H(A2[2] | W1, F, G)", h(joint, g["W1"] + g["F"], g["A2^2"]), half),
+        _check("H(A2[2] | W2, F, G)", h(joint, g["W2"] + g["F"], g["A2^2"]), half),
+        _check("H(A2[2] | W1, A2[1], F, G)", h(joint, g["W1"] + g["A2^1"] + g["F"], g["A2^2"]), half),
+        _check("H(A2[1], A2[2] | F, G)", h(joint, g["F"], g["A2^1"] + g["A2^2"]), 3 * L / 2, ">="),
         _check(
             "I(A2[1]; A2[2] | W1, F, G)",
             conditional_mutual_information(joint, g["A2^1"], g["A2^2"], g["W1"] + g["F"]),
@@ -633,19 +614,10 @@ def _identities(scheme: SchemeDescriptor, joint: ExactDist, g: dict) -> list[dic
         ),
         _check(
             "H(W2 | answers[2], F, G)",
-            _cond_entropy_of(
-                joint, g["W2"], g["F"] + g["Q1^2"] + g["Q2^2"] + g["A1^2"] + g["A2^2"]
-            ),
+            h(joint, g["F"] + g["Q1^2"] + g["Q2^2"] + g["A1^2"] + g["A2^2"], g["W2"]),
             0.0,
         ),
     ]
-
-
-def _identities_at_capacity(scheme: SchemeDescriptor, download: dict, coupled: list) -> list[dict] | None:
-    """The identities, premises of the single-round storage bound at capacity:
-    None unless ``coupled`` holds a joint and the symbol rate is capacity."""
-    at_capacity = coupled and download["symbol_rate"] == mtpir_capacity(scheme.params)
-    return _identities(scheme, *coupled[0]) if at_capacity else None
 
 
 def verify_converse_bounds(scheme: SchemeDescriptor) -> list[dict]:
@@ -691,6 +663,25 @@ def _converse(scheme: SchemeDescriptor, download: dict, coupled: list) -> list[d
         checks.append(_check("I(W2; Q[1], A[1], F | W1, G) <= L(1/R - 1)", info, upper, "<="))
         checks.append(_check("I(W2; Q[1], A[1], F | W1, G) >= L*T/N", info, lower, ">="))
     return checks
+
+
+def _exact_sections(scheme: SchemeDescriptor, thetas: Sequence[int], *extra: _Projection) -> tuple:
+    """The rate, overhead, converse and entropy-identity sections from one pass
+    over ``thetas``, which start (1, 2) for a single-round scheme, followed by
+    the results of the ``extra`` projections from the same pass. The
+    identities, premises of the single-round storage bound at capacity, are
+    None unless the scheme is single-round and its symbol rate is capacity."""
+    coupled = _coupled(scheme)
+    download, storage, *results = _tabulate(scheme, thetas, [_download(scheme), _storage(scheme), *coupled, *extra])
+    coupled, results = results[:len(coupled)], results[len(coupled):]
+    at_capacity = coupled and download["symbol_rate"] == mtpir_capacity(scheme.params)
+    sections = {
+        "rate": download,
+        "overhead": _finish_overhead(scheme, storage),
+        "converse": _converse(scheme, download, coupled),
+        "entropy_identities": _identities(scheme, *coupled[0]) if at_capacity else None,
+    }
+    return sections, *results
 
 
 # --- Report assembly --------------------------------------------------------
@@ -751,26 +742,22 @@ def build_audit_report(
     Every exact section is a projection of one pass over all desired indices;
     in concrete mode that pass also gives a coded layer its exact models.
     """
-    _check_flags(scheme, mode, L, trials, seed, sw_blocks)
+    _check_flags(scheme, mode, L, trials, seed, sw_blocks, codec)
     _check_collusion(scheme)
     codec = codec or CodecConfig()
     params = scheme.params
     thetas = _thetas(scheme)
     coded = scheme.coded if mode == "concrete" else None
-    coupled = _coupled(scheme)
     streams = [_answer_streams(scheme)] if coded is not None else []
-    projections = [
-        _views(scheme, thetas), _correctness(scheme, thetas), _download(scheme),
-        _storage(scheme), _upload(scheme, thetas),
-    ] + coupled + streams
-    views, correctness, download, storage, upload, *coupled = _tabulate(scheme, thetas, projections)
-    stream_models, cell_model, stream_tv = coupled.pop() if streams else (None, None, None)
+    sections, views, correctness, upload, *streams = _exact_sections(
+        scheme, thetas, _views(scheme, thetas), _correctness(scheme, thetas), _upload(scheme, thetas), *streams
+    )
+    stream_models, cell_model, stream_tv = streams[0] if streams else (None, None, None)
     privacy = _privacy(scheme, views)
-    rate, _ = _finish_rate(scheme, download, mode, L, trials, seed, stream_models)
-    overhead = _finish_overhead(scheme, storage)
+    rate, _ = _finish_rate(scheme, sections["rate"], mode, L, trials, seed, stream_models)
+    overhead, converse, identities = sections["overhead"], sections["converse"], sections["entropy_identities"]
     if mode == "concrete":
         overhead["concrete"] = _concrete_overhead(scheme, L, seed, codec, cell_model)
-    converse = _converse(scheme, download, coupled)
     capacity_check = {
         "capacity": mtpir_capacity(params),
         "symbol_rate": rate["symbol_rate"],
@@ -778,7 +765,6 @@ def build_audit_report(
         # The converse opens with the symbol and ideal rate-vs-capacity checks.
         "pass": converse[0]["pass"] and converse[1]["pass"],
     }
-    identities = _identities_at_capacity(scheme, download, coupled)
     leakage = None
     if coded is not None:
         leakage = {
@@ -828,7 +814,7 @@ def build_simulation_report(
 ) -> dict:
     """The rate and either the coded sessions behind it or exhaustive
     correctness, from one pass, as a JSON document."""
-    _check_flags(scheme, mode, L, trials, seed, sw_blocks)
+    _check_flags(scheme, mode, L, trials, seed, sw_blocks, codec)
     document = {"scheme": scheme.name, "mode": mode, "L": L, "trials": trials, "seed": seed}
     coded = scheme.coded if mode == "concrete" else None
     if coded is not None:

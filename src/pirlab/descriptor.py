@@ -24,6 +24,13 @@ def check_theta(theta: int) -> None:
         raise ValueError("theta must be 1 or 2")
 
 
+class EmptySpaceError(ValueError):
+    """A scheme with an empty message or randomness space: it runs no session."""
+
+    def __init__(self, scheme: SchemeDescriptor):
+        super().__init__(f"scheme {scheme.name!r} has an empty message or randomness space")
+
+
 class SessionRecord(NamedTuple):
     """One retrieval session at the scheme's native block length.
 
@@ -85,7 +92,7 @@ class SchemeDescriptor:
         """Bits per message: the length of the first message's ``w1``."""
         for (w1, _), _ in self.message_space():
             return len(w1)
-        raise ValueError(f"scheme {self.name!r} has an empty message or randomness space")
+        raise EmptySpaceError(self)
 
     def desired(self, msg: Message, theta: int) -> tuple[int, ...]:
         if not (1 <= theta <= self.params.num_messages):

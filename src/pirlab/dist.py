@@ -164,23 +164,18 @@ def marginal(d: ExactDist, coords: Iterable[int]) -> ExactDist:
     return ExactDist(collapsed, total=d._total)
 
 
-def conditional_entropy(d: ExactDist, condition_coords: Iterable[int]) -> float:
-    """H(rest | condition coordinates) in bits.
+def conditional_entropy(d: ExactDist, given: Iterable[int], target: Iterable[int] | None = None) -> float:
+    """H(target | given) in bits; the target defaults to every other coordinate.
 
-    Groups the support by the conditioning coordinates and returns
-    sum_c p(c) * H(rest | c). Conditioning on every coordinate gives 0.
+    Groups ``d``'s counts by the ``given`` symbols and, within a group, by
+    the ``target`` symbols, and returns sum_c p(c) * H(target | c), groups and
+    their entries summed in first-occurrence order. An empty target gives 0.
     """
-    cond = _check_coords(condition_coords, d.arity)
-    rest = tuple(c for c in range(d.arity) if c not in cond)
-    if not rest:
+    given = tuple(given)
+    target = tuple(c for c in range(d.arity) if c not in given) if target is None else tuple(target)
+    _check_coords(given + target, d.arity)
+    if not target:
         return 0.0
-    return _grouped_entropy(d, cond, rest)
-
-
-def _grouped_entropy(d: ExactDist, given: tuple[int, ...], target: tuple[int, ...]) -> float:
-    """H(target | given) for checked coordinates, grouping ``d``'s counts by
-    the ``given`` symbols and, within a group, by the ``target`` symbols.
-    Groups and their entries sum in first-occurrence order."""
     key_of, value_of = _symbols_at(given), _symbols_at(target)
     groups: dict = {}
     for outcome, count in d._counts.items():
@@ -195,6 +190,13 @@ def _grouped_entropy(d: ExactDist, given: tuple[int, ...], target: tuple[int, ..
         group_total = sum(bucket.values())
         result += group_total / d._total * _plogp_sum(bucket.values(), group_total)
     return result
+
+
+def conditional_mutual_information(
+    d: ExactDist, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]
+) -> float:
+    """I(A; B | C) = H(A | C) - H(A | B, C), all coordinates of one law."""
+    return conditional_entropy(d, c, a) - conditional_entropy(d, b + c, a)
 
 
 def total_variation(d1: ExactDist, d2: ExactDist) -> Fraction:

@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 
 from .audit import (
-    _converse, _coupled, _download, _finish_overhead, _identities_at_capacity, _privacy,
-    _profile, _storage, _tabulate, _thetas, _views, _with_product, check_privacy, measure_rate, real_holds,
+    _exact_sections, _privacy, _profile, _tabulate, _thetas, _views, _with_product, check_privacy, measure_rate,
+    real_holds,
 )
 from .capacity import PirParameters, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, sw_bin_bits
@@ -47,34 +47,16 @@ def _row(criterion: str, description: str, expected, measured, ok: bool) -> dict
 
 def exact_passes() -> dict[str, dict]:
     """What criteria 3, 5, 6c, 7, 8 and 9 read, from one pass per scheme over
-    theta in (1, 2), by scheme name: ``rate`` as ideal ``measure_rate``,
-    ``overhead`` and ``converse`` as ``measure_overhead`` and
-    ``verify_converse_bounds``; multiround's ``privacy`` and ``view`` as
-    ``check_privacy`` and ``enumerate_view`` at theta 1, database 2; and
-    ``identities`` as ``verify_entropy_identities`` where an audit report
-    checks them (linear)."""
+    theta in (1, 2), by scheme name: an audit report's ``rate``, ``overhead``,
+    ``converse`` and ``entropy_identities`` sections, unserialised, and
+    multiround's ``privacy`` and ``view`` as ``check_privacy`` and
+    ``enumerate_view`` at theta 1, database 2."""
     thetas = (1, 2)
-
-    def measures(scheme, download, storage, coupled) -> dict:
-        found = {
-            "rate": download,
-            "overhead": _finish_overhead(scheme, storage),
-            "converse": _converse(scheme, download, coupled),
-        }
-        identities = _identities_at_capacity(scheme, download, coupled)
-        if identities is not None:
-            found["identities"] = identities
-        return found
-
     multiround = multiround_descriptor()
-    projections = [_views(multiround, thetas), _download(multiround), _storage(multiround)] + _coupled(multiround)
-    views, download, storage, *coupled = _tabulate(multiround, thetas, projections)
-    passes = {"multiround": measures(multiround, download, storage, coupled)}
-    passes["multiround"].update(privacy=_privacy(multiround, views), view=views[1, 2])
+    sections, views = _exact_sections(multiround, thetas, _views(multiround, thetas))
+    passes = {"multiround": {**sections, "privacy": _privacy(multiround, views), "view": views[1, 2]}}
     for scheme in (linear_descriptor(), replicated_descriptor()):
-        projections = [_download(scheme), _storage(scheme)] + _coupled(scheme)
-        download, storage, *coupled = _tabulate(scheme, thetas, projections)
-        passes[scheme.name] = measures(scheme, download, storage, coupled)
+        (passes[scheme.name],) = _exact_sections(scheme, thetas)
     return passes
 
 
@@ -249,7 +231,7 @@ def criterion_symbol_download(passes: dict) -> dict:
 
 
 def criterion_entropy_identities(passes: dict) -> dict:
-    checks = passes["linear"]["identities"]
+    checks = passes["linear"]["entropy_identities"]
     ok = all(c["pass"] for c in checks)
     return _row(
         "8",
@@ -315,6 +297,8 @@ def criterion_symmetrization() -> dict:
 def reproduce_all(mode: str = "full", seed: int = 0, codec: CodecConfig | None = None) -> dict:
     if mode not in ("ideal", "full"):
         raise ValueError("mode must be 'ideal' or 'full'")
+    if codec is not None and not isinstance(codec, CodecConfig):
+        raise ValueError(f"codec must be a CodecConfig, got {codec!r}")
     codec = codec or CodecConfig(seed=seed)
     passes = exact_passes()
     rows = [

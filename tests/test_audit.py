@@ -288,6 +288,17 @@ class TestEnumerationCounts:
             "multiround-bias-3-4": {"run": 16, "store": 4},
         }
 
+    def test_audit_report_sections_equal_the_reproduce_passes(self):
+        # The report and reproduce finish these sections in one place: the
+        # same scheme gives the same serialised section from both.
+        passes = reproduce.exact_passes()
+        for factory in (multiround_descriptor, linear_descriptor, replicated_descriptor):
+            scheme = factory()
+            report = build_audit_report(scheme)
+            for key in ("rate", "overhead", "converse", "entropy_identities"):
+                assert report[key] == audit._jsonify(passes[scheme.name][key]), (scheme.name, key)
+        assert report["entropy_identities"] is None
+
     def test_reproduce_passes_equal_the_public_measurements(self):
         passes = reproduce.exact_passes()
         for factory in (multiround_descriptor, linear_descriptor, replicated_descriptor):
@@ -299,8 +310,9 @@ class TestEnumerationCounts:
         multiround = multiround_descriptor()
         assert passes["multiround"]["privacy"] == check_privacy(multiround)
         assert passes["multiround"]["view"] == enumerate_view(multiround, theta=1, database=2)
-        assert passes["linear"]["identities"] == verify_entropy_identities(linear_descriptor())
-        assert "identities" not in passes["replicated"]
+        assert passes["linear"]["entropy_identities"] == verify_entropy_identities(linear_descriptor())
+        assert passes["multiround"]["entropy_identities"] is None
+        assert passes["replicated"]["entropy_identities"] is None
 
     def test_one_toy_pass_profiles_the_toy_and_its_symmetrisation(self):
         toy = asymmetric_toy_descriptor()
@@ -354,6 +366,25 @@ class TestEnumerationCounts:
         with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
             build(scheme, mode=mode, **{"L": 200, "trials": 2, "sw_blocks": 10, "seed": seed})
         assert calls == {"run": 0, "store": 0}
+
+    @pytest.mark.parametrize("build", [build_audit_report, build_simulation_report])
+    @pytest.mark.parametrize("mode", ["ideal", "concrete"])
+    @pytest.mark.parametrize("codec", [5, 0, "16"])
+    def test_non_codec_refused_before_any_session(self, build, mode, codec):
+        # A codec sizes the bins; an int or a string must not stand in for one,
+        # nor a falsy 0 for the default.
+        scheme, calls = self.counted(multiround_descriptor())
+        with pytest.raises(ValueError, match=f"^codec must be a CodecConfig, got {re.escape(repr(codec))}$"):
+            build(scheme, mode=mode, L=200, trials=2, sw_blocks=10, codec=codec)
+        assert calls == {"run": 0, "store": 0}
+
+    @pytest.mark.parametrize("mode", ["ideal", "full"])
+    def test_reproduce_refuses_a_non_codec_before_any_pass(self, monkeypatch, mode):
+        passes = []
+        monkeypatch.setattr(reproduce, "exact_passes", lambda: passes.append(1))
+        with pytest.raises(ValueError, match="^codec must be a CodecConfig, got 5$"):
+            reproduce.reproduce_all(mode=mode, codec=5)
+        assert passes == []
 
     @pytest.mark.parametrize(
         "descriptor, flags, message",
@@ -588,6 +619,22 @@ class TestConcreteAccounting:
         with pytest.raises(ValueError, match="blocks must be at least 1"):
             sw_failure_rate(CodecConfig(), blocks=blocks, seed=0)
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ({"blocks": True}, "blocks must be an int, got True"),
+            ({"blocks": 2.5}, "blocks must be an int, got 2.5"),
+            ({"seed": 1.5}, "seed must be an int, got 1.5"),
+            ({"seed": False}, "seed must be an int, got False"),
+            ({"codec": None}, "codec must be a CodecConfig, got None"),
+            ({"codec": 16}, "codec must be a CodecConfig, got 16"),
+        ],
+        ids=["blocks-True", "blocks-2.5", "seed-1.5", "seed-False", "codec-None", "codec-16"],
+    )
+    def test_sw_failure_rate_refuses_bad_arguments_by_name(self, flag, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sw_failure_rate(**{"codec": CodecConfig(), "blocks": 10, "seed": 0, **flag})
+
     def test_sw_failure_rate_reproducible(self):
         cfg = CodecConfig(seed=8)
         first = sw_failure_rate(cfg, blocks=300, seed=8)
@@ -686,27 +733,36 @@ class TestIdentitiesAndConverse:
         assert len(checks) == 2  # no single-round information rows
 
     def test_grouped_entropies_bit_identical_to_the_marginal_route(self):
-        # Every identity and converse entropy, grouped straight from the joint,
-        # is the float that conditional_entropy of its marginal gives. On
-        # linear's own joint these are small exact floats; reweighting its
-        # counts by 1, 2, 3, 1, ... makes the conditional laws non-dyadic, so
-        # a reordered sum shows in the last bits.
+        # Every identity and converse entropy, H(target | given) grouped
+        # straight from the joint, is the float that conditional_entropy of
+        # its marginal gives. On linear's own joint these are small exact
+        # floats; reweighting its counts by 1, 2, 3, 1, ... or 1, ..., 7 makes
+        # the conditional laws non-dyadic, so a reordered sum shows in the
+        # last bits. A target in another order, or every coordinate not
+        # given by default, groups alike.
         joint, g = coupled_session_joint(linear_descriptor())
-        counts = {o: c * (1 + i % 3) for i, (o, c) in enumerate(joint.counts.items())}
-        reweighted = ExactDist(counts, total=sum(counts.values()))
+        laws = [joint]
+        for period in (3, 7):
+            counts = {o: c * (1 + i % period) for i, (o, c) in enumerate(joint.counts.items())}
+            laws.append(ExactDist(counts, total=sum(counts.values())))
         w1f, w2f = g["W1"] + g["F"], g["W2"] + g["F"]
         first = g["Q1^1"] + g["Q2^1"] + g["A1^1"] + g["A2^1"] + g["F"]
         sets = [
             (g["A1^1"], w1f), (g["A2^2"], w1f), (g["A2^2"], w2f), (g["A2^2"], g["W1"] + g["A2^1"] + g["F"]),
-            (g["A2^1"] + g["A2^2"], g["F"]),
+            (g["A2^1"] + g["A2^2"], g["F"]), (g["A2^2"] + g["A2^1"], g["F"]),
             (g["A2^1"], w1f), (g["A2^1"], g["A2^2"] + w1f), (g["A2^1"], w2f), (g["A2^1"], g["A2^2"] + w2f),
             (g["W2"], g["F"] + g["Q1^2"] + g["Q2^2"] + g["A1^2"] + g["A2^2"]),
             (g["W2"], g["W1"]), (g["W2"], first + g["W1"]),
         ]
-        for law, (target, given) in product((joint, reweighted), sets):
-            grouped = audit._cond_entropy_of(law, target, given)
+        for (i, law), (target, given) in product(enumerate(laws), sets):
+            grouped = conditional_entropy(law, given, target)
             via_marginal = conditional_entropy(marginal(law, given + target), range(len(given)))
-            assert grouped.hex() == via_marginal.hex(), (law is reweighted, target, given)
+            assert grouped.hex() == via_marginal.hex(), (i, target, given)
+            rest = tuple(c for c in range(law.arity) if c not in given)
+            assert conditional_entropy(law, given).hex() == conditional_entropy(law, given, rest).hex()
+        assert conditional_entropy(joint, w1f, ()) == 0.0
+        with pytest.raises(ValueError, match="duplicate coordinates"):
+            conditional_entropy(joint, w1f, g["F"])
 
     @pytest.mark.parametrize("descriptor", [multiround_descriptor, linear_descriptor])
     def test_download_entropies_bit_identical_to_the_marginal_route(self, descriptor):
@@ -836,7 +892,7 @@ class TestBitIdentity:
         passes = reproduce.exact_passes()
         linear, mr = passes["linear"], passes["multiround"]
         two, six, zero = "0x1.0000000000000p+1", "0x1.8000000000000p+2", "0x0.0p+0"
-        assert [c["value"].hex() for c in linear["identities"]] == [two] * 4 + [six] + [zero] * 3
+        assert [c["value"].hex() for c in linear["entropy_identities"]] == [two] * 4 + [six] + [zero] * 3
         assert linear["converse"][0]["value"] == F(2, 3)
         assert [float(c["value"]).hex() for c in linear["converse"][1:]] == ["0x1.5555555555555p-1", two, two]
         assert [v.hex() for v in mr["overhead"]["ideal_bits_per_block"]] == [

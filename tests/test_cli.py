@@ -370,6 +370,30 @@ def test_every_top_level_definition_has_a_caller():
     assert uncalled == []
 
 
+# Underscore names one package module imports from another, by (importer,
+# module). The list only shrinks: a private name another module needs is
+# named here, or made public.
+PRIVATE_IMPORTS = {
+    ("reproduce", "audit"): {"_exact_sections", "_privacy", "_profile", "_tabulate", "_thetas", "_views", "_with_product"},
+    ("audit", "coding"): {"_check_ints"},
+    ("multiround", "coding"): {"_check_ints"},
+    ("cli", "audit"): {"_jsonify"},
+}
+
+
+def test_no_module_imports_another_modules_private_names():
+    package = sorted((Path(__file__).resolve().parents[1] / "src" / "pirlab").glob("*.py"))
+    found = {}
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("pirlab")):
+                module = (node.module or "").rpartition(".")[2]
+                private = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if private:
+                    found.setdefault((path.stem, module), set()).update(private)
+    assert found == PRIVATE_IMPORTS
+
+
 def test_benchmark_pins_the_same_digests():
     # perfbench/workloads.py keeps its own GOLDEN for six of these commands;
     # a re-pin must change both tables alike.

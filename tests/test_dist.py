@@ -8,10 +8,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from pirlab.audit import conditional_mutual_information
 from pirlab.dist import (
     ExactDist,
     conditional_entropy,
+    conditional_mutual_information,
     entropy,
     marginal,
     total_variation,
