@@ -440,7 +440,7 @@ def measure_rate(
     if mode == "concrete" and scheme.coded is not None:
         projections.append(_answer_streams(scheme))
     download, *laws = _tabulate(scheme, (1,), projections)
-    return _finish_rate(scheme, download, mode, L, trials, seed, laws[0][0] if laws else None)[0]
+    return _finish_rate(scheme, download, mode, L, trials, seed, laws[0][0] if laws else None)
 
 
 def _check_flags(
@@ -468,34 +468,32 @@ def _check_flags(
 def _finish_rate(
     scheme: SchemeDescriptor, result: dict, mode: str, L: int | None, trials: int, seed: int,
     models: tuple[SourceModel, SourceModel] | None = None,
-) -> tuple[dict, list[dict]]:
-    """Add concrete accounting, in that mode, to ``_download``'s result, with
-    ``_answer_streams``' ``models`` for a coded scheme; also return the coded
-    sessions behind the concrete mean."""
-    sessions = []
-    if mode == "concrete":
-        if scheme.coded is not None:
-            sessions = [
-                scheme.coded.session(1, L, derive_seed(seed, "rate", trial), models)
-                for trial in range(trials)
-            ]
-            values = [run["download_bits"] / L for run in sessions]
-        else:
-            # Uncoded schemes ship answer symbols as-is; the per-block
-            # download expectation is exact, no sampling needed.
-            per_block = float(result["expected_symbol_download_per_block"])
-            values = [per_block * (L // scheme.block_length) / L] * trials
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
-        half_width = 1.96 * math.sqrt(variance / len(values)) if len(values) > 1 else 0.0
-        result["concrete"] = {
-            "L": L,
-            "trials": trials,
-            "download_per_message_bit_mean": mean,
-            "download_per_message_bit_ci95": (mean - half_width, mean + half_width),
-            "rate_mean": 1.0 / mean,
-        }
-    return result, sessions
+) -> dict:
+    """Add concrete accounting, in that mode, to ``_download``'s result. A coded
+    scheme's download is the mean of ``trials`` coded sessions under
+    ``_answer_streams``' ``models``, listed with their decode errors."""
+    if mode != "concrete":
+        return result
+    concrete = {"L": L, "trials": trials}
+    if scheme.coded is not None:
+        sessions = [scheme.coded.session(1, L, derive_seed(seed, "rate", trial), models) for trial in range(trials)]
+        values = [run["download_bits"] / L for run in sessions]
+        mean = sum(values) / trials
+        variance = sum((v - mean) ** 2 for v in values) / trials
+        half_width = 1.96 * math.sqrt(variance / trials) if trials > 1 else 0.0
+        concrete["sessions"] = sessions
+        concrete["decode_errors"] = sum(run["decode_errors"] for run in sessions)
+    else:
+        # Uncoded schemes ship answer symbols as-is: the download is exact.
+        mean = float(Fraction(result["expected_symbol_download_per_block"]) / scheme.block_length)
+        half_width = 0.0
+    result["concrete"] = {
+        **concrete,
+        "download_per_message_bit_mean": mean,
+        "download_per_message_bit_ci95": (mean - half_width, mean + half_width),
+        "rate_mean": 1.0 / mean,
+    }
+    return result
 
 
 def measure_overhead(scheme: SchemeDescriptor) -> dict:
@@ -740,11 +738,12 @@ def build_audit_report(
     """Run the full audit battery for one scheme and return its JSON document.
 
     Every exact section is a projection of one pass over all desired indices;
-    in concrete mode that pass also gives a coded layer its exact models.
+    in concrete mode that pass also gives a coded layer its exact models, and
+    the coded sessions behind the rate must decode without error to pass.
     """
     _check_flags(scheme, mode, L, trials, seed, sw_blocks, codec)
     _check_collusion(scheme)
-    codec = codec or CodecConfig()
+    codec = CodecConfig(seed=seed) if codec is None else codec
     params = scheme.params
     thetas = _thetas(scheme)
     coded = scheme.coded if mode == "concrete" else None
@@ -754,7 +753,7 @@ def build_audit_report(
     )
     stream_models, cell_model, stream_tv = streams[0] if streams else (None, None, None)
     privacy = _privacy(scheme, views)
-    rate, _ = _finish_rate(scheme, sections["rate"], mode, L, trials, seed, stream_models)
+    rate = _finish_rate(scheme, sections["rate"], mode, L, trials, seed, stream_models)
     overhead, converse, identities = sections["overhead"], sections["converse"], sections["entropy_identities"]
     if mode == "concrete":
         overhead["concrete"] = _concrete_overhead(scheme, L, seed, codec, cell_model)
@@ -766,6 +765,7 @@ def build_audit_report(
         "pass": converse[0]["pass"] and converse[1]["pass"],
     }
     leakage = None
+    verdicts = [privacy["pass"], correctness["pass"]]
     if coded is not None:
         leakage = {
             "total_variation": stream_tv,
@@ -773,7 +773,7 @@ def build_audit_report(
                     "i.i.d. and coded under public models, so at 0/1 the coded lengths have one law",
         }
         overhead["sw"] = coded.bin_failures(codec, sw_blocks, seed)
-    verdicts = [privacy["pass"], correctness["pass"]]
+        verdicts.append(rate["concrete"]["decode_errors"] == 0)
     verdicts += [c["pass"] for c in (identities or []) + converse]
     return _jsonify({
         "scheme": scheme.name,
@@ -801,33 +801,3 @@ def build_audit_report(
         },
         "pass": all(verdicts),
     })
-
-
-def build_simulation_report(
-    scheme: SchemeDescriptor,
-    mode: str = "ideal",
-    L: int = 1000,
-    trials: int = 5,
-    seed: int = 0,
-    codec: CodecConfig | None = None,
-    sw_blocks: int = 1000,
-) -> dict:
-    """The rate and either the coded sessions behind it or exhaustive
-    correctness, from one pass, as a JSON document."""
-    _check_flags(scheme, mode, L, trials, seed, sw_blocks, codec)
-    document = {"scheme": scheme.name, "mode": mode, "L": L, "trials": trials, "seed": seed}
-    coded = scheme.coded if mode == "concrete" else None
-    if coded is not None:
-        download, (models, _, _) = _tabulate(scheme, (1,), [_download(scheme), _answer_streams(scheme)])
-        rate, sessions = _finish_rate(scheme, download, mode, L, trials, seed, models)
-        errors = sum(run["decode_errors"] for run in sessions)
-        document["sessions"] = sessions
-        document["sw"] = coded.bin_failures(codec or CodecConfig(), sw_blocks, seed)
-    else:
-        thetas = _thetas(scheme)
-        download, correctness = _tabulate(scheme, thetas, [_download(scheme), _correctness(scheme, thetas)])
-        rate, _ = _finish_rate(scheme, download, mode, L, trials, seed)
-        errors = correctness["errors"]
-        document["correctness"] = correctness
-        document["expected_symbol_download"] = rate["expected_symbol_download_per_block"]
-    return _jsonify({**document, "rate": rate, "decode_errors": errors, "pass": errors == 0})

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``capacity``, ``simulate``, ``audit``, ``reproduce``. All output
+Subcommands: ``capacity``, ``audit``, ``reproduce``. All output
 is a single JSON document on stdout (diagnostics go to stderr); identical
 seeds and flags produce byte-identical documents. Exit status is 0 exactly
 when every requested verdict passed.
@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import reproduce as reproduce_mod
-from .audit import _jsonify, build_audit_report, build_simulation_report, fraction_str, real_str
+from .audit import _jsonify, build_audit_report, fraction_str, real_str
 from .capacity import PirParameters, mtpir_capacity
 from .coding import CodecConfig
 from .linear import linear_descriptor, replicated_descriptor
@@ -34,7 +34,7 @@ MAX_DELTA = 1.0  # bits per symbol; from (1/4) log2 3, about 0.40, a bin has roo
 # what reproduce --mode full runs (L = 100,000 and 10,000 bin blocks).
 MAX_MESSAGE_LENGTH = 1_000_000  # one coded audit at the bound took 4.6 s and 131 MB
 MAX_TRIALS = 100
-MAX_CODED_POSITIONS = 10_000_000  # -L times --trials; a coded simulate at the bound took 20 s and 93 MB
+MAX_CODED_POSITIONS = 10_000_000  # -L times --trials; a coded audit at the bound took 14 s and 133 MB
 MAX_SW_BLOCKS = 100_000  # one estimate at the bound took 280 s on a 2-core VM
 
 
@@ -119,12 +119,10 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    """``simulate`` or ``audit``: the subcommand's ``build`` document for one scheme."""
+def cmd_audit(args) -> int:
     _check_run_sizes(args)
-    scheme = _scheme_from_args(args)
-    document = args.build(
-        scheme,
+    document = build_audit_report(
+        _scheme_from_args(args),
         mode=args.mode,
         L=args.message_length,
         trials=args.trials,
@@ -140,26 +138,6 @@ def cmd_reproduce(args) -> int:
     document = reproduce_mod.reproduce_all(mode=args.mode, seed=args.seed, codec=_codec_from_args(args))
     _emit(_jsonify(document))
     return 0 if document["pass"] else 1
-
-
-def _add_run_flags(parser, default_L: int) -> None:
-    parser.add_argument(
-        "--scheme", choices=("multiround", "linear", "replicated"), default="multiround"
-    )
-    parser.add_argument("--mode", choices=("ideal", "concrete"), default="ideal")
-    parser.add_argument("-L", "--message-length", type=int, default=default_L)
-    parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    parser.add_argument(
-        "--bias", default="1/2", help="per-bit probability of 1 in each message, e.g. 3/4"
-    )
-    parser.add_argument(
-        "--storage", choices=("split", "replicated"), default="split",
-        help="multiround storage layout; 'replicated' is the privacy-breaking variant",
-    )
-    parser.add_argument("--block-length", type=int, default=16, help="binning block length")
-    parser.add_argument("--delta", type=float, default=0.15, help="binning rate margin, bits/symbol")
-    parser.add_argument("--sw-blocks", type=int, default=1000, help="blocks for the bin failure estimate")
 
 
 @functools.cache
@@ -178,13 +156,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("-T", type=int, default=1, help="collusion threshold")
     p_cap.set_defaults(func=cmd_capacity)
 
-    p_sim = sub.add_parser("simulate", help="run sessions and report download/rate")
-    _add_run_flags(p_sim, default_L=1000)
-    p_sim.set_defaults(func=cmd_report, build=build_simulation_report)
-
     p_audit = sub.add_parser("audit", help="full privacy/rate/overhead audit of a scheme")
-    _add_run_flags(p_audit, default_L=2000)
-    p_audit.set_defaults(func=cmd_report, build=build_audit_report)
+    p_audit.add_argument(
+        "--scheme", choices=("multiround", "linear", "replicated"), default="multiround"
+    )
+    p_audit.add_argument("--mode", choices=("ideal", "concrete"), default="ideal")
+    p_audit.add_argument("-L", "--message-length", type=int, default=2000)
+    p_audit.add_argument("--trials", type=int, default=5)
+    p_audit.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p_audit.add_argument(
+        "--bias", default="1/2", help="per-bit probability of 1 in each message, e.g. 3/4"
+    )
+    p_audit.add_argument(
+        "--storage", choices=("split", "replicated"), default="split",
+        help="multiround storage layout; 'replicated' is the privacy-breaking variant",
+    )
+    p_audit.add_argument("--block-length", type=int, default=16, help="binning block length")
+    p_audit.add_argument("--delta", type=float, default=0.15, help="binning rate margin, bits/symbol")
+    p_audit.add_argument("--sw-blocks", type=int, default=1000, help="blocks for the bin failure estimate")
+    p_audit.set_defaults(func=cmd_audit)
 
     p_rep = sub.add_parser("reproduce", help="run every acceptance measurement")
     p_rep.add_argument("--mode", choices=("ideal", "full"), default="full")

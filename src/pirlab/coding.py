@@ -30,7 +30,6 @@ from itertools import chain, product, repeat
 from numbers import Real
 from operator import getitem, xor
 
-from .dist import ExactDist, entropy
 from .seeds import derive_seed
 
 _STATE_BITS = 32
@@ -113,9 +112,6 @@ class SourceModel:
     def bernoulli(cls, p_one: Fraction) -> "SourceModel":
         p_one = Fraction(p_one)
         return cls((0, 1), {0: 1 - p_one, 1: p_one})
-
-    def entropy_bits(self) -> float:
-        return entropy(ExactDist({(s,): p for s, p in self.probabilities.items()}))
 
 
 def _outside_alphabet(symbols: Sequence[Hashable], table: Mapping) -> ValueError:

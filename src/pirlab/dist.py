@@ -4,7 +4,7 @@ A law is held as non-negative integer counts over one common denominator,
 so sums, marginals and total variation are exact integer arithmetic: a
 distributional identity check means exact equality, never "close enough".
 ``fractions.Fraction`` appears only at the API: rational weights in, and
-``items``, ``probability`` and total variation out. Floating point enters
+``items`` and total variation out. Floating point enters
 only when a probability passes through ``log2``, which makes the information
 measures (entropy and conditional entropy) floats. Each
 probability there is ``count / total``, a correctly rounded integer division,
@@ -93,9 +93,6 @@ class ExactDist:
 
     def support(self) -> tuple[tuple, ...]:
         return tuple(self._counts)
-
-    def probability(self, outcome) -> Fraction:
-        return Fraction(self._counts.get(_as_outcome(outcome), 0), self._total)
 
     def __len__(self) -> int:
         return len(self._counts)

@@ -275,8 +275,9 @@ def _check_bias(bias: Fraction) -> Fraction:
 
 
 def _draw(rng: random.Random, bias: Fraction, n: int) -> tuple[MessagePair, tuple[int, ...]]:
-    """n positions: both messages' bits with the given bias, then a fair coin."""
-    bias = float(_check_bias(bias))
+    """n positions: both messages' bits with the given bias, checked by the
+    caller, then a fair coin."""
+    bias = float(bias)
     w1 = tuple(1 if rng.random() < bias else 0 for _ in range(n))
     w2 = tuple(1 if rng.random() < bias else 0 for _ in range(n))
     coin = tuple(rng.getrandbits(1) for _ in range(n))
@@ -297,6 +298,7 @@ def sw_failure_rate(
         raise ValueError(f"codec must be a CodecConfig, got {codec!r}")
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
+    bias = _check_bias(bias)
     rng = random.Random(derive_seed(seed, "sw-failure", blocks))
     n = codec.block_length
     failures = 0
@@ -322,6 +324,9 @@ class CodedLayer:
     the answer streams arithmetic-coded, DB2's cells binned per codec block."""
 
     bias: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "bias", _check_bias(self.bias))
 
     def session(self, theta: int, L: int, seed: int, models: tuple[SourceModel, SourceModel]) -> dict:
         """One L-position session with its answer streams coded under ``models``."""

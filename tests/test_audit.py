@@ -14,7 +14,6 @@ from pirlab import audit, multiround, reproduce
 from pirlab.audit import (
     answer_stream_models,
     build_audit_report,
-    build_simulation_report,
     check_privacy,
     conditional_mutual_information,
     coupled_session_joint,
@@ -35,6 +34,7 @@ from pirlab.descriptor import SchemeDescriptor, SessionRecord, session_record
 from pirlab.dist import ExactDist, conditional_entropy, marginal
 from pirlab.linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
+from pirlab.seeds import derive_seed
 
 F = Fraction
 TOL = 1e-9
@@ -321,7 +321,6 @@ class TestEnumerationCounts:
         assert {**before, "storage_bits": storage_before} == scheme_profile(toy)
         assert {**after, "storage_bits": storage_after} == scheme_profile(symmetrize(toy))
 
-    @pytest.mark.parametrize("build", [build_audit_report, build_simulation_report])
     @pytest.mark.parametrize(
         "flag, message",
         [
@@ -331,13 +330,12 @@ class TestEnumerationCounts:
         ],
         ids=["sw_blocks", "trials", "L"],
     )
-    def test_concrete_flags_rejected_before_any_session(self, build, flag, message):
+    def test_concrete_flags_rejected_before_any_session(self, flag, message):
         scheme, calls = self.counted(multiround_descriptor())
         with pytest.raises(ValueError, match=message):
-            build(scheme, mode="concrete", **{"L": 200, "trials": 2, "sw_blocks": 10, **flag})
+            build_audit_report(scheme, mode="concrete", **{"L": 200, "trials": 2, "sw_blocks": 10, **flag})
         assert calls == {"run": 0, "store": 0}
 
-    @pytest.mark.parametrize("build", [build_audit_report, build_simulation_report])
     @pytest.mark.parametrize(
         "descriptor, flag",
         [
@@ -350,32 +348,30 @@ class TestEnumerationCounts:
         ],
         ids=["sw_blocks-1.5", "trials-2.5", "L-100.5", "trials-True", "linear-L-8.0", "linear-sw_blocks-10/1"],
     )
-    def test_non_int_run_sizes_refused_before_any_session(self, build, descriptor, flag):
+    def test_non_int_run_sizes_refused_before_any_session(self, descriptor, flag):
         scheme, calls = self.counted(descriptor())
         ((name, value),) = flag.items()
         with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
-            build(scheme, mode="concrete", **{"L": 200, "trials": 2, "sw_blocks": 10, **flag})
+            build_audit_report(scheme, mode="concrete", **{"L": 200, "trials": 2, "sw_blocks": 10, **flag})
         assert calls == {"run": 0, "store": 0}
 
-    @pytest.mark.parametrize("build", [build_audit_report, build_simulation_report])
     @pytest.mark.parametrize("mode", ["ideal", "concrete"])
     @pytest.mark.parametrize("seed", [1.5, True, "x"], ids=["1.5", "True", "x"])
-    def test_non_int_seed_refused_before_any_session(self, build, mode, seed):
+    def test_non_int_seed_refused_before_any_session(self, mode, seed):
         # A seed names the coded streams, so 1.5, True and "x" must not stand in for one.
         scheme, calls = self.counted(multiround_descriptor())
         with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
-            build(scheme, mode=mode, **{"L": 200, "trials": 2, "sw_blocks": 10, "seed": seed})
+            build_audit_report(scheme, mode=mode, **{"L": 200, "trials": 2, "sw_blocks": 10, "seed": seed})
         assert calls == {"run": 0, "store": 0}
 
-    @pytest.mark.parametrize("build", [build_audit_report, build_simulation_report])
     @pytest.mark.parametrize("mode", ["ideal", "concrete"])
     @pytest.mark.parametrize("codec", [5, 0, "16"])
-    def test_non_codec_refused_before_any_session(self, build, mode, codec):
+    def test_non_codec_refused_before_any_session(self, mode, codec):
         # A codec sizes the bins; an int or a string must not stand in for one,
         # nor a falsy 0 for the default.
         scheme, calls = self.counted(multiround_descriptor())
         with pytest.raises(ValueError, match=f"^codec must be a CodecConfig, got {re.escape(repr(codec))}$"):
-            build(scheme, mode=mode, L=200, trials=2, sw_blocks=10, codec=codec)
+            build_audit_report(scheme, mode=mode, L=200, trials=2, sw_blocks=10, codec=codec)
         assert calls == {"run": 0, "store": 0}
 
     @pytest.mark.parametrize("mode", ["ideal", "full"])
@@ -679,6 +675,30 @@ class TestConcreteAccounting:
         monkeypatch.setattr(multiround.CodedLayer, "session", counted)
         build_audit_report(multiround_descriptor(), mode="concrete", L=200, trials=5, sw_blocks=10)
         assert len(calls) == 5
+
+    def test_concrete_rate_lists_its_coded_sessions(self):
+        scheme, L, trials, seed = multiround_descriptor(), 300, 3, 11
+        report = build_audit_report(scheme, mode="concrete", L=L, trials=trials, seed=seed, sw_blocks=10)
+        models = answer_stream_models(scheme)
+        concrete = report["rate"]["concrete"]
+        for i in range(trials):
+            assert concrete["sessions"][i] == scheme.coded.session(1, L, derive_seed(seed, "rate", i), models)
+        assert len(concrete["sessions"]) == trials and concrete["decode_errors"] == 0
+        assert report["pass"] is True
+
+    def test_coded_decode_errors_fail_the_audit(self):
+        # Privacy, exhaustive correctness and the converse all pass; only the
+        # coded sessions behind the concrete rate report errors.
+        class OneErrorPerSession(multiround.CodedLayer):
+            def session(self, *args):
+                return {**super().session(*args), "decode_errors": 1}
+
+        original = multiround_descriptor()
+        scheme = dataclasses.replace(original, coded=OneErrorPerSession(original.coded.bias))
+        report = build_audit_report(scheme, mode="concrete", L=200, trials=2, sw_blocks=10)
+        assert report["pass"] is False
+        assert report["privacy"]["pass"] and report["correctness"]["pass"]
+        assert report["rate"]["concrete"]["decode_errors"] == 2
 
     def test_answer_stream_models_are_the_exact_marginals(self):
         # a1 = 1 with probability 1/4; a2 = 1 with probability 1/3 given a

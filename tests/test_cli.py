@@ -8,12 +8,16 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pirlab import cli, multiround, reproduce
+from pirlab.audit import _jsonify, build_audit_report
 from pirlab.cli import main
+from pirlab.coding import CodecConfig
 
 # SHA-256 of stdout and the exit code of commands whose JSON documents are
 # promised byte-identical across changes; perfbench/workloads.py checks the
@@ -34,15 +38,11 @@ GOLDEN = {
     ("reproduce", "--mode", "ideal"):
         (0, "5b95c9ddf08f2913c9a63ea7a2d7c93cc05206e0842708fa0d9e5193b3a6c1ad"),
     ("audit", "--scheme", "multiround", "--mode", "concrete"):
-        (0, "7b9ad64327873d971e1398778d7804162aec89b2d9f3433882a672a28b7dff4f"),
-    ("simulate", "--scheme", "multiround", "--mode", "concrete"):
-        (0, "dced4528db632374813f17f1c4c0932fa7d6e7f4a0dea4395b5a393bfc93fb2c"),
+        (0, "3c2042bc50fa7292f503ec345127e7606a356c407c2fd2c3796fe013820bb905"),
     ("audit", "--scheme", "linear", "--mode", "concrete"):
         (0, "81c137cb7bf77d2e5c99cf5ff1eb5299eaec34a8e35d546c056e2623048dce06"),
     ("audit", "--scheme", "multiround", "--storage", "replicated", "--mode", "concrete"):
         (1, "1cda018e26174aa7b73d382967780d58c43c2ad44a651499c934d5f943ba46c2"),
-    ("simulate", "--scheme", "linear", "--mode", "concrete"):
-        (0, "6b3659d72932272fda9df8b789807e325bf2cbf692ad435a908acf94f9888311"),
 }
 
 
@@ -95,66 +95,6 @@ class TestCapacity:
         assert main(["capacity", "-K", "2", "-N", "2", "-T", "5"]) == 2
 
 
-class TestSimulate:
-    def test_multiround_ideal_download(self, capsys):
-        code, doc = run_cli(capsys, "simulate", "--scheme", "multiround", "--mode", "ideal")
-        assert code == 0
-        assert doc["rate"]["ideal_download_per_message_bit"] == "1.5"
-        assert doc["pass"] is True
-
-    def test_multiround_concrete(self, capsys):
-        code, doc = run_cli(
-            capsys, "simulate", "--scheme", "multiround", "--mode", "concrete",
-            "-L", "2000", "--trials", "2", "--seed", "3", "--sw-blocks", "50",
-        )
-        assert code == 0
-        assert doc["decode_errors"] == 0
-        assert len(doc["sessions"]) == 2
-        mean = float(doc["rate"]["concrete"]["download_per_message_bit_mean"])
-        assert abs(mean - 1.5) < 0.05
-
-    def test_sessions_are_the_rate_trials(self, capsys):
-        code, doc = run_cli(
-            capsys, "simulate", "--mode", "concrete", "-L", "500", "--trials", "3", "--sw-blocks", "10",
-        )
-        assert code == 0
-        mean = sum(s["download_bits"] / 500 for s in doc["sessions"]) / 3
-        assert mean == pytest.approx(float(doc["rate"]["concrete"]["download_per_message_bit_mean"]), rel=1e-9)
-
-    def test_bin_estimate_uses_the_bias(self, capsys):
-        flags = ("--mode", "concrete", "--bias", "3/4", "--sw-blocks", "50", "-L", "200", "--trials", "1")
-        _, simulated = run_cli(capsys, "simulate", *flags)
-        _, audited = run_cli(capsys, "audit", *flags)
-        assert simulated["sw"] == audited["overhead"]["sw"]
-
-    def test_linear_runs_each_triple_once(self, capsys, monkeypatch):
-        runs = []
-        scheme = cli.linear_descriptor()
-
-        def run(msg, theta, f):
-            runs.append(None)
-            return scheme.run(msg, theta, f)
-
-        monkeypatch.setattr(cli, "linear_descriptor", lambda: dataclasses.replace(scheme, run=run))
-        code, _ = run_cli(capsys, "simulate", "--scheme", "linear")
-        assert code == 0
-        assert len(runs) == 1024
-
-    def test_nan_delta_exit_2(self, capsys):
-        assert main(["simulate", "--delta", "nan"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "rate_margin must be finite and positive" in captured.err
-
-    def test_linear_block(self, capsys):
-        code, doc = run_cli(
-            capsys, "simulate", "--scheme", "linear", "--mode", "concrete", "-L", "4",
-        )
-        assert code == 0
-        assert doc["expected_symbol_download"] == "6/1"
-        assert doc["decode_errors"] == 0
-
-
 @pytest.mark.parametrize("scheme", ["linear", "replicated"])
 @pytest.mark.parametrize("flag, value", [("--bias", "3/4"), ("--storage", "replicated")])
 def test_multiround_only_flags_rejected_for_other_schemes(capsys, scheme, flag, value):
@@ -163,7 +103,7 @@ def test_multiround_only_flags_rejected_for_other_schemes(capsys, scheme, flag, 
     assert captured.out == ""
     assert captured.err == f"error: {flag} applies only to --scheme multiround\n"
     # The default value, however spelled, is still accepted.
-    assert main(["simulate", "--scheme", scheme, "--bias", "0.5", "--storage", "split"]) == 0
+    assert main(["audit", "--scheme", scheme, "--bias", "0.5", "--storage", "split"]) == 0
 
 
 @pytest.mark.parametrize("scheme", ["multiround", "linear"])
@@ -175,7 +115,7 @@ def test_unparsable_bias_exit_2(capsys, scheme, value):
     assert captured.err == f"error: --bias must be a fraction such as 3/4, got {value!r}\n"
 
 
-@pytest.mark.parametrize("command", ["simulate", "audit", "reproduce"])
+@pytest.mark.parametrize("command", ["audit", "reproduce"])
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -207,7 +147,6 @@ def test_codec_flags_at_their_bounds_accepted(capsys):
     assert doc["pass"] is True
 
 
-@pytest.mark.parametrize("command", ["simulate", "audit"])
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -222,7 +161,7 @@ def test_codec_flags_at_their_bounds_accepted(capsys):
     ids=["L-1000001", "message-length-1e10", "trials-101", "sw-blocks-100001", "sw-blocks-1e8",
          "L-1e6-trials-11", "L-100001-trials-100"],
 )
-def test_run_sizes_bounded_before_any_draw(capsys, monkeypatch, command, flags, message):
+def test_run_sizes_bounded_before_any_draw(capsys, monkeypatch, flags, message):
     # Messages, coins and bin blocks are drawn by _draw, masks when CodecConfig is built.
     def refuse(*args, **kwargs):
         raise AssertionError("something was drawn")
@@ -230,7 +169,7 @@ def test_run_sizes_bounded_before_any_draw(capsys, monkeypatch, command, flags, 
     monkeypatch.setattr(cli, "CodecConfig", refuse)
     monkeypatch.setattr(multiround, "_draw", refuse)
     start = time.perf_counter()
-    assert main([command, "--mode", "concrete", *flags]) == 2
+    assert main(["audit", "--mode", "concrete", *flags]) == 2
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -244,16 +183,14 @@ def test_run_sizes_at_their_bounds_accepted():
         cli._check_run_sizes(cli.build_parser().parse_args(argv))
 
 
-@pytest.mark.parametrize("command", ["simulate", "audit"])
-def test_negative_sizes_refused_by_name_not_by_product(capsys, command):
-    assert main([command, "--mode", "concrete", "-L", "-5000000", "--trials", "-3"]) == 2
+def test_negative_sizes_refused_by_name_not_by_product(capsys):
+    assert main(["audit", "--mode", "concrete", "-L", "-5000000", "--trials", "-3"]) == 2
     assert capsys.readouterr().err == "error: concrete mode needs a message length L >= 1\n"
 
 
-@pytest.mark.parametrize("command", ["simulate", "audit"])
 @pytest.mark.parametrize("blocks", ["0", "-3"])
-def test_sw_blocks_below_one_exit_2(capsys, command, blocks):
-    argv = [command, "--mode", "concrete", "-L", "100", "--trials", "1", "--sw-blocks", blocks]
+def test_sw_blocks_below_one_exit_2(capsys, blocks):
+    argv = ["audit", "--mode", "concrete", "-L", "100", "--trials", "1", "--sw-blocks", blocks]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -283,6 +220,54 @@ class TestAudit:
         _, first = run_cli(capsys, "audit", "--scheme", "linear", "--seed", "11")
         _, second = run_cli(capsys, "audit", "--scheme", "linear", "--seed", "11")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_sessions_are_the_rate_trials(self, capsys):
+        code, doc = run_cli(
+            capsys, "audit", "--mode", "concrete", "-L", "500", "--trials", "3", "--sw-blocks", "10",
+        )
+        assert code == 0
+        concrete = doc["rate"]["concrete"]
+        assert len(concrete["sessions"]) == 3 and concrete["decode_errors"] == 0
+        mean = sum(s["download_bits"] / 500 for s in concrete["sessions"]) / 3
+        assert mean == pytest.approx(float(concrete["download_per_message_bit_mean"]), rel=1e-9)
+
+    def test_bin_estimate_uses_the_bias(self, capsys):
+        flags = ("--mode", "concrete", "--bias", "3/4", "--sw-blocks", "50", "-L", "200", "--trials", "1")
+        _, audited = run_cli(capsys, "audit", *flags, "--seed", "5")
+        estimate = multiround.sw_failure_rate(CodecConfig(seed=5), 50, 5, Fraction(3, 4))
+        assert audited["overhead"]["sw"] == json.loads(json.dumps(_jsonify(estimate)))
+
+    def test_library_and_cli_default_to_the_same_codec(self, capsys):
+        _, doc = run_cli(capsys, "audit", "--mode", "concrete", "--seed", "7", "-L", "400", "--trials", "2",
+                         "--sw-blocks", "50")
+        report = build_audit_report(multiround.multiround_descriptor(), mode="concrete", L=400, trials=2, seed=7, sw_blocks=50)
+        assert doc == json.loads(json.dumps(report))
+
+    def test_linear_runs_each_triple_once(self, capsys, monkeypatch):
+        runs = []
+        scheme = cli.linear_descriptor()
+
+        def run(msg, theta, f):
+            runs.append(None)
+            return scheme.run(msg, theta, f)
+
+        monkeypatch.setattr(cli, "linear_descriptor", lambda: dataclasses.replace(scheme, run=run))
+        code, _ = run_cli(capsys, "audit", "--scheme", "linear")
+        assert code == 0
+        assert len(runs) == 1024
+
+    def test_nan_delta_exit_2(self, capsys):
+        assert main(["audit", "--delta", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rate_margin must be finite and positive" in captured.err
+
+    def test_linear_block(self, capsys):
+        code, doc = run_cli(capsys, "audit", "--scheme", "linear", "--mode", "concrete", "-L", "4")
+        assert code == 0
+        assert doc["rate"]["expected_symbol_download_per_block"] == "6/1"
+        assert doc["rate"]["concrete"]["download_per_message_bit_mean"] == "1.5"
+        assert doc["correctness"]["errors"] == 0
 
 
 class TestReproduce:
@@ -370,6 +355,35 @@ def test_every_top_level_definition_has_a_caller():
     assert uncalled == []
 
 
+def test_every_class_member_has_a_caller():
+    # A non-dunder method, property or classmethod of a src/pirlab class must
+    # be named as an attribute or a variable, outside its own definition, by
+    # package code (__init__.py excluded) or by perfbench/; tests alone are
+    # not a caller.
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "pirlab").glob("*.py"))
+    callers = [path for path in package if path.name != "__init__.py"]
+    callers += sorted((root / "perfbench").glob("*.py"))
+
+    def names(node) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    trees = {path: ast.parse(path.read_text()) for path in package + callers}
+    used = sum((names(trees[path]) for path in callers), Counter())
+    uncalled = [
+        f"{path.stem}.{cls.name}.{member.name}"
+        for path in package
+        for cls in ast.walk(trees[path]) if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not (member.name.startswith("__") and member.name.endswith("__"))
+        and used[member.name] == (names(member)[member.name] if path in callers else 0)
+    ]
+    assert uncalled == []
+
+
 # Underscore names one package module imports from another, by (importer,
 # module). The list only shrinks: a private name another module needs is
 # named here, or made public.
@@ -431,10 +445,8 @@ def test_benchmark_self_check_passes():
         "replicated",
         "reproduce-ideal",
         "audit-multiround-concrete",
-        "simulate-multiround-concrete",
         "audit-linear-concrete",
         "audit-multiround-replicated-concrete",
-        "simulate-linear-concrete",
     ],
 )
 def test_golden_stdout_digest(capsys, monkeypatch, argv):

@@ -26,6 +26,7 @@ from pirlab.coding import (
     sw_encode,
 )
 from pirlab.audit import answer_stream_models, measure_overhead
+from pirlab.dist import ExactDist, entropy
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
 
 F = Fraction
@@ -93,7 +94,7 @@ class TestSourceModel:
             SourceModel((0, 1), {0: F(1, 2), 2: F(1, 2)})
 
     def test_entropy(self):
-        assert BERN_QUARTER.entropy_bits() == pytest.approx(
+        assert entropy(ExactDist(BERN_QUARTER.probabilities)) == pytest.approx(
             2 - 0.75 * math.log2(3), abs=1e-9
         )
 
@@ -151,7 +152,7 @@ class TestEntropyCoder:
         symbols = biased_bits()
         stream = entropy_encode(symbols, BERN_QUARTER)
         per_symbol = stream_payload_bits(stream) / n
-        h = BERN_QUARTER.entropy_bits()
+        h = entropy(ExactDist(BERN_QUARTER.probabilities))
         assert h - 0.01 <= per_symbol <= h + 0.01
         assert entropy_decode(stream, BERN_QUARTER, n) == symbols
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pirlab import multiround
 from pirlab.audit import measure_rate
-from pirlab.coding import CodecConfig
+from pirlab.coding import CodecConfig, SourceModel
 from pirlab.multiround import (
     ASK_X1,
     ASK_X2,
@@ -253,6 +253,16 @@ class TestDescriptor:
         for call in calls:
             with pytest.raises(ValueError, match="^bias must be strictly between 0 and 1$"):
                 call()
+
+    def test_bias_checked_once_per_call(self, monkeypatch):
+        checks = []
+        check = multiround._check_bias
+        monkeypatch.setattr(multiround, "_check_bias", lambda bias: checks.append(bias) or check(bias))
+        sw_failure_rate(CodecConfig(), 50, 0, F(3, 4))
+        assert checks == [F(3, 4)]
+        fair = SourceModel.bernoulli(F(1, 2))
+        CodedLayer(F(3, 4)).session(1, 64, 0, (fair, fair))
+        assert checks == [F(3, 4)] * 2
 
     def test_bias_weights(self):
         scheme = multiround_descriptor(bias=F(3, 4))
