@@ -399,6 +399,55 @@ class TestEnumerationCounts:
             build_audit_report(scheme, **{"mode": "concrete", **flags})
         assert calls == {"run": 0, "store": 0}
 
+    @pytest.mark.parametrize("descriptor", [linear_descriptor, replicated_descriptor])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ({"seed": "x"}, "^seed must be an int, got 'x'$"),
+            ({"codec": 5}, "^codec must be a CodecConfig, got 5$"),
+            ({"trials": 0}, "^trials must be at least 1$"),
+            ({"L": 6}, "^L must be a multiple of the native block 4$"),
+        ],
+        ids=["seed-x", "codec-5", "trials-0", "L-6"],
+    )
+    def test_uncoded_audits_refuse_bad_flags_before_any_session(self, descriptor, flags, message):
+        # Uncoded schemes take the face-value branch of the concrete rate; the
+        # flags are still refused before their pass.
+        scheme, calls = self.counted(descriptor())
+        with pytest.raises(ValueError, match=message):
+            build_audit_report(scheme, **{"mode": "concrete", "L": 8, "trials": 2, "sw_blocks": 10, **flags})
+        assert calls == {"run": 0, "store": 0}
+
+    @pytest.mark.parametrize(
+        "descriptor, flags, message",
+        [
+            *(
+                (multiround_descriptor, {"mode": mode, "seed": seed},
+                 f"^seed must be an int, got {re.escape(repr(seed))}$")
+                for seed in (1.5, True, "x") for mode in ("ideal", "concrete")
+            ),
+            (multiround_descriptor, {"trials": 0}, "^trials must be at least 1$"),
+            (multiround_descriptor, {"L": 0}, "^concrete mode needs a message length L >= 1$"),
+            (multiround_descriptor, {"trials": 2.5}, r"^trials must be an int, got 2\.5$"),
+            (multiround_descriptor, {"L": 100.5}, r"^L must be an int, got 100\.5$"),
+            (multiround_descriptor, {"trials": True}, "^trials must be an int, got True$"),
+            (linear_descriptor, {"L": 8.0}, r"^L must be an int, got 8\.0$"),
+            (linear_descriptor, {"L": 10_001}, "^L must be a multiple of the native block 4$"),
+            (linear_descriptor, {"mode": "bogus"}, "^mode must be 'ideal' or 'concrete'$"),
+        ],
+        ids=[
+            *(f"seed-{seed}-{mode}" for seed in ("1.5", "True", "x") for mode in ("ideal", "concrete")),
+            "trials-0", "L-0", "trials-2.5", "L-100.5", "trials-True", "linear-L-8.0", "linear-L-10001",
+            "mode",
+        ],
+    )
+    def test_measure_rate_refuses_bad_flags_before_any_session(self, descriptor, flags, message):
+        # measure_rate reads the audit's rate flags through the same check.
+        scheme, calls = self.counted(descriptor())
+        with pytest.raises(ValueError, match=message):
+            measure_rate(scheme, **{"mode": "concrete", "L": 200, "trials": 2, **flags})
+        assert calls == {"run": 0, "store": 0}
+
 
 class TestCorrectness:
     @pytest.mark.parametrize(
@@ -699,6 +748,41 @@ class TestConcreteAccounting:
         assert report["pass"] is False
         assert report["privacy"]["pass"] and report["correctness"]["pass"]
         assert report["rate"]["concrete"]["decode_errors"] == 2
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            multiround_descriptor,
+            partial(multiround_descriptor, bias=F(3, 4)),
+            partial(multiround_descriptor, storage="replicated"),
+            linear_descriptor,
+            replicated_descriptor,
+        ],
+        ids=["multiround", "multiround-bias-3-4", "multiround-replicated", "linear", "replicated"],
+    )
+    def test_concrete_rate_lists_sessions_only_when_coded(self, descriptor):
+        scheme = descriptor()
+        concrete = build_audit_report(scheme, mode="concrete", L=40, trials=3, sw_blocks=10)["rate"]["concrete"]
+        if scheme.coded is None:
+            # Uncoded answers are charged at face value: one exact figure, no trials run.
+            assert "sessions" not in concrete and "decode_errors" not in concrete
+            assert concrete["download_per_message_bit_ci95"] == [concrete["download_per_message_bit_mean"]] * 2
+            return
+        keys = {"db1_bits", "db2_bits", "download_bits", "round2_symbols", "decode_errors"}
+        assert [set(run) for run in concrete["sessions"]] == [keys] * 3
+        assert concrete["decode_errors"] == sum(run["decode_errors"] for run in concrete["sessions"]) == 0
+
+    @pytest.mark.parametrize(
+        "descriptor", [multiround_descriptor, partial(multiround_descriptor, bias=F(3, 4))],
+        ids=["multiround", "multiround-bias-3-4"],
+    )
+    def test_default_codec_is_seeded_by_the_report_seed(self, descriptor):
+        # The bin estimate and the bin storage read the codec's masks.
+        flags = {"mode": "concrete", "L": 400, "trials": 1, "seed": 7, "sw_blocks": 50}
+        default = build_audit_report(descriptor(), **flags)
+        assert default == build_audit_report(descriptor(), **flags, codec=CodecConfig(seed=7))
+        estimate = sw_failure_rate(CodecConfig(seed=7), 50, 7, descriptor().coded.bias)
+        assert default["overhead"]["sw"] == audit._jsonify(estimate)
 
     def test_answer_stream_models_are_the_exact_marginals(self):
         # a1 = 1 with probability 1/4; a2 = 1 with probability 1/3 given a

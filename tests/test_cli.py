@@ -221,6 +221,43 @@ class TestAudit:
         _, second = run_cli(capsys, "audit", "--scheme", "linear", "--seed", "11")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
+    def test_multiround_ideal_download(self, capsys):
+        code, doc = run_cli(capsys, "audit", "--scheme", "multiround", "--mode", "ideal")
+        assert code == 0
+        assert doc["rate"]["ideal_download_per_message_bit"] == "1.5"
+        assert "concrete" not in doc["rate"]
+
+    def test_multiround_concrete(self, capsys):
+        code, doc = run_cli(
+            capsys, "audit", "--scheme", "multiround", "--mode", "concrete",
+            "-L", "2000", "--trials", "2", "--seed", "3", "--sw-blocks", "50",
+        )
+        assert code == 0
+        concrete = doc["rate"]["concrete"]
+        assert concrete["decode_errors"] == 0
+        assert len(concrete["sessions"]) == 2
+        assert abs(float(concrete["download_per_message_bit_mean"]) - 1.5) < 0.05
+
+    @pytest.mark.parametrize(
+        "flags", [("--bias", "3/4"), ("--storage", "replicated")], ids=["bias-3-4", "storage-replicated"],
+    )
+    def test_negative_controls_fail_on_privacy_alone(self, capsys, flags):
+        # Both variants still decode every message; only privacy fails them.
+        code, doc = run_cli(capsys, "audit", "--mode", "concrete", "-L", "400", "--trials", "2",
+                            "--sw-blocks", "10", *flags)
+        assert code == 1
+        assert doc["privacy"]["pass"] is False
+        assert doc["correctness"]["pass"] is True and doc["correctness"]["errors"] == 0
+        assert doc["rate"]["concrete"].get("decode_errors", 0) == 0
+
+    def test_simulate_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--mode", "concrete"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'simulate'" in captured.err
+
     def test_sessions_are_the_rate_trials(self, capsys):
         code, doc = run_cli(
             capsys, "audit", "--mode", "concrete", "-L", "500", "--trials", "3", "--sw-blocks", "10",

@@ -28,6 +28,8 @@ from pirlab.multiround import (
 
 F = Fraction
 SCHEME = multiround_descriptor()
+# DB1's (x1, x2) cell pair takes three values; a model need not be exact to code them.
+UNIFORM_CELLS = SourceModel(((0, 0), (0, 1), (1, 0)), dict.fromkeys(((0, 0), (0, 1), (1, 0)), F(1, 3)))
 
 
 class TestCells:
@@ -263,6 +265,25 @@ class TestDescriptor:
         fair = SourceModel.bernoulli(F(1, 2))
         CodedLayer(F(3, 4)).session(1, 64, 0, (fair, fair))
         assert checks == [F(3, 4)] * 2
+
+    @pytest.mark.parametrize(
+        "call, rechecks",
+        [
+            (lambda layer, fair: layer.session(1, 64, 0, (fair, fair)), 0),
+            (lambda layer, fair: layer.storage_bits(64, 0, CodecConfig(), UNIFORM_CELLS), 0),
+            (lambda layer, fair: layer.bin_failures(CodecConfig(), 50, 0), 1),
+        ],
+        ids=["session", "storage_bits", "bin_failures"],
+    )
+    def test_coded_layer_draws_without_rechecking_the_bias(self, monkeypatch, call, rechecks):
+        # A built layer's bias is already checked; only sw_failure_rate's
+        # entry checks it again, once, and no drawn block or position does.
+        layer, fair = CodedLayer(F(3, 4)), SourceModel.bernoulli(F(1, 2))
+        checks = []
+        check = multiround._check_bias
+        monkeypatch.setattr(multiround, "_check_bias", lambda bias: checks.append(bias) or check(bias))
+        call(layer, fair)
+        assert checks == [F(3, 4)] * rechecks
 
     def test_bias_weights(self):
         scheme = multiround_descriptor(bias=F(3, 4))
