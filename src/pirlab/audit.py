@@ -6,7 +6,8 @@ Privacy evidence is exhaustive enumeration with exact rational weights; a
 pass means the total variation distance is the rational 0, never "small".
 Every exact measurement is a projection of one weighted pass over the
 message and randomness spaces (``_tabulate``) and a finishing step on its
-tables; an audit report runs that pass once, with every section's projection.
+tables. ``audit_sections`` runs that pass once, with every report section's
+projection, and ``build_audit_report`` renders the sections it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .capacity import check_rate_admissible, mtpir_capacity, storage_overhead
-from .coding import CodecConfig, SourceModel, _check_ints
+from .coding import CodecConfig, SourceModel, check_ints
 from .descriptor import EmptySpaceError, SchemeDescriptor
 from .dist import ExactDist, conditional_entropy, conditional_mutual_information, entropy, total_variation
 from .seeds import derive_seed
@@ -358,8 +359,16 @@ def _profile(scheme: SchemeDescriptor) -> list[_Projection]:
 def _with_product(p: _Projection) -> _Projection:
     """``p`` finishing to the pair (its result, the product's ``compose``
     result) from the same tables: one pass measures a scheme and the two-copy
-    product of it."""
-    return p._replace(finish=lambda tables: (p.finish(tables), p.compose(tables)))
+    product of it. A scheme that is itself a product is enumerated."""
+    return p._replace(finish=lambda tables: (p.finish(tables), p.compose(tables)), compose=None)
+
+
+def symmetrized_profiles(scheme: SchemeDescriptor) -> tuple[dict, dict]:
+    """``scheme_profile`` of ``scheme`` and of ``symmetrize(scheme)``, from one
+    pass over ``scheme``: each projection's finish profiles the scheme, and
+    its compose the two-copy product, from the same tables."""
+    profiles, storage = _tabulate(scheme, _thetas(scheme), [_with_product(p) for p in _profile(scheme)])
+    return tuple({**profile, "storage_bits": bits} for profile, bits in zip(profiles, storage))
 
 
 def _upload(scheme: SchemeDescriptor, thetas: Sequence[int]) -> _Projection:
@@ -450,11 +459,11 @@ def _check_flags(
     """Reject bad accounting flags before any session runs."""
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
-    _check_ints(seed=seed)
+    check_ints(seed=seed)
     if codec is not None and not isinstance(codec, CodecConfig):
         raise ValueError(f"codec must be a CodecConfig, got {codec!r}")
     if mode == "concrete":
-        _check_ints(L=1 if L is None else L, trials=trials, sw_blocks=sw_blocks)
+        check_ints(L=1 if L is None else L, trials=trials, sw_blocks=sw_blocks)
         if L is None or L < 1:
             raise ValueError("concrete mode needs a message length L >= 1")
         if trials < 1:
@@ -534,23 +543,11 @@ def _concrete_overhead(
 # --- Entropy identities and converse spot checks ---------------------------
 
 
-def coupled_session_joint(scheme: SchemeDescriptor) -> tuple[ExactDist, dict[str, tuple[int, ...]]]:
-    """Joint law of messages, randomness and both desired-index sessions.
-
-    Sessions for theta = 1 and theta = 2 are coupled through the shared
-    (message, randomness) sample, which is exactly what the identity and
-    converse quantities range over. Each named group is one coordinate that
-    holds the group's symbol tuple. Only defined for single-round schemes.
-    """
-    coupled = _coupled(scheme)
-    if not coupled:
-        raise ValueError("coupled session joint is defined for single-round schemes")
-    return _tabulate(scheme, (1, 2), coupled)[0]
-
-
 def _coupled(scheme: SchemeDescriptor) -> list[_Projection]:
-    """``coupled_session_joint``'s projection in a list, or [] unless single-round:
-    the one place that decides it. The pass's thetas start (1, 2)."""
+    """The coupled joint's projection in a list, [] unless single-round (decided
+    only here). It finishes to the law of messages, randomness and the sessions
+    at thetas (1, 2), coupled through their shared sample as the identities and
+    converse read them, and to the coordinate of each named group."""
     if scheme.params.rounds != 1:
         return []
     databases = range(1, scheme.params.num_databases + 1)
@@ -571,7 +568,10 @@ def _coupled(scheme: SchemeDescriptor) -> list[_Projection]:
 def verify_entropy_identities(scheme: SchemeDescriptor) -> list[dict]:
     """Exact-enumeration checks of the answer-entropy identities that pin the
     storage lower bound for single-round rate-2/3 zero-error schemes."""
-    return _identities(scheme, *coupled_session_joint(scheme))
+    coupled = _coupled(scheme)
+    if not coupled:
+        raise ValueError("entropy identities are defined for single-round schemes")
+    return _identities(scheme, *_tabulate(scheme, (1, 2), coupled)[0])
 
 
 def real_holds(value: float, target: float, relation: str = "==") -> bool:
@@ -627,9 +627,7 @@ def verify_converse_bounds(scheme: SchemeDescriptor) -> list[dict]:
     bound I(...) >= L * T / N. Every scheme also gets the exact
     rate-vs-capacity check.
     """
-    coupled = _coupled(scheme)
-    download, *coupled = _tabulate(scheme, (1, 2) if coupled else (1,), [_download(scheme)] + coupled)
-    return _converse(scheme, download, coupled)
+    return exact_sections(scheme)["converse"]
 
 
 def _converse(scheme: SchemeDescriptor, download: dict, coupled: list) -> list[dict]:
@@ -663,23 +661,24 @@ def _converse(scheme: SchemeDescriptor, download: dict, coupled: list) -> list[d
     return checks
 
 
-def _exact_sections(scheme: SchemeDescriptor, thetas: Sequence[int], *extra: _Projection) -> tuple:
+def exact_sections(scheme: SchemeDescriptor, **extra: _Projection) -> dict:
     """The rate, overhead, converse and entropy-identity sections from one pass
-    over ``thetas``, which start (1, 2) for a single-round scheme, followed by
-    the results of the ``extra`` projections from the same pass. The
-    identities, premises of the single-round storage bound at capacity, are
-    None unless the scheme is single-round and its symbol rate is capacity."""
+    over every theta, and each ``extra`` projection's result from the same
+    pass under its keyword. The identities, premises of the single-round
+    storage bound at capacity, are None unless the scheme is single-round and
+    its symbol rate is capacity."""
     coupled = _coupled(scheme)
-    download, storage, *results = _tabulate(scheme, thetas, [_download(scheme), _storage(scheme), *coupled, *extra])
+    projections = [_download(scheme), _storage(scheme), *coupled, *extra.values()]
+    download, storage, *results = _tabulate(scheme, _thetas(scheme), projections)
     coupled, results = results[:len(coupled)], results[len(coupled):]
     at_capacity = coupled and download["symbol_rate"] == mtpir_capacity(scheme.params)
-    sections = {
+    return {
         "rate": download,
         "overhead": _finish_overhead(scheme, storage),
         "converse": _converse(scheme, download, coupled),
         "entropy_identities": _identities(scheme, *coupled[0]) if at_capacity else None,
+        **dict(zip(extra, results)),
     }
-    return sections, *results
 
 
 # --- Report assembly --------------------------------------------------------
@@ -708,15 +707,17 @@ def dist_table(d: ExactDist) -> dict[str, str]:
     return table
 
 
-def _jsonify(value):
+def jsonify(value):
+    """``value`` as JSON-ready data: rationals as ``fraction_str``, reals as
+    ``real_str``, tuple keys joined by commas and tuples as lists."""
     if isinstance(value, Fraction):
         return fraction_str(value)
     if isinstance(value, float):
         return real_str(value)
     if isinstance(value, dict):
-        return {_json_key(k): _jsonify(v) for k, v in value.items()}
+        return {_json_key(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+        return [jsonify(v) for v in value]
     return value
 
 
@@ -726,7 +727,7 @@ def _json_key(key) -> str:
     return str(key)
 
 
-def build_audit_report(
+def audit_sections(
     scheme: SchemeDescriptor,
     mode: str = "ideal",
     L: int = 10_000,
@@ -735,7 +736,9 @@ def build_audit_report(
     codec: CodecConfig | None = None,
     sw_blocks: int = 200,
 ) -> dict:
-    """Run the full audit battery for one scheme and return its JSON document.
+    """The full audit battery for one scheme, as plain values: every report
+    section, with ``views`` each database's view as an ``ExactDist`` keyed
+    (theta, database), and the overall ``"pass"``.
 
     Every exact section is a projection of one pass over all desired indices;
     in concrete mode that pass also gives a coded layer its exact models, and
@@ -747,12 +750,13 @@ def build_audit_report(
     params = scheme.params
     thetas = _thetas(scheme)
     coded = scheme.coded if mode == "concrete" else None
-    streams = [_answer_streams(scheme)] if coded is not None else []
-    sections, views, correctness, upload, *streams = _exact_sections(
-        scheme, thetas, _views(scheme, thetas), _correctness(scheme, thetas), _upload(scheme, thetas), *streams
+    streams = {"streams": _answer_streams(scheme)} if coded is not None else {}
+    sections = exact_sections(
+        scheme, views=_views(scheme, thetas), correctness=_correctness(scheme, thetas),
+        upload=_upload(scheme, thetas), **streams,
     )
-    stream_models, cell_model, stream_tv = streams[0] if streams else (None, None, None)
-    privacy = _privacy(scheme, views)
+    stream_models, cell_model, stream_tv = sections.pop("streams", (None, None, None))
+    privacy = _privacy(scheme, sections["views"])
     rate = _finish_rate(scheme, sections["rate"], mode, L, trials, seed, stream_models)
     overhead, converse, identities = sections["overhead"], sections["converse"], sections["entropy_identities"]
     if mode == "concrete":
@@ -765,7 +769,7 @@ def build_audit_report(
         "pass": converse[0]["pass"] and converse[1]["pass"],
     }
     leakage = None
-    verdicts = [privacy["pass"], correctness["pass"]]
+    verdicts = [privacy["pass"], sections["correctness"]["pass"]]
     if coded is not None:
         leakage = {
             "total_variation": stream_tv,
@@ -775,7 +779,8 @@ def build_audit_report(
         overhead["sw"] = coded.bin_failures(codec, sw_blocks, seed)
         verdicts.append(rate["concrete"]["decode_errors"] == 0)
     verdicts += [c["pass"] for c in (identities or []) + converse]
-    return _jsonify({
+    return {
+        **sections,
         "scheme": scheme.name,
         "parameters": {
             "num_messages": params.num_messages,
@@ -787,17 +792,19 @@ def build_audit_report(
             "seed": seed,
         },
         "privacy": privacy,
-        "correctness": correctness,
         "rate": rate,
-        "overhead": overhead,
-        "upload": upload,
         "capacity_check": capacity_check,
-        "entropy_identities": identities,
-        "converse": converse,
         "length_leakage": leakage,
-        "views": {
-            f"database_{n}_theta_1": dist_table(views[1, n])
-            for n in range(1, params.num_databases + 1)
-        },
         "pass": all(verdicts),
+    }
+
+
+def build_audit_report(scheme: SchemeDescriptor, **options) -> dict:
+    """``audit_sections(scheme, **options)`` as its JSON document: each
+    database's view at theta 1 as a ``dist_table``, every value ``jsonify``'d."""
+    sections = audit_sections(scheme, **options)
+    views = sections["views"]
+    return jsonify({
+        **sections,
+        "views": {f"database_{n}_theta_1": dist_table(views[1, n]) for n in range(1, scheme.params.num_databases + 1)},
     })

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import reproduce as reproduce_mod
-from .audit import _jsonify, build_audit_report, fraction_str, real_str
+from .audit import build_audit_report, fraction_str, jsonify, real_str
 from .capacity import PirParameters, mtpir_capacity
 from .coding import CodecConfig
 from .linear import linear_descriptor, replicated_descriptor
@@ -136,7 +136,7 @@ def cmd_audit(args) -> int:
 
 def cmd_reproduce(args) -> int:
     document = reproduce_mod.reproduce_all(mode=args.mode, seed=args.seed, codec=_codec_from_args(args))
-    _emit(_jsonify(document))
+    _emit(jsonify(document))
     return 0 if document["pass"] else 1
 
 

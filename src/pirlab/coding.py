@@ -331,7 +331,8 @@ _PAIR_TO_TRIT = {pair: i for i, pair in enumerate(Y_PAIRS)}
 _SIDE_INFO_BITS = 0.75 * math.log2(3)
 
 
-def _check_ints(**values) -> None:
+def check_ints(**values) -> None:
+    """Refuse, by keyword name, any value that is not an int; a bool is refused too."""
     for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an int, got {value!r}")
@@ -346,7 +347,7 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_ints(block_length=self.block_length, seed=self.seed)
+        check_ints(block_length=self.block_length, seed=self.seed)
         if self.block_length < 1:
             raise ValueError("block_length must be at least 1")
         margin = self.rate_margin
@@ -373,7 +374,7 @@ class SwBin:
     bin_bits: int
 
     def __post_init__(self):
-        _check_ints(bin_index=self.bin_index, bin_bits=self.bin_bits)
+        check_ints(bin_index=self.bin_index, bin_bits=self.bin_bits)
         # By bit length, so that a huge bin_bits builds no 2**bin_bits.
         if self.bin_index < 0 or self.bin_index.bit_length() > self.bin_bits:
             raise ValueError("bin_index out of range for bin_bits")

@@ -25,7 +25,7 @@ from itertools import chain, product
 from typing import NamedTuple, Sequence
 
 from .capacity import PirParameters
-from .coding import CodecConfig, SourceModel, _check_ints, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
+from .coding import CodecConfig, SourceModel, check_ints, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
 from .descriptor import SchemeDescriptor, check_theta, session_record
 from .seeds import derive_seed
 
@@ -293,7 +293,7 @@ def sw_failure_rate(
     induced (y1, y2) pair and indicator. A failure is an ambiguous bin
     (two or more consistent candidates); this is the scheme's epsilon.
     """
-    _check_ints(blocks=blocks, seed=seed)
+    check_ints(blocks=blocks, seed=seed)
     if not isinstance(codec, CodecConfig):
         raise ValueError(f"codec must be a CodecConfig, got {codec!r}")
     if blocks < 1:

@@ -3,10 +3,11 @@
 Each row states what was expected, what was measured, and whether it passed;
 the CLI serializes the bundle as JSON. Ideal mode runs only the exact rows
 (no Monte-Carlo, well under a second); full mode adds the finite-length
-coding rows. The exact rows enumerate each scheme once: ``exact_passes``
-makes one pass each over multiround, linear and replicated for criteria 3,
-5, 6c, 7, 8 and 9, criterion 4 one over each negative control, and criterion 10
-one over the asymmetric toy, from which it also composes ``symmetrize(toy)``.
+coding rows. The exact rows read ``audit``'s public sections and enumerate
+each scheme once: ``exact_passes`` makes one pass each over multiround,
+linear and replicated for criteria 3, 5, 6c, 7, 8 and 9, criterion 4 one over
+each negative control, and criterion 10 one over the asymmetric toy, from
+which ``symmetrized_profiles`` also composes ``symmetrize(toy)``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .audit import (
-    _exact_sections, _privacy, _profile, _tabulate, _thetas, _views, _with_product, check_privacy, measure_rate,
-    real_holds,
-)
+from .audit import audit_sections, check_privacy, exact_sections, measure_rate, real_holds, symmetrized_profiles
 from .capacity import PirParameters, mtpir_capacity, storage_overhead
 from .coding import CodecConfig, sw_bin_bits
 from .dist import ExactDist, marginal
@@ -47,16 +45,13 @@ def _row(criterion: str, description: str, expected, measured, ok: bool) -> dict
 
 def exact_passes() -> dict[str, dict]:
     """What criteria 3, 5, 6c, 7, 8 and 9 read, from one pass per scheme over
-    theta in (1, 2), by scheme name: an audit report's ``rate``, ``overhead``,
-    ``converse`` and ``entropy_identities`` sections, unserialised, and
-    multiround's ``privacy`` and ``view`` as ``check_privacy`` and
-    ``enumerate_view`` at theta 1, database 2."""
-    thetas = (1, 2)
-    multiround = multiround_descriptor()
-    sections, views = _exact_sections(multiround, thetas, _views(multiround, thetas))
-    passes = {"multiround": {**sections, "privacy": _privacy(multiround, views), "view": views[1, 2]}}
+    every theta, by scheme name: multiround's ideal ``audit_sections``, and
+    linear's and replicated's ``exact_sections``, their ``rate``,
+    ``overhead``, ``converse`` and ``entropy_identities`` alone: the report's
+    other sections would add about a fifth to an ideal reproduce's time."""
+    passes = {"multiround": audit_sections(multiround_descriptor())}
     for scheme in (linear_descriptor(), replicated_descriptor()):
-        (passes[scheme.name],) = _exact_sections(scheme, thetas)
+        passes[scheme.name] = exact_sections(scheme)
     return passes
 
 
@@ -112,7 +107,7 @@ def criterion_multiround_correctness() -> dict:
 
 
 def criterion_exact_privacy(passes: dict) -> dict:
-    table = marginal(passes["multiround"]["view"], (0, 1, 2))
+    table = marginal(passes["multiround"]["views"][1, 2], (0, 1, 2))
     expected = ExactDist(EXPECTED_VIEW_TABLE)
     table_ok = table == expected
     privacy = passes["multiround"]["privacy"]
@@ -257,11 +252,8 @@ def criterion_converse(passes: dict) -> dict:
 def criterion_symmetrization() -> dict:
     toy = asymmetric_toy_descriptor()
     symmetric = symmetrize(toy)
-    # One pass over the toy: each projection's finish measures the toy, and
-    # its compose measures symmetrize(toy) from the same tables.
-    (before, after), (storage_before, storage_after) = _tabulate(
-        toy, _thetas(toy), [_with_product(p) for p in _profile(toy)]
-    )
+    before, after = symmetrized_profiles(toy)  # one pass over the toy
+    storage_before, storage_after = before["storage_bits"], after["storage_bits"]
     answers_after = [after["answer_entropy"][key] for key in ((1, 1), (1, 2), (2, 2))]
     rate_before = Fraction(toy.block_length) / before["expected_symbol_download"][1]
     rate_after = Fraction(symmetric.block_length) / after["expected_symbol_download"][1]

@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from pirlab import reproduce
-from pirlab.audit import _jsonify
+from pirlab.audit import jsonify
 from pirlab.coding import CodecConfig
 
 SEED = 0
@@ -30,7 +30,7 @@ CODEC = CodecConfig(block_length=16, rate_margin=0.15, seed=SEED)
 def check(row: dict):
     """Print the row's PASS/FAIL line, assert its verdict, return its measurements."""
     verdict = "PASS" if row["pass"] else "FAIL"
-    measured = json.dumps(_jsonify(row["measured"]), sort_keys=True)
+    measured = json.dumps(jsonify(row["measured"]), sort_keys=True)
     print(f"criterion {row['criterion']}: {verdict} - {row['description']}: {measured}")
     assert row["pass"], measured
     return row["measured"]

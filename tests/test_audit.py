@@ -16,7 +16,6 @@ from pirlab.audit import (
     build_audit_report,
     check_privacy,
     conditional_mutual_information,
-    coupled_session_joint,
     enumerate_view,
     exhaustive_correctness,
     fraction_str,
@@ -24,6 +23,7 @@ from pirlab.audit import (
     measure_rate,
     real_str,
     scheme_profile,
+    symmetrized_profiles,
     upload_bits,
     verify_converse_bounds,
     verify_entropy_identities,
@@ -273,7 +273,6 @@ class TestEnumerationCounts:
             return tabulate(scheme, thetas, projections)
 
         monkeypatch.setattr(audit, "_tabulate", counted_tabulate)
-        monkeypatch.setattr(reproduce, "_tabulate", counted_tabulate)
         assert reproduce.reproduce_all(mode="ideal")["pass"]
         names = ["asymmetric-toy", "linear", "multiround", "multiround-bias-3-4",
                  "multiround-replicated", "replicated"]
@@ -296,7 +295,7 @@ class TestEnumerationCounts:
             scheme = factory()
             report = build_audit_report(scheme)
             for key in ("rate", "overhead", "converse", "entropy_identities"):
-                assert report[key] == audit._jsonify(passes[scheme.name][key]), (scheme.name, key)
+                assert report[key] == audit.jsonify(passes[scheme.name][key]), (scheme.name, key)
         assert report["entropy_identities"] is None
 
     def test_reproduce_passes_equal_the_public_measurements(self):
@@ -309,17 +308,14 @@ class TestEnumerationCounts:
             assert entry["converse"] == verify_converse_bounds(scheme)
         multiround = multiround_descriptor()
         assert passes["multiround"]["privacy"] == check_privacy(multiround)
-        assert passes["multiround"]["view"] == enumerate_view(multiround, theta=1, database=2)
+        assert passes["multiround"]["views"][1, 2] == enumerate_view(multiround, theta=1, database=2)
         assert passes["linear"]["entropy_identities"] == verify_entropy_identities(linear_descriptor())
         assert passes["multiround"]["entropy_identities"] is None
         assert passes["replicated"]["entropy_identities"] is None
 
     def test_one_toy_pass_profiles_the_toy_and_its_symmetrisation(self):
         toy = asymmetric_toy_descriptor()
-        projections = [audit._with_product(p) for p in audit._profile(toy)]
-        (before, after), (storage_before, storage_after) = audit._tabulate(toy, (1, 2), projections)
-        assert {**before, "storage_bits": storage_before} == scheme_profile(toy)
-        assert {**after, "storage_bits": storage_after} == scheme_profile(symmetrize(toy))
+        assert symmetrized_profiles(toy) == (scheme_profile(toy), scheme_profile(symmetrize(toy)))
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -782,7 +778,7 @@ class TestConcreteAccounting:
         default = build_audit_report(descriptor(), **flags)
         assert default == build_audit_report(descriptor(), **flags, codec=CodecConfig(seed=7))
         estimate = sw_failure_rate(CodecConfig(seed=7), 50, 7, descriptor().coded.bias)
-        assert default["overhead"]["sw"] == audit._jsonify(estimate)
+        assert default["overhead"]["sw"] == audit.jsonify(estimate)
 
     def test_answer_stream_models_are_the_exact_marginals(self):
         # a1 = 1 with probability 1/4; a2 = 1 with probability 1/3 given a
@@ -844,7 +840,8 @@ class TestIdentitiesAndConverse:
         # the conditional laws non-dyadic, so a reordered sum shows in the
         # last bits. A target in another order, or every coordinate not
         # given by default, groups alike.
-        joint, g = coupled_session_joint(linear_descriptor())
+        scheme = linear_descriptor()
+        ((joint, g),) = audit._tabulate(scheme, (1, 2), audit._coupled(scheme))
         laws = [joint]
         for period in (3, 7):
             counts = {o: c * (1 + i % period) for i, (o, c) in enumerate(joint.counts.items())}
@@ -878,7 +875,8 @@ class TestIdentitiesAndConverse:
         assert [v.hex() for v in per_db] == [v.hex() for v in via_marginal]
 
     def test_conditional_mutual_information_chain_rule(self):
-        joint, groups = coupled_session_joint(linear_descriptor())
+        scheme = linear_descriptor()
+        ((joint, groups),) = audit._tabulate(scheme, (1, 2), audit._coupled(scheme))
         value = conditional_mutual_information(
             joint, groups["A2^1"], groups["A2^2"], groups["W1"] + groups["F"]
         )

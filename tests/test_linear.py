@@ -21,6 +21,7 @@ from pirlab.audit import (
     measure_overhead,
     measure_rate,
     scheme_profile,
+    symmetrized_profiles,
 )
 from pirlab.capacity import PirParameters
 from pirlab.descriptor import SchemeDescriptor, SessionRecord
@@ -75,6 +76,19 @@ def faulty_component() -> SchemeDescriptor:
         )
 
     return SchemeDescriptor("faulty", PirParameters(2, 2, 1), message_space, randomness_space, store, run)
+
+
+def overlap_component() -> SchemeDescriptor:
+    """``faulty_component`` with views that differ at both databases over
+    partly shared supports: DB1's query is theta on coin 1 and "s" on coin 0,
+    DB2's the reverse. A product's two factors then both differ, and each
+    holds outcomes that only one theta's law has."""
+    faulty = faulty_component()
+
+    def run(msg, theta, f):
+        return faulty.run(msg, theta, f)._replace(queries=((theta,) if f else ("s",), ("s",) if f else (theta,)))
+
+    return dataclasses.replace(faulty, name="overlap", run=run)
 
 
 class TestStore:
@@ -393,6 +407,22 @@ class TestComposition:
         # Per theta, 16 messages x 4 coin pairs; at theta = 2 every message
         # fails on the 3 coin pairs that hold a 1: 48 errors.
         assert exhaustive_correctness(symmetric) == {"cases": 128, "errors": 48, "pass": False}
+
+    def test_composed_privacy_over_partly_shared_supports(self, monkeypatch):
+        # The product's total variation sums over outcomes missing from one
+        # factor's table; composed, it equals the enumerated 64 sessions.
+        symmetric = symmetrize(overlap_component())
+        enumerated = check_privacy(dataclasses.replace(symmetric, product=None))
+        monkeypatch.setattr(audit, "EXHAUSTION_LIMIT", 8)
+        privacy = check_privacy(symmetric)
+        assert privacy == enumerated
+        assert [db["total_variation"][(1, 2)] for db in privacy["databases"]] == [F(113, 128), F(113, 128)]
+
+    def test_symmetrized_profiles_of_a_product_enumerate_it(self):
+        # A product cannot be composed again from its own pass: its profile
+        # is enumerated, and its symmetrisation composed from that.
+        symmetric = symmetrize(faulty_component())
+        assert same(symmetrized_profiles(symmetric), (scheme_profile(symmetric), scheme_profile(symmetrize(symmetric))))
 
     def test_one_exhaustive_pass_over_the_symmetrised_toy(self):
         # The oracle: the composed privacy, correctness, rate and storage
