@@ -37,10 +37,11 @@ class ExactDist:
     construction, by bulk C-level calls when every key is a tuple and every
     count positive: all weights are non-negative, they sum to exactly 1 (the
     counts to ``total``), zero-weight entries are dropped, and every outcome
-    has the same arity. ``alphabets`` is read per coordinate from the support.
+    has the same arity, which is kept. ``alphabets``, the symbols the support
+    takes at each coordinate, is derived from the support each time it is read.
     """
 
-    __slots__ = ("_counts", "_total", "_alphabets")
+    __slots__ = ("_counts", "_total", "_arity")
 
     def __init__(
         self,
@@ -69,15 +70,15 @@ class ExactDist:
             raise ValueError(f"weights must sum to exactly 1, got {Fraction(mass, total)}")
         self._counts = counts
         self._total = total
-        self._alphabets = tuple(map(frozenset, zip(*counts)))
+        (self._arity,) = arities
 
     @property
     def arity(self) -> int:
-        return len(self._alphabets)
+        return self._arity
 
     @property
     def alphabets(self) -> tuple[frozenset, ...]:
-        return self._alphabets
+        return tuple(map(frozenset, zip(*self._counts)))
 
     @property
     def counts(self) -> Mapping[tuple, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import product, repeat
 from operator import itemgetter
 
 from .capacity import PirParameters
@@ -24,10 +24,15 @@ TRIPLE_1 = "t1"
 TRIPLE_2 = "t2"
 
 BLOCK = 4
+_BLOCKS = frozenset(product((0, 1), repeat=BLOCK))  # the 16 valid blocks
 
 
 def _check_block(name: str, bits) -> None:
-    if not isinstance(bits, tuple) or len(bits) != BLOCK or any(b not in (0, 1) for b in bits):
+    try:
+        valid = isinstance(bits, tuple) and bits in _BLOCKS
+    except TypeError:  # an unhashable entry, such as a list
+        valid = False
+    if not valid:
         raise ValueError(f"{name} must be a {BLOCK}-bit tuple")
 
 
@@ -129,10 +134,12 @@ def linear_storage_entropy_bits() -> tuple[float, float]:
     return float(gf2_rank(list(_S1_MASKS))), float(gf2_rank(list(_S2_MASKS)))
 
 
-def _uniform_message_space():
-    weight = Fraction(1, 256)
-    for bits in product((0, 1), repeat=8):
-        yield (bits[:4], bits[4:]), weight
+# The 256 equally likely message pairs (a, b), listed once with one shared
+# weight: every listing yields the same objects, so a store-memo hit on a
+# listed message compares its key by identity.
+_UNIFORM_MESSAGES = tuple(
+    zip(((bits[:BLOCK], bits[BLOCK:]) for bits in product((0, 1), repeat=2 * BLOCK)), repeat(Fraction(1, 256)))
+)
 
 
 def _planned_scheme(name: str, store, plans: dict, coin_error: str) -> SchemeDescriptor:
@@ -170,7 +177,7 @@ def _planned_scheme(name: str, store, plans: dict, coin_error: str) -> SchemeDes
     return SchemeDescriptor(
         name=name,
         params=PirParameters(num_messages=2, num_databases=2, collusion=1, rounds=1),
-        message_space=_uniform_message_space,
+        message_space=partial(iter, _UNIFORM_MESSAGES),
         randomness_space=randomness_space,
         store=stored,
         run=run,

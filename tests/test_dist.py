@@ -8,6 +8,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from pirlab import dist
+from pirlab.audit import audit_sections
 from pirlab.dist import (
     ExactDist,
     conditional_entropy,
@@ -16,6 +18,7 @@ from pirlab.dist import (
     marginal,
     total_variation,
 )
+from pirlab.linear import linear_descriptor
 
 F = Fraction
 TOL = 1e-9
@@ -65,6 +68,35 @@ class TestExactDist:
     def test_alphabets_read_from_support(self):
         d = ExactDist({(0, "x"): F(1, 2), (1, "x"): F(1, 2), (2, "y"): F(0)})
         assert d.alphabets == (frozenset({0, 1}), frozenset({"x"}))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {(): 1},
+            {0: F(1, 4), 1: F(3, 4)},
+            {(0, "x", None): F(1, 3), (True, "y", (1, 2)): F(1, 3), (2.5, "x", None): F(1, 3)},
+        ],
+        ids=["arity-0", "scalar", "mixed"],
+    )
+    def test_arity_and_alphabets_equal_their_eager_definitions(self, weights):
+        d = ExactDist(weights)
+        outcomes = [key if isinstance(key, tuple) else (key,) for key in weights]
+        assert d.arity == len(outcomes[0])
+        assert d.alphabets == tuple(map(frozenset, zip(*outcomes)))
+        assert len(d.alphabets) == d.arity
+
+    def test_alphabets_built_only_where_read(self, monkeypatch):
+        # A deterministic cost count: an ideal audit reads alphabets only in
+        # its upload section, from 2 databases x 2 thetas of one query each.
+        built = []
+
+        def counted(*args):
+            built.append(frozenset(*args))
+            return built[-1]
+
+        monkeypatch.setattr(dist, "frozenset", counted, raising=False)
+        assert audit_sections(linear_descriptor())["pass"]
+        assert built == [frozenset({1, 2})] * 2 + [frozenset({"t1", "t2"})] * 2
 
     def test_outcome_outside_the_support_has_probability_zero(self):
         d = ExactDist({0: F(1, 4), 1: F(3, 4)})

@@ -3,7 +3,8 @@
 import dataclasses
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from typing import NamedTuple
 
 import pytest
 
@@ -185,6 +186,55 @@ class TestRetrieve:
         assert F(scheme.block_length) / download == F(2, 3)
 
 
+class FourBits(NamedTuple):
+    b1: int
+    b2: int
+    b3: int
+    b4: int
+
+
+BLOCK_CORPUS = [
+    (0, 1, 0, 1),
+    (True, False, 1, 0),
+    (1.0, 0, 0, 0),
+    FourBits(1, 0, 1, 1),
+    [1, 0, 0, 0],
+    (0, 1, 0),
+    (0, 1, 0, 1, 0),
+    (2, 0, 0, 0),
+    ("1", 0, 0, 0),
+    (None, 0, 0, 0),
+    ([0], 0, 0, 0),
+    None,
+    "0101",
+]
+
+# The uniform message space of the three 4-bit schemes, in product order.
+UNIFORM_MESSAGES = [((b[:4], b[4:]), Fraction(1, 256)) for b in product((0, 1), repeat=8)]
+
+
+class TestMessageSpace:
+    @pytest.mark.parametrize("factory", [linear_descriptor, replicated_descriptor, asymmetric_toy_descriptor])
+    def test_listed_in_product_order(self, factory):
+        assert list(factory().message_space()) == UNIFORM_MESSAGES
+
+    def test_listings_yield_the_same_objects(self):
+        # One listed tuple: a store-memo hit on a listed message compares by identity.
+        first = list(linear_descriptor().message_space())
+        assert len({id(p) for _, p in first}) == 1
+        for factory in (linear_descriptor, replicated_descriptor, asymmetric_toy_descriptor):
+            scheme = factory()
+            for listing in (list(scheme.message_space()), list(scheme.message_space())):
+                assert all(m is n and p is q for (m, p), (n, q) in zip(first, listing, strict=True))
+
+    def test_symmetrised_listing_unchanged(self):
+        expected = [
+            ((a1 + a2, b1 + b2), p1 * p2)
+            for ((a1, b1), p1), ((a2, b2), p2) in islice(product(UNIFORM_MESSAGES, repeat=2), 1100)
+        ]
+        assert list(islice(symmetrize(linear_descriptor()).message_space(), 1100)) == expected
+
+
 class TestChecking:
     """Blocks are checked at the public entry point and once per message per
     descriptor; what the memo holds never outlives its descriptor."""
@@ -218,6 +268,24 @@ class TestChecking:
     def test_list_block_refused_by_linear_store(self):
         with pytest.raises(ValueError, match="^a must be a 4-bit tuple$"):
             linear_store([1, 0, 0, 0], (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("bits", BLOCK_CORPUS, ids=repr)
+    def test_block_check_accepts_what_the_tuple_predicate_accepts(self, bits):
+        # The reference is the element-by-element predicate that the one
+        # lookup in the set of valid blocks replaced.
+        accepted = isinstance(bits, tuple) and len(bits) == 4 and all(b in (0, 1) for b in bits)
+        try:
+            stored = linear_store(bits, (0, 0, 0, 0))
+        except ValueError as error:
+            assert not accepted and str(error) == "a must be a 4-bit tuple"
+        except TypeError:
+            # A float bit equals an int bit, so it passes the check, as it
+            # passed the predicate, and then fails at the first XOR.
+            assert accepted and any(type(b) is float for b in bits)
+        else:
+            # With b = 0, each stored XOR is the a bit itself.
+            a1, a2, a3, a4 = bits
+            assert accepted and stored == ((a1, a3, 0, 0, a2, a4), (a2, a4, 0, 0, a3, a1))
 
     @pytest.fixture
     def checks(self, monkeypatch):
