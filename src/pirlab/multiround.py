@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, product
 from typing import NamedTuple, Sequence
 
@@ -49,20 +50,26 @@ _Q2_CODES = {NO_QUERY: 0, ASK_Y1: 1, ASK_Y2: 1}
 _A2_CODES = {None: 0, 0: 1, 1: 2}
 # _WHERE[k] translates a code byte to b"1" where it equals k, else b"0".
 _WHERE = tuple(bytes(48 + (code == k) for code in range(256)) for k in range(3))
-# At most this many positions fit one byte of two-bit lanes. Bitsets that
-# short are unpacked and spread by table lookup instead of a string round
-# trip, and spelled from one byte of ``words`` instead of a chain.
+# At most this many positions fit one byte of two-bit lanes. Sequences and
+# bitsets that short are packed, unpacked and spread by table lookup instead
+# of a string round trip, and spelled by one index instead of a chain.
 _BYTE_POSITIONS = 4
 _UNPACKED = tuple(tuple(product((0, 1), repeat=n)) for n in range(_BYTE_POSITIONS + 1))
+# Bits -> bitset. A key matches the entries ``_BIT_VALUES`` admits (True, 1.0, ...).
+_PACKED = {bits: bitset for table in _UNPACKED for bitset, bits in enumerate(table)}
 _SPREAD = tuple(int(format(b, "b"), 4) for b in range(1 << _BYTE_POSITIONS))
 
 
 def _words(values: tuple) -> tuple:
-    """The values of four positions for each byte of base-4 codes; a byte
-    holding a code with no value maps to ()."""
+    """Per n up to _BYTE_POSITIONS, the values of n positions for each base-4
+    code of n lanes; a code with no value maps to (). The last table, one
+    byte per code, also spells longer sequences."""
     return tuple(
-        tuple(map(values.__getitem__, digits)) if max(digits) < len(values) else ()
-        for digits in product(range(4), repeat=4)
+        tuple(
+            tuple(map(values.__getitem__, digits)) if max(digits, default=0) < len(values) else ()
+            for digits in product(range(4), repeat=n)
+        )
+        for n in range(_BYTE_POSITIONS + 1)
     )
 
 
@@ -113,23 +120,36 @@ def _spread(bitset: int) -> int:
 
 def _spell(words: tuple, n: int, codes: int) -> tuple:
     """Per position, the value indexed by its lane of ``codes``, a sum of spread
-    bitsets; ``words`` maps each byte, four lanes, to their four values."""
-    pad = -n % 4
-    # One byte skips the chain: reproduce --mode ideal spells 3,648 times at
-    # n <= 3, beside 2,488 table unpacks and 4,864 table spreads.
+    bitsets; ``words`` is a ``_words`` table."""
+    # Short sessions spell by one index: reproduce --mode ideal spells 3,648
+    # times, all at n <= 3, beside 2,488 table unpacks, 4,864 table spreads
+    # and 1,528 table packs.
     if n <= _BYTE_POSITIONS:
-        return words[codes][pad:]
-    return tuple(chain.from_iterable(map(words.__getitem__, codes.to_bytes((n + pad) // 4, "big"))))[pad:]
+        return words[n][codes]
+    pad = -n % 4
+    byte_words = words[_BYTE_POSITIONS].__getitem__
+    return tuple(chain.from_iterable(map(byte_words, codes.to_bytes((n + pad) // 4, "big"))))[pad:]
 
 
 def _check_bits(name: str, bits: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    bits = tuple(bits)
+    """``bits`` as a tuple and its bitset; raises unless every entry is a bit.
+    A short tuple is one ``_PACKED`` lookup; a long one is never hashed."""
+    try:
+        bits = tuple(bits)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of bits") from None
+    if len(bits) <= _BYTE_POSITIONS:
+        try:
+            return bits, _PACKED[bits]
+        except (KeyError, TypeError):  # a non-bit entry, hashable or not
+            pass
     return bits, _pack(name, bits)
 
 
 @dataclass(frozen=True)
 class MessagePair:
-    """Two equal-length bit sequences."""
+    """Two equal-length bit sequences, with the bitsets of their four cell
+    conjunctions (x1, x2, y1, y2) computed once, when the pair is built."""
 
     w1: tuple[int, ...]
     w2: tuple[int, ...]
@@ -143,17 +163,17 @@ class MessagePair:
             raise ValueError("messages must be non-empty")
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "_packed", (packed1, packed2))
+        x2 = ((1 << len(w1)) - 1) & ~(packed1 | packed2)
+        object.__setattr__(self, "_cells", (packed1 & packed2, x2, packed1 & ~packed2, packed2 & ~packed1))
 
     @property
     def length(self) -> int:
         return len(self.w1)
 
 
-def _cell_bits(m: MessagePair) -> tuple[int, int, int, int]:
-    """The bitsets (x1, x2, y1, y2) of the four cell conjunctions."""
-    w1, w2 = m._packed
-    return w1 & w2, ((1 << m.length) - 1) & ~(w1 | w2), w1 & ~w2, w2 & ~w1
+def _check_pair(m: MessagePair) -> None:
+    if not isinstance(m, MessagePair):
+        raise ValueError("m must be a MessagePair")
 
 
 def _hits(coin: int, x1: int, x2: int) -> int:
@@ -187,6 +207,9 @@ class Transcript(NamedTuple):
     decoded: tuple[int, ...] | None = None
 
 
+_transcript = partial(tuple.__new__, Transcript)  # from one 7-tuple, in C, as session_record
+
+
 def _check_coin(coin: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
     coin, packed = _check_bits("coin", coin)
     if len(coin) != n:
@@ -195,16 +218,17 @@ def _check_coin(coin: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
 
 
 def derive_cells(m: MessagePair) -> CellTable:
-    """Evaluate the four cell conjunctions on every position at once."""
+    """Unpack the four cell conjunctions the pair stores."""
+    _check_pair(m)
     n = m.length
-    x1, x2, y1, y2 = _cell_bits(m)
+    x1, x2, y1, y2 = m._cells
     return CellTable(_unpack(x1, n), _unpack(x2, n), _unpack(y1, n), _unpack(y2, n))
 
 
 def _indicator(m: MessagePair, coin: Sequence[int]) -> tuple[int, ...]:
     """The indicator u: 0 exactly where the coin-selected x cell is 1."""
     n = m.length
-    x1, x2, _, _ = _cell_bits(m)
+    x1, x2, _, _ = m._cells
     return _unpack(((1 << n) - 1) & ~_hits(_check_coin(coin, n)[1], x1, x2), n)
 
 
@@ -227,8 +251,13 @@ def _answer(ask_y1: int, ask_y2: int, y1: int, y2: int) -> int:
 
 def decode(theta: int, t: Transcript) -> tuple[int, ...]:
     """Recover the desired message bits from a complete transcript: check its
-    queries and answers, then decode their bitsets with ``_decoded``."""
+    queries and answers, then decode their bitsets with ``_decoded``. The
+    transcript must be one for ``theta``."""
     check_theta(theta)
+    if not isinstance(t, Transcript):
+        raise ValueError("t must be a Transcript")
+    if theta != t.theta:
+        raise ValueError(f"theta {theta} does not match the transcript's theta {t.theta!r}")
     if not (len(t.q1) == len(t.a1) == len(t.q2) == len(t.a2)):
         raise ValueError("incomplete transcript")
     asked_x2 = _where(_codes("q1", t.q1, _Q1_CODES), 1)
@@ -253,10 +282,11 @@ def run_session(m: MessagePair, theta: int, coin: Sequence[int]) -> Transcript:
     the user asks round 2 with ``_round2``, DB2 answers with ``_answer`` and
     the user decodes with ``_decoded``; ``_spell`` writes them out per position.
     """
+    _check_pair(m)
     n = m.length
     coin, packed = _check_coin(coin, n)
     check_theta(theta)
-    x1, x2, y1, y2 = _cell_bits(m)
+    x1, x2, y1, y2 = m._cells
     hits = _hits(packed, x1, x2)
     ask_y1, ask_y2 = _round2(theta, packed, hits, n)
     ones = _answer(ask_y1, ask_y2, y1, y2)
@@ -264,7 +294,7 @@ def run_session(m: MessagePair, theta: int, coin: Sequence[int]) -> Transcript:
     q1 = _spell(_Q1_WORDS, n, _spread(packed))
     q2 = _spell(_Q2_WORDS, n, asked + _spread(ask_y2))
     a2 = _spell(_A2_WORDS, n, asked + _spread(ones))
-    return Transcript(theta, coin, q1, _unpack(hits, n), q2, a2, _decoded(packed, hits, ones, n))
+    return _transcript((theta, coin, q1, _unpack(hits, n), q2, a2, _decoded(packed, hits, ones, n)))
 
 
 def _check_bias(bias: Fraction) -> Fraction:

@@ -1,8 +1,9 @@
 """Multiround scheme: cells, rounds, decoding, and exact scheme laws."""
 
 import random
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +138,45 @@ class TestDecode:
         )
         with pytest.raises(ValueError, match="incomplete"):
             decode(1, t)
+
+    def test_theta_must_match_the_transcript(self):
+        # Decoding reads only the transcript, which already answers its own
+        # theta; asked for the other message, it would return this one.
+        m = MessagePair((0, 1, 1), (1, 0, 1))
+        t = run_session(m, 1, (0, 1, 1))
+        assert decode(1, t) == m.w1
+        assert decode(2, run_session(m, 2, (0, 1, 1))) == m.w2
+        with pytest.raises(ValueError, match="^theta 2 does not match the transcript's theta 1$"):
+            decode(2, t)
+
+
+class TestWrongTypes:
+    M = MessagePair((0, 1), (1, 1))
+    T = run_session(M, 1, (0, 1))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda m, t: run_session(((0, 1), (1, 1)), 1, (0, 1)), "m must be a MessagePair"),
+            (lambda m, t: derive_cells((0, 1)), "m must be a MessagePair"),
+            (lambda m, t: run_session(m, 1, None), "coin must be a sequence of bits"),
+            (lambda m, t: run_session(m, 1, 5), "coin must be a sequence of bits"),
+            (lambda m, t: MessagePair(None, (1,)), "w1 must be a sequence of bits"),
+            (lambda m, t: MessagePair(5, (1,)), "w1 must be a sequence of bits"),
+            (lambda m, t: MessagePair((1,), None), "w2 must be a sequence of bits"),
+            (lambda m, t: decode(1, tuple(t)), "t must be a Transcript"),
+            (lambda m, t: decode(1, None), "t must be a Transcript"),
+        ],
+        ids=["run_session-m", "derive_cells-m", "coin-None", "coin-int", "w1-None", "w1-int", "w2-None",
+             "t-tuple", "t-None"],
+    )
+    def test_refused_with_the_argument_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(self.M, self.T)
+
+    def test_theta_checked_before_the_transcript(self):
+        with pytest.raises(ValueError, match="^theta must be 1 or 2$"):
+            decode(3, None)
 
 
 class TestTranscript:
@@ -548,3 +588,76 @@ class TestBitsetKernelMatchesReference:
             decode(1, Transcript(1, t.coin, t.q1, t.a1, ("x1", None), t.a2))
         with pytest.raises(ValueError, match="a2 must contain only None, 0, 1"):
             decode(1, Transcript(1, t.coin, t.q1, t.a1, t.q2, (2, None)))
+
+
+class CountingDict(dict):
+    def __init__(self, table):
+        super().__init__(table)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+BIT_LIKE = (0, 1, False, True, 0.0, 1.0)
+WORD_TABLES = [
+    (multiround._Q1_WORDS, (ASK_X1, ASK_X2)),
+    (multiround._Q2_WORDS, (NO_QUERY, ASK_Y1, ASK_Y2)),
+    (multiround._A2_WORDS, (None, 0, 1)),
+]
+
+
+class TestTables:
+    def test_packing_by_lookup_matches_pack(self):
+        for n in range(multiround._BYTE_POSITIONS + 2):
+            for bits in product(BIT_LIKE, repeat=n):
+                got = multiround._check_bits("w1", bits)
+                assert got == (bits, multiround._pack("w1", bits))
+                assert got[0] is bits and type(got[1]) is int
+                assert multiround._check_bits("w1", list(bits)) == got
+
+    @pytest.mark.parametrize("entry", [2, -1, None, "1", [0]])
+    @pytest.mark.parametrize("n", range(1, multiround._BYTE_POSITIONS + 2))
+    def test_non_bits_keep_the_error_text(self, entry, n):
+        bits = (1,) * (n - 1) + (entry,)
+        with pytest.raises(ValueError) as want:
+            ref_bits("coin", bits)
+        with pytest.raises(ValueError, match="^coin must contain only bits$") as got:
+            multiround._check_bits("coin", bits)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("words, values", WORD_TABLES, ids=["q1", "q2", "a2"])
+    def test_spell_matches_the_chain_path(self, words, values):
+        assert [len(table) for table in words] == [4**n for n in range(multiround._BYTE_POSITIONS + 1)]
+        for n in range(multiround._BYTE_POSITIONS + 2):
+            pad = -n % 4
+            for digits in product(range(len(values)), repeat=n):
+                codes = sum(d << 2 * (n - 1 - i) for i, d in enumerate(digits))
+                by_chain = tuple(chain.from_iterable(
+                    map(words[-1].__getitem__, codes.to_bytes((n + pad) // 4, "big"))
+                ))[pad:]
+                assert multiround._spell(words, n, codes) == by_chain == tuple(values[d] for d in digits)
+
+    @pytest.mark.parametrize("length", [*range(1, 10), 2**17])
+    def test_pair_stores_its_cell_bitsets(self, length):
+        rng = random.Random(length)
+        w1, w2 = (tuple(rng.getrandbits(1) for _ in range(length)) for _ in range(2))
+        p1, p2 = multiround._pack("w1", w1), multiround._pack("w2", w2)
+        full = (1 << length) - 1
+        m = MessagePair(w1, w2)
+        assert m._cells == (p1 & p2, full & ~p1 & ~p2, p1 & ~p2, full & ~p1 & p2)
+        if length < 10:
+            assert cell_fields(derive_cells(m)) == ref_derive_cells(w1, w2)
+
+    def test_long_sequences_are_never_looked_up(self, monkeypatch):
+        table = CountingDict(multiround._PACKED)
+        monkeypatch.setattr(multiround, "_PACKED", table)
+        run_session(MessagePair((0, 1, 1, 0), (1, 1, 0, 0)), 1, (0, 1, 0, 1))
+        assert table.lookups == 3  # w1, w2 and the coin
+        for length in (5, 2**17):
+            table.lookups = 0
+            rng = random.Random(length)
+            w1, w2, coin = (tuple(rng.getrandbits(1) for _ in range(length)) for _ in range(3))
+            run_session(MessagePair(w1, w2), 2, coin)
+            assert table.lookups == 0
