@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .capacity import check_rate_admissible, mtpir_capacity, storage_overhead
-from .coding import CodecConfig, SourceModel, check_ints
+from .coding import CodecConfig, SourceModel, check_codec, check_ints
 from .descriptor import EmptySpaceError, SchemeDescriptor
 from .dist import ExactDist, conditional_entropy, conditional_mutual_information, entropy, total_variation
 from .seeds import derive_seed
@@ -436,35 +436,24 @@ def answer_stream_models(scheme: SchemeDescriptor) -> tuple[SourceModel, SourceM
     return _tabulate(scheme, (1,), [_answer_streams(scheme)])[0][0]
 
 
-def measure_rate(
-    scheme: SchemeDescriptor,
-    mode: str = "ideal",
-    L: int | None = None,
-    trials: int = 1,
-    seed: int = 0,
-) -> dict:
-    """Rate statistics in ideal (exact entropy) or concrete (coded) accounting."""
-    _check_flags(scheme, mode, L, trials, seed)
-    projections = [_download(scheme)]
-    if mode == "concrete" and scheme.coded is not None:
-        projections.append(_answer_streams(scheme))
-    download, *laws = _tabulate(scheme, (1,), projections)
-    return _finish_rate(scheme, download, mode, L, trials, seed, laws[0][0] if laws else None)
+def measure_rate(scheme: SchemeDescriptor) -> dict:
+    """Ideal (exact entropy) rate statistics; concrete accounting is
+    ``audit_sections``' in concrete mode."""
+    return _tabulate(scheme, (1,), [_download(scheme)])[0]
 
 
 def _check_flags(
-    scheme: SchemeDescriptor, mode: str, L: int | None, trials: int, seed: int, sw_blocks: int = 1,
-    codec: CodecConfig | None = None,
+    scheme: SchemeDescriptor, mode: str, L: int, trials: int, seed: int, sw_blocks: int, codec: CodecConfig | None,
 ) -> None:
     """Reject bad accounting flags before any session runs."""
     if mode not in ("ideal", "concrete"):
         raise ValueError("mode must be 'ideal' or 'concrete'")
     check_ints(seed=seed)
-    if codec is not None and not isinstance(codec, CodecConfig):
-        raise ValueError(f"codec must be a CodecConfig, got {codec!r}")
+    if codec is not None:
+        check_codec("codec", codec)
     if mode == "concrete":
-        check_ints(L=1 if L is None else L, trials=trials, sw_blocks=sw_blocks)
-        if L is None or L < 1:
+        check_ints(L=L, trials=trials, sw_blocks=sw_blocks)
+        if L < 1:
             raise ValueError("concrete mode needs a message length L >= 1")
         if trials < 1:
             raise ValueError("trials must be at least 1")
@@ -474,15 +463,13 @@ def _check_flags(
             raise ValueError(f"blocks must be at least 1, got {sw_blocks}")
 
 
-def _finish_rate(
-    scheme: SchemeDescriptor, result: dict, mode: str, L: int | None, trials: int, seed: int,
-    models: tuple[SourceModel, SourceModel] | None = None,
+def _concrete_rate(
+    scheme: SchemeDescriptor, ideal: dict, L: int, trials: int, seed: int,
+    models: tuple[SourceModel, SourceModel] | None,
 ) -> dict:
-    """Add concrete accounting, in that mode, to ``_download``'s result. A coded
+    """Concrete rate accounting beside ``_download``'s ``ideal`` result. A coded
     scheme's download is the mean of ``trials`` coded sessions under
     ``_answer_streams``' ``models``, listed with their decode errors."""
-    if mode != "concrete":
-        return result
     concrete = {"L": L, "trials": trials}
     if scheme.coded is not None:
         sessions = [scheme.coded.session(1, L, derive_seed(seed, "rate", trial), models) for trial in range(trials)]
@@ -494,15 +481,14 @@ def _finish_rate(
         concrete["decode_errors"] = sum(run["decode_errors"] for run in sessions)
     else:
         # Uncoded schemes ship answer symbols as-is: the download is exact.
-        mean = float(Fraction(result["expected_symbol_download_per_block"]) / scheme.block_length)
+        mean = float(Fraction(ideal["expected_symbol_download_per_block"]) / scheme.block_length)
         half_width = 0.0
-    result["concrete"] = {
+    return {
         **concrete,
         "download_per_message_bit_mean": mean,
         "download_per_message_bit_ci95": (mean - half_width, mean + half_width),
         "rate_mean": 1.0 / mean,
     }
-    return result
 
 
 def measure_overhead(scheme: SchemeDescriptor) -> dict:
@@ -757,9 +743,9 @@ def audit_sections(
     )
     stream_models, cell_model, stream_tv = sections.pop("streams", (None, None, None))
     privacy = _privacy(scheme, sections["views"])
-    rate = _finish_rate(scheme, sections["rate"], mode, L, trials, seed, stream_models)
-    overhead, converse, identities = sections["overhead"], sections["converse"], sections["entropy_identities"]
+    rate, overhead, converse = sections["rate"], sections["overhead"], sections["converse"]
     if mode == "concrete":
+        rate["concrete"] = _concrete_rate(scheme, rate, L, trials, seed, stream_models)
         overhead["concrete"] = _concrete_overhead(scheme, L, seed, codec, cell_model)
     capacity_check = {
         "capacity": mtpir_capacity(params),
@@ -778,7 +764,7 @@ def audit_sections(
         }
         overhead["sw"] = coded.bin_failures(codec, sw_blocks, seed)
         verdicts.append(rate["concrete"]["decode_errors"] == 0)
-    verdicts += [c["pass"] for c in (identities or []) + converse]
+    verdicts += [c["pass"] for c in (sections["entropy_identities"] or []) + converse]
     return {
         **sections,
         "scheme": scheme.name,
@@ -792,7 +778,6 @@ def audit_sections(
             "seed": seed,
         },
         "privacy": privacy,
-        "rate": rate,
         "capacity_check": capacity_check,
         "length_leakage": leakage,
         "pass": all(verdicts),

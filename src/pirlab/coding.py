@@ -338,6 +338,12 @@ def check_ints(**values) -> None:
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def check_codec(name: str, value) -> None:
+    """Refuse, by name, a value that is not a ``CodecConfig``."""
+    if not isinstance(value, CodecConfig):
+        raise ValueError(f"{name} must be a CodecConfig, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CodecConfig:
     """Binning parameters: block length, per-symbol rate margin, hash seed."""
@@ -386,8 +392,7 @@ def sw_bin_bits(cfg: CodecConfig) -> int:
 
 
 def _to_trits(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> list[int]:
-    if not isinstance(cfg, CodecConfig):
-        raise ValueError(f"cfg must be a CodecConfig, got {cfg!r}")
+    check_codec("cfg", cfg)
     if not isinstance(y_block, Sequence):
         raise ValueError(f"block must be a sequence, got {y_block!r}")
     if len(y_block) != cfg.block_length:
@@ -424,8 +429,7 @@ def sw_encode(y_block: Sequence[tuple[int, int]], cfg: CodecConfig) -> SwBin:
 def _check_decoder_input(sw_bin: SwBin, u_block: Sequence[int], cfg: CodecConfig) -> list[int]:
     if not isinstance(sw_bin, SwBin):
         raise ValueError(f"bin must be a SwBin, got {sw_bin!r}")
-    if not isinstance(cfg, CodecConfig):
-        raise ValueError(f"cfg must be a CodecConfig, got {cfg!r}")
+    check_codec("cfg", cfg)
     try:
         u_block = list(u_block)
     except TypeError:

@@ -24,22 +24,23 @@ TRIPLE_1 = "t1"
 TRIPLE_2 = "t2"
 
 BLOCK = 4
-_BLOCKS = frozenset(product((0, 1), repeat=BLOCK))  # the 16 valid blocks
+_BLOCKS = {bits: bits for bits in product((0, 1), repeat=BLOCK)}  # the 16 valid blocks, keyed by themselves
 
 
-def _check_block(name: str, bits) -> None:
+def _check_block(name: str, bits) -> tuple[int, ...]:
+    """The int block equal to ``bits`` (whose entries may be 1.0 or True), or
+    a refusal by name."""
     try:
-        valid = isinstance(bits, tuple) and bits in _BLOCKS
-    except TypeError:  # an unhashable entry, such as a list
-        valid = False
-    if not valid:
-        raise ValueError(f"{name} must be a {BLOCK}-bit tuple")
+        if isinstance(bits, tuple):
+            return _BLOCKS[bits]
+    except (KeyError, TypeError):  # not a block, or an unhashable entry such as a list
+        pass
+    raise ValueError(f"{name} must be a {BLOCK}-bit tuple")
 
 
 def linear_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Six stored bits per database, (s1, s2), for the 4-bit messages a and b."""
-    _check_block("a", a)
-    _check_block("b", b)
+    a, b = _check_block("a", a), _check_block("b", b)
     s1 = (a[0], a[2], b[0], b[2], a[1] ^ b[1], a[3] ^ b[3])
     s2 = (a[1], a[3], b[1], b[3], a[2] ^ b[0], a[0] ^ b[2])
     return s1, s2
@@ -47,15 +48,14 @@ def linear_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _replicated_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both 4-bit messages, whole, at each database."""
-    _check_block("a", a)
-    _check_block("b", b)
+    a, b = _check_block("a", a), _check_block("b", b)
     return a + b, a + b
 
 
 def _toy_store(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both 4-bit messages, whole, at DB1; the linear scheme's six bits at DB2."""
-    s2 = linear_store(a, b)[1]  # checks both blocks before they are joined
-    return a + b, s2
+    a, b = _check_block("a", a), _check_block("b", b)
+    return a + b, linear_store(a, b)[1]
 
 
 def db2_selector(pattern: int, theta: int) -> str:

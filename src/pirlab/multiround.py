@@ -26,7 +26,9 @@ from itertools import chain, product
 from typing import NamedTuple, Sequence
 
 from .capacity import PirParameters
-from .coding import CodecConfig, SourceModel, check_ints, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode
+from .coding import (
+    CodecConfig, SourceModel, check_codec, check_ints, entropy_encode, stream_payload_bits, sw_bin_bits, sw_decode, sw_encode,
+)
 from .descriptor import SchemeDescriptor, check_theta, session_record
 from .seeds import derive_seed
 
@@ -324,8 +326,7 @@ def sw_failure_rate(
     (two or more consistent candidates); this is the scheme's epsilon.
     """
     check_ints(blocks=blocks, seed=seed)
-    if not isinstance(codec, CodecConfig):
-        raise ValueError(f"codec must be a CodecConfig, got {codec!r}")
+    check_codec("codec", codec)
     if blocks < 1:
         raise ValueError(f"blocks must be at least 1, got {blocks}")
     bias = _check_bias(bias)

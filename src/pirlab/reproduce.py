@@ -5,9 +5,10 @@ the CLI serializes the bundle as JSON. Ideal mode runs only the exact rows
 (no Monte-Carlo, well under a second); full mode adds the finite-length
 coding rows. The exact rows read ``audit``'s public sections and enumerate
 each scheme once: ``exact_passes`` makes one pass each over multiround,
-linear and replicated for criteria 3, 5, 6c, 7, 8 and 9, criterion 4 one over
+linear and replicated for criteria 3, 5, 7, 8 and 9, criterion 4 one over
 each negative control, and criterion 10 one over the asymmetric toy, from
-which ``symmetrized_profiles`` also composes ``symmetrize(toy)``.
+which ``symmetrized_profiles`` also composes ``symmetrize(toy)``. The coding
+rows 6a, 6b and 6c read one concrete multiround audit, ``concrete_audit``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .audit import audit_sections, check_privacy, exact_sections, measure_rate, real_holds, symmetrized_profiles
+from .audit import audit_sections, check_privacy, exact_sections, real_holds, symmetrized_profiles
 from .capacity import PirParameters, mtpir_capacity, storage_overhead
-from .coding import CodecConfig, sw_bin_bits
+from .coding import CodecConfig, check_codec
 from .dist import ExactDist, marginal
 from .linear import asymmetric_toy_descriptor, linear_descriptor, replicated_descriptor, symmetrize
-from .multiround import MessagePair, multiround_descriptor, run_session, sw_failure_rate
+from .multiround import MessagePair, multiround_descriptor, run_session
 
 EXPECTED_VIEW_TABLE = {
     (None, 0, 0): Fraction(1, 4),
@@ -44,7 +45,7 @@ def _row(criterion: str, description: str, expected, measured, ok: bool) -> dict
 
 
 def exact_passes() -> dict[str, dict]:
-    """What criteria 3, 5, 6c, 7, 8 and 9 read, from one pass per scheme over
+    """What criteria 3, 5, 7, 8 and 9 read, from one pass per scheme over
     every theta, by scheme name: multiround's ideal ``audit_sections``, and
     linear's and replicated's ``exact_sections``, their ``rate``,
     ``overhead``, ``converse`` and ``entropy_identities`` alone: the report's
@@ -172,10 +173,15 @@ def criterion_ideal_rate_overhead(passes: dict) -> dict:
     )
 
 
-def criterion_concrete_download(seed: int) -> dict:
-    scheme = multiround_descriptor()
-    stats = measure_rate(scheme, mode="concrete", L=100_000, trials=1, seed=seed)
-    mean = stats["concrete"]["download_per_message_bit_mean"]
+def concrete_audit(seed: int, codec: CodecConfig) -> dict:
+    """What criteria 6a, 6b and 6c read: one concrete multiround audit."""
+    return audit_sections(
+        multiround_descriptor(), mode="concrete", L=100_000, trials=1, seed=seed, codec=codec, sw_blocks=10_000
+    )
+
+
+def criterion_concrete_download(concrete: dict) -> dict:
+    mean = concrete["rate"]["concrete"]["download_per_message_bit_mean"]
     ok = abs(mean - 1.5) <= 0.015
     return _row(
         "6a",
@@ -186,28 +192,30 @@ def criterion_concrete_download(seed: int) -> dict:
     )
 
 
-def criterion_sw_failure(seed: int, codec: CodecConfig) -> dict:
-    stats = sw_failure_rate(codec, blocks=10_000, seed=seed)
+def criterion_sw_failure(concrete: dict, codec: CodecConfig) -> dict:
+    stats = concrete["overhead"]["sw"]
     ok = stats["failure_rate"] <= 1e-3
     return _row(
         "6b",
-        f"bin-decoding failure rate at n={codec.block_length}, margin={codec.rate_margin}, 10000 blocks",
+        f"bin-decoding failure rate at n={codec.block_length}, margin={codec.rate_margin}, {stats['blocks']} blocks",
         "at most 1e-3",
         stats,
         ok,
     )
 
 
-def criterion_sw_storage(passes: dict, codec: CodecConfig) -> dict:
-    bits = sw_bin_bits(codec)
+def criterion_sw_storage(concrete: dict, codec: CodecConfig) -> dict:
+    overhead = concrete["overhead"]
+    bits = overhead["sw"]["bin_bits"]
     # The bin must be sized from DB2's audited ideal storage, H(y1, y2 | u).
-    target = passes["multiround"]["overhead"]["ideal_bits_per_block"][1] + codec.rate_margin
+    target = overhead["ideal_bits_per_block"][1] + codec.rate_margin
     per_symbol = bits / codec.block_length
-    ok = bits == math.ceil(codec.block_length * target) and per_symbol < 1.5
+    expected = math.ceil(codec.block_length * target)
+    ok = bits == expected and per_symbol < 1.5
     return _row(
         "6c",
         "bin size per symbol equals the conditional-entropy target and beats 3/2",
-        {"bin_bits": math.ceil(codec.block_length * target), "below": 1.5},
+        {"bin_bits": expected, "below": 1.5},
         {"bin_bits": bits, "bits_per_symbol": per_symbol},
         ok,
     )
@@ -289,9 +297,8 @@ def criterion_symmetrization() -> dict:
 def reproduce_all(mode: str = "full", seed: int = 0, codec: CodecConfig | None = None) -> dict:
     if mode not in ("ideal", "full"):
         raise ValueError("mode must be 'ideal' or 'full'")
-    if codec is not None and not isinstance(codec, CodecConfig):
-        raise ValueError(f"codec must be a CodecConfig, got {codec!r}")
-    codec = codec or CodecConfig(seed=seed)
+    codec = CodecConfig(seed=seed) if codec is None else codec
+    check_codec("codec", codec)
     passes = exact_passes()
     rows = [
         criterion_capacity(),
@@ -301,9 +308,10 @@ def reproduce_all(mode: str = "full", seed: int = 0, codec: CodecConfig | None =
         criterion_ideal_rate_overhead(passes),
     ]
     if mode == "full":
-        rows.append(criterion_concrete_download(seed))
-        rows.append(criterion_sw_failure(seed, codec))
-        rows.append(criterion_sw_storage(passes, codec))
+        concrete = concrete_audit(seed, codec)
+        rows.append(criterion_concrete_download(concrete))
+        rows.append(criterion_sw_failure(concrete, codec))
+        rows.append(criterion_sw_storage(concrete, codec))
     rows += [
         criterion_symbol_download(passes),
         criterion_entropy_identities(passes),

@@ -3,10 +3,12 @@
 Each test calls its ``pirlab.reproduce.criterion_*`` function once, prints
 the row as a single PASS/FAIL line (run with ``pytest -s`` to see them on
 success) and asserts the row's verdict, so the suite and the CLI share one
-definition of every criterion. Criteria 3, 5, 6c, 7, 8 and 9 read one exhaustive
-pass per scheme, made once for the module by the ``passes`` fixture, as
-``reproduce_all`` makes it once per run. Where a row checks a value only by a
-relation or a tolerance, the test also pins the exact value.
+definition of every criterion. Criteria 3, 5, 7, 8 and 9 read one exhaustive
+pass per scheme, made once for the module by the ``passes`` fixture, and
+criteria 6a, 6b and 6c one concrete multiround audit, made once by the
+``concrete`` fixture, as ``reproduce_all`` makes each once per run. Where a
+row checks a value only by a relation or a tolerance, the test also pins the
+exact value.
 
 Criterion 6b is expected to fail: at block length 16 with a 0.15 bit/symbol
 margin the bin space is simply too small for the candidate sets, so the
@@ -38,8 +40,15 @@ def check(row: dict):
 
 @pytest.fixture(scope="module")
 def passes():
-    """The per-scheme exact passes that criteria 3, 5, 6c, 7, 8 and 9 read."""
+    """The per-scheme exact passes that criteria 3, 5, 7, 8 and 9 read."""
     return reproduce.exact_passes()
+
+
+@pytest.fixture(scope="module")
+def concrete():
+    """The concrete multiround audit that criteria 6a, 6b and 6c read; it
+    samples the 10,000 bins once."""
+    return reproduce.concrete_audit(SEED, CODEC)
 
 
 def test_criterion_1_capacity_formula_and_grid():
@@ -62,16 +71,16 @@ def test_criterion_5_ideal_rate_and_overhead(passes):
     check(reproduce.criterion_ideal_rate_overhead(passes))
 
 
-def test_criterion_6a_concrete_download_within_one_percent():
-    check(reproduce.criterion_concrete_download(SEED))
+def test_criterion_6a_concrete_download_within_one_percent(concrete):
+    check(reproduce.criterion_concrete_download(concrete))
 
 
-def test_criterion_6b_sw_failure_rate():
-    check(reproduce.criterion_sw_failure(SEED, CODEC))
+def test_criterion_6b_sw_failure_rate(concrete):
+    check(reproduce.criterion_sw_failure(concrete, CODEC))
 
 
-def test_criterion_6c_sw_storage_per_symbol(passes):
-    assert check(reproduce.criterion_sw_storage(passes, CODEC))["bin_bits"] == 22
+def test_criterion_6c_sw_storage_per_symbol(concrete):
+    assert check(reproduce.criterion_sw_storage(concrete, CODEC))["bin_bits"] == 22
 
 
 def test_criterion_7_constrained_length_download(passes):

@@ -13,6 +13,7 @@ import pytest
 from pirlab import audit, multiround, reproduce
 from pirlab.audit import (
     answer_stream_models,
+    audit_sections,
     build_audit_report,
     check_privacy,
     conditional_mutual_information,
@@ -287,6 +288,36 @@ class TestEnumerationCounts:
             "multiround-bias-3-4": {"run": 16, "store": 4},
         }
 
+    def test_reproduce_full_reads_one_concrete_audit(self, monkeypatch):
+        # Rows 6a, 6b and 6c read one concrete multiround audit; the recorder
+        # forwards it at a small L and 20 bins, so the rows read what it returns.
+        calls, returned = [], []
+
+        def recorder(scheme, **options):
+            calls.append((scheme.name, options))
+            if options.get("mode") != "concrete":
+                return audit_sections(scheme, **options)
+            returned.append(audit_sections(scheme, **{**options, "L": 1_600, "sw_blocks": 20}))
+            return returned[-1]
+
+        monkeypatch.setattr(reproduce, "audit_sections", recorder)
+        codec = CodecConfig(seed=3)
+        rows = {row["criterion"]: row for row in reproduce.reproduce_all("full", seed=3, codec=codec)["criteria"]}
+        concrete_calls = [call for call in calls if call[1].get("mode") == "concrete"]
+        assert concrete_calls == [("multiround", {
+            "mode": "concrete", "L": 100_000, "trials": 1, "seed": 3, "codec": codec, "sw_blocks": 10_000,
+        })]
+        (concrete,) = returned
+        assert rows["6a"]["measured"] == {
+            "download_per_message_bit": concrete["rate"]["concrete"]["download_per_message_bit_mean"]
+        }
+        assert rows["6b"]["measured"] is concrete["overhead"]["sw"]
+        assert rows["6b"]["measured"]["blocks"] == 20
+        bits = concrete["overhead"]["sw"]["bin_bits"]
+        assert rows["6c"]["measured"] == {"bin_bits": bits, "bits_per_symbol": bits / codec.block_length}
+        target = concrete["overhead"]["ideal_bits_per_block"][1] + codec.rate_margin
+        assert rows["6c"]["expected"]["bin_bits"] == math.ceil(codec.block_length * target)
+
     def test_audit_report_sections_equal_the_reproduce_passes(self):
         # The report and reproduce finish these sections in one place: the
         # same scheme gives the same serialised section from both.
@@ -438,10 +469,10 @@ class TestEnumerationCounts:
         ],
     )
     def test_measure_rate_refuses_bad_flags_before_any_session(self, descriptor, flags, message):
-        # measure_rate reads the audit's rate flags through the same check.
+        # The concrete rate is the audit's, refused through its flag check.
         scheme, calls = self.counted(descriptor())
         with pytest.raises(ValueError, match=message):
-            measure_rate(scheme, **{"mode": "concrete", "L": 200, "trials": 2, **flags})
+            audit_sections(scheme, **{"mode": "concrete", "L": 200, "trials": 2, "sw_blocks": 10, **flags})
         assert calls == {"run": 0, "store": 0}
 
 
@@ -557,31 +588,32 @@ class TestConcreteAccounting:
         assert run["decode_errors"] == 0
         assert run["download_bits"] / 20_000 == pytest.approx(1.5, abs=0.03)
 
+    @staticmethod
+    def rate(scheme, **flags):
+        """The concrete audit's rate section, with one bin sampled."""
+        return audit_sections(scheme, mode="concrete", sw_blocks=1, **flags)["rate"]
+
     def test_measure_rate_concrete(self):
-        stats = measure_rate(
-            multiround_descriptor(), mode="concrete", L=5_000, trials=3, seed=1
-        )
+        stats = self.rate(multiround_descriptor(), L=5_000, trials=3, seed=1)
         mean = stats["concrete"]["download_per_message_bit_mean"]
         low, high = stats["concrete"]["download_per_message_bit_ci95"]
         assert low <= mean <= high
         assert mean == pytest.approx(1.5, abs=0.05)
 
     def test_linear_concrete_rate_is_exact(self):
-        stats = measure_rate(linear_descriptor(), mode="concrete", L=40, trials=2)
+        stats = self.rate(linear_descriptor(), L=40, trials=2)
         assert stats["concrete"]["download_per_message_bit_mean"] == 1.5
 
     def test_linear_concrete_requires_block_multiple(self):
         with pytest.raises(ValueError, match="multiple"):
-            measure_rate(linear_descriptor(), mode="concrete", L=41)
+            self.rate(linear_descriptor(), L=41)
 
     def test_convergence_toward_ideal(self):
         # Fixed-seed regression: the mean download gap shrinks through
         # L = 1e3, 1e4, 1e5 for this seed and trial schedule.
         gaps = []
         for L, trials in ((1_000, 20), (10_000, 10), (100_000, 2)):
-            stats = measure_rate(
-                multiround_descriptor(), mode="concrete", L=L, trials=trials, seed=7
-            )
+            stats = self.rate(multiround_descriptor(), L=L, trials=trials, seed=7)
             gaps.append(abs(stats["concrete"]["download_per_message_bit_mean"] - 1.5))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -630,7 +662,7 @@ class TestConcreteAccounting:
         original = multiround_descriptor()
         renamed = dataclasses.replace(original, name="two-round")
         for measure in (
-            lambda s: measure_rate(s, mode="concrete", L=1_600, trials=2, seed=5)["concrete"],
+            lambda s: self.rate(s, L=1_600, trials=2, seed=5)["concrete"],
             lambda s: self.overhead(s, L=1_600, seed=5),
         ):
             assert measure(renamed) == measure(original)

@@ -19,31 +19,19 @@ from pirlab.audit import build_audit_report, jsonify
 from pirlab.cli import main
 from pirlab.coding import CodecConfig
 
-# SHA-256 of stdout and the exit code of commands whose JSON documents are
-# promised byte-identical across changes; perfbench/workloads.py checks the
-# same digests for the five audits and reproduce --mode ideal. The concrete
+# Commands whose stdout documents are promised byte-identical across changes,
+# by name: each one's argv and exit code are in tests/golden/commands.json and
+# its stdout in tests/golden/<name>.json, rewritten by
+# ``python tests/golden/regenerate.py``. perfbench/workloads.py checks the
+# digests of the five ideal audits and reproduce --mode ideal. The concrete
 # multiround commands run the entropy and binning coders; the other concrete
 # commands pin the uncoded and replicated-storage branches.
-GOLDEN = {
-    ("audit", "--scheme", "multiround"):
-        (0, "1e221870f2f81dc3ee59949c324e01b7bc4404aeb8e00ea9a061e1b6b98d8df6"),
-    ("audit", "--scheme", "multiround", "--storage", "replicated"):
-        (1, "a1d26809fab85ed15ce706fbeadd68cd164cdef7a48d2489f09710138e329d5a"),
-    ("audit", "--scheme", "multiround", "--bias", "3/4"):
-        (1, "6810268be6de1aea6285af0a2c913f8674cabfb27cda74eb9d6055b0583c5f3f"),
-    ("audit", "--scheme", "linear"):
-        (0, "34ea06046783e8f42d188522efc1abd01979dc06c43395fa72669212f6843cc6"),
-    ("audit", "--scheme", "replicated"):
-        (0, "d25d8304d6db50f1dc738ffae4340a746af764f675623f24b59d4609c8bb6612"),
-    ("reproduce", "--mode", "ideal"):
-        (0, "5b95c9ddf08f2913c9a63ea7a2d7c93cc05206e0842708fa0d9e5193b3a6c1ad"),
-    ("audit", "--scheme", "multiround", "--mode", "concrete"):
-        (0, "3c2042bc50fa7292f503ec345127e7606a356c407c2fd2c3796fe013820bb905"),
-    ("audit", "--scheme", "linear", "--mode", "concrete"):
-        (0, "81c137cb7bf77d2e5c99cf5ff1eb5299eaec34a8e35d546c056e2623048dce06"),
-    ("audit", "--scheme", "multiround", "--storage", "replicated", "--mode", "concrete"):
-        (1, "1cda018e26174aa7b73d382967780d58c43c2ad44a651499c934d5f943ba46c2"),
-}
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "commands.json").read_text())
+
+
+def golden_stdout(name: str) -> bytes:
+    return (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 def run_cli(capsys, *argv):
@@ -441,8 +429,8 @@ def test_no_module_imports_another_modules_private_names():
 
 
 def test_benchmark_pins_the_same_digests():
-    # perfbench/workloads.py keeps its own GOLDEN for six of these commands;
-    # a re-pin must change both tables alike.
+    # perfbench/workloads.py keeps its own GOLDEN digests for six of these
+    # commands; a re-pin must change the golden files and that table alike.
     source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     (table,) = [
         node.value for node in ast.parse(source.read_text()).body
@@ -450,7 +438,11 @@ def test_benchmark_pins_the_same_digests():
     ]
     benchmark = ast.literal_eval(table)
     assert len(benchmark) == 6
-    assert {argv: GOLDEN.get(argv) for argv in benchmark} == benchmark
+    files = {
+        tuple(command["argv"]): (command["exit"], hashlib.sha256(golden_stdout(name)).hexdigest())
+        for name, command in GOLDEN.items()
+    }
+    assert {argv: files.get(argv) for argv in benchmark} == benchmark
 
 
 def test_benchmark_tracer_installs():
@@ -483,35 +475,22 @@ def test_benchmark_self_check_passes():
     assert lines and all(line.endswith(": ok") for line in lines), done.stdout
 
 
-@pytest.mark.parametrize(
-    "argv",
-    list(GOLDEN),
-    ids=[
-        "multiround",
-        "multiround-replicated",
-        "multiround-bias-3-4",
-        "linear",
-        "replicated",
-        "reproduce-ideal",
-        "audit-multiround-concrete",
-        "audit-linear-concrete",
-        "audit-multiround-replicated-concrete",
-    ],
-)
-def test_golden_stdout_digest(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_stdout_digest(capsys, monkeypatch, name):
+    # Stdout must equal the golden bytes, decoded as UTF-8 (a one-to-one
+    # map), so that a failure shows the JSON difference.
     monkeypatch.delenv("PIRLAB_SEED", raising=False)
-    code = main(list(argv))
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert (code, digest) == GOLDEN[argv]
+    code = main(list(GOLDEN[name]["argv"]))
+    assert (code, capsys.readouterr().out) == (GOLDEN[name]["exit"], golden_stdout(name).decode("utf-8"))
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_reproduce_stdout_does_not_depend_on_the_hash_seed(hash_seed):
-    # The digests above see one hash seed per test run; set and dict order
+    # The test above sees one hash seed per test run; set and dict order
     # under another seed must print the same bytes.
-    argv = ("reproduce", "--mode", "ideal")
+    command = GOLDEN["reproduce-ideal"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {name: value for name, value in os.environ.items() if name != "PIRLAB_SEED"}
     env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "pirlab", *argv], env=env, capture_output=True, timeout=120)
-    assert (done.returncode, hashlib.sha256(done.stdout).hexdigest()) == GOLDEN[argv], done.stderr
+    done = subprocess.run([sys.executable, "-m", "pirlab", *command["argv"]], env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stdout) == (command["exit"], golden_stdout("reproduce-ideal")), done.stderr

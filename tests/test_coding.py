@@ -25,7 +25,7 @@ from pirlab.coding import (
     sw_decode_reference,
     sw_encode,
 )
-from pirlab.audit import answer_stream_models, measure_overhead
+from pirlab.audit import answer_stream_models, audit_sections, measure_overhead
 from pirlab.dist import ExactDist, entropy
 from pirlab.multiround import multiround_descriptor, sw_failure_rate
 
@@ -559,10 +559,14 @@ class TestBinSizing:
     def test_criterion_6c_fails_for_a_target_off_the_audit(self, monkeypatch):
         # 6c compares the codec's bins with DB2's audited storage, so a codec
         # built on any other target (here 1.0 bit, 19-bit bins) fails it.
-        passes = reproduce.exact_passes()
-        assert reproduce.criterion_sw_storage(passes, CodecConfig())["pass"]
+        def storage_row():
+            codec = CodecConfig()
+            concrete = audit_sections(multiround_descriptor(), mode="concrete", L=160, trials=1, codec=codec, sw_blocks=1)
+            return reproduce.criterion_sw_storage(concrete, codec)
+
+        assert storage_row()["pass"]
         monkeypatch.setattr(coding, "_SIDE_INFO_BITS", 1.0)
-        row = reproduce.criterion_sw_storage(passes, CodecConfig())
+        row = storage_row()
         assert (row["measured"]["bin_bits"], row["expected"]["bin_bits"]) == (19, 22)
         assert not row["pass"]
 

@@ -272,20 +272,32 @@ class TestChecking:
     @pytest.mark.parametrize("bits", BLOCK_CORPUS, ids=repr)
     def test_block_check_accepts_what_the_tuple_predicate_accepts(self, bits):
         # The reference is the element-by-element predicate that the one
-        # lookup in the set of valid blocks replaced.
+        # lookup in the table of valid blocks replaced.
         accepted = isinstance(bits, tuple) and len(bits) == 4 and all(b in (0, 1) for b in bits)
         try:
             stored = linear_store(bits, (0, 0, 0, 0))
         except ValueError as error:
             assert not accepted and str(error) == "a must be a 4-bit tuple"
-        except TypeError:
-            # A float bit equals an int bit, so it passes the check, as it
-            # passed the predicate, and then fails at the first XOR.
-            assert accepted and any(type(b) is float for b in bits)
         else:
-            # With b = 0, each stored XOR is the a bit itself.
+            # With b = 0, each stored XOR is the a bit itself; a float or bool
+            # bit is stored as the int bit it equals.
             a1, a2, a3, a4 = bits
             assert accepted and stored == ((a1, a3, 0, 0, a2, a4), (a2, a4, 0, 0, a3, a1))
+            assert all(type(bit) is int for s in stored for bit in s)
+
+    @pytest.mark.parametrize("factory", [linear_descriptor, asymmetric_toy_descriptor, replicated_descriptor])
+    @pytest.mark.parametrize("block", [(1.0, 0, 0, 0), (True, False, 0, 0)], ids=["float", "bool"])
+    def test_equal_block_is_stored_as_its_int_block_on_a_fresh_descriptor(self, factory, block):
+        # A fresh memo and one that already holds the int block agree.
+        msg, canonical = (block, (0, 1, 1.0, 0)), ((1, 0, 0, 0), (0, 1, 1, 0))
+        warm = factory()
+        ((coin, _), *_) = warm.randomness_space()
+        expected_store, expected_run = warm.store(canonical), warm.run(canonical, 1, coin)
+        for scheme in (factory(), warm):
+            stored = scheme.store(msg)
+            assert stored == expected_store and all(type(bit) is int for s in stored for bit in s)
+            assert scheme.run(msg, 1, coin) == expected_run
+        assert factory().run(msg, 1, coin) == expected_run  # run before any store
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -294,7 +306,7 @@ class TestChecking:
 
         def counted(name, bits):
             names.append(name)
-            check(name, bits)
+            return check(name, bits)
 
         monkeypatch.setattr(linear, "_check_block", counted)
         return names
@@ -497,7 +509,7 @@ class TestComposition:
         # equal one enumeration of all 262,144 sessions per theta of
         # symmetrize(asymmetric_toy), which decodes every one of them; a
         # replaced run is what gets enumerated. Its composed scheme_profile
-        # is pinned by the reproduce-ideal golden digest, recorded when
+        # is pinned by the reproduce-ideal golden document, recorded when
         # criterion 10 enumerated it.
         symmetric = symmetrize(asymmetric_toy_descriptor())
         runs = []
